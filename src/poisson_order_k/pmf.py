@@ -7,10 +7,12 @@ polynomials in lam with w_0 = 1.  Everything here works with the weights;
 are provided (a k-term form and a four-term form) so each can certify the
 other, plus the two difference identities they induce.
 
-Weights are evaluated in 64-bit floating point.  They are unnormalized and
+Weights are returned in 64-bit floating point.  They are unnormalized and
 can overflow for very large ``k*lam`` (roughly k*lam > 300 with deep
-tables); builders detect this and report the first offending index.
-Exactness lives in :mod:`poisson_order_k.oracle`.
+tables); builders detect this and report the first offending index.  The
+k-term form recurses in floats; the four-term form recurses exactly, in
+scaled big integers, and rounds each entry once.  The exact tuple sum lives
+in :mod:`poisson_order_k.oracle`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "Params",
@@ -154,30 +155,40 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
     has mixed signs and admits non-decaying parasitic solutions, so running
     it in floating point destroys the (recessive) true solution once it
     decays below roughly 1e-16 of the table peak.  It is therefore recursed
-    in exact rational arithmetic on the binary value of lam and each entry is
-    rounded to float once, which keeps it an honest certification path for
-    build_table at every index.
+    exactly, on the binary value lam = m/D of the rate (D a power of two),
+    in the scaled integers W_n = n! * D**n * w_n:
+
+    W_n = (2(n-1)D + m) W_{n-1} - (n-1)(n-2) D^2 W_{n-2}
+          - (k+1) m D^k perm(n-1, k) W_{n-k-1}
+          + k m D^(k+1) perm(n-1, k+1) W_{n-k-2}
+
+    Integer arithmetic needs no gcd normalisation.  Each entry is rounded to
+    float once, as the correctly rounded quotient W_n / (n! * D**n), which
+    keeps it an honest certification path for build_table at every index.
     """
     _check_n_max(n_max)
     k = params.k
-    lam = Fraction(params.lam)
+    m, d = params.lam.as_integer_ratio()
+    # n-independent factors of the second, third and fourth coefficients
+    d2, mdk = d * d, m * d**k
+    a3, a4 = (k + 1) * mdk, k * mdk * d
     # the step only reaches back k+2 indices; keep that window exact
-    window: deque[Fraction] = deque([Fraction(1)], maxlen=k + 2)
+    window: deque[int] = deque([1], maxlen=k + 2)
+    denom = 1  # n! * D**n
     out = [1.0]
     for n in range(1, n_max + 1):
-        x = (2 + (lam - 2) / n) * window[-1]
-        if n >= 2:
-            x -= Fraction(n - 2, n) * window[-2]
+        x = (2 * (n - 1) * d + m) * window[-1]
+        if n >= 3:
+            x -= (n - 1) * (n - 2) * d2 * window[-2]
         if n - k - 1 >= 0:
-            x -= Fraction(k + 1, n) * lam * window[-(k + 1)]
+            x -= a3 * math.perm(n - 1, k) * window[-(k + 1)]
         if n - k - 2 >= 0:
-            x += Fraction(k, n) * lam * window[-(k + 2)]
+            x += a4 * math.perm(n - 1, k + 1) * window[-(k + 2)]
+        denom *= n * d
         try:
-            fx = float(x)
+            fx = x / denom
         except OverflowError:
             raise _overflow(n, params) from None
-        if not math.isfinite(fx):
-            raise _overflow(n, params)
         window.append(x)
         out.append(fx)
     return _finish(params, out)

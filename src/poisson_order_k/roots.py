@@ -243,11 +243,17 @@ def shoulder_lambda(
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
 
+    # is_done asks for the pair at the rate g has just evaluated; reuse it
+    last: tuple = (None, None)
+
     def pair(lam: float) -> tuple[float, float]:
-        w = [1.0]
-        for m in range(1, k + 3):
-            _extend_kp(w, k, lam, m)
-        return w[k + 1], w[k + 2]
+        nonlocal last
+        if last[0] != lam:
+            w = [1.0]
+            for m in range(1, k + 3):
+                _extend_kp(w, k, lam, m)
+            last = lam, (w[k + 1], w[k + 2])
+        return last[1]
 
     def g(lam: float) -> float:
         a, b = pair(lam)

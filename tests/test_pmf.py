@@ -29,6 +29,28 @@ def rel_gap(a: float, b: float) -> float:
     return abs(a - b) / m if m else 0.0
 
 
+def km_fraction_reference(params: Params, n_max: int) -> tuple[tuple[float, ...], float]:
+    """The four-term recurrence in Fraction arithmetic: (values, mass_captured).
+
+    Independent of the scaled-integer form in build_table_km; every entry is
+    the same rational, so the rounded floats must agree bit for bit.
+    """
+    k = params.k
+    lam = Fraction(params.lam)
+    w = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        x = (2 + (lam - 2) / n) * w[n - 1]
+        if n >= 2:
+            x -= Fraction(n - 2, n) * w[n - 2]
+        if n - k - 1 >= 0:
+            x -= Fraction(k + 1, n) * lam * w[n - k - 1]
+        if n - k - 2 >= 0:
+            x += Fraction(k, n) * lam * w[n - k - 2]
+        w.append(x)
+    values = tuple(float(x) for x in w)
+    return values, math.exp(-k * params.lam) * math.fsum(values)
+
+
 class TestParams:
     def test_kappa_and_mean(self):
         p = Params(4, 0.5)
@@ -108,8 +130,26 @@ class TestBuildTableKm:
                 assert abs(x - y) < FLOAT_MIN
 
     def test_overflow_reports_first_offending_index(self):
-        with pytest.raises(OverflowError, match=r"n="):
+        # 800**459/459! is the first weight beyond the float range
+        with pytest.raises(OverflowError, match=r"index n=459 "):
             build_table_km(Params(1, 800.0), 900)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_bit_identical_to_fraction_recursion(self, k):
+        # the whole grid of the verify recurrence-cross-check suite
+        for lam in (0.1, 0.6026076, 4.0 / 3.0, 3.0):
+            t = build_table_km(Params(k, lam), 200)
+            assert (t.values, t.mass_captured) == km_fraction_reference(t.params, 200)
+
+    @given(
+        st.integers(1, 8),
+        st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0**e),
+        st.integers(0, 80),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_across_binades(self, k, lam, n_max):
+        t = build_table_km(Params(k, lam), n_max)
+        assert (t.values, t.mass_captured) == km_fraction_reference(t.params, n_max)
 
     @given(
         st.integers(1, 6),
