@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pmf import Params, _extend_kp
+from .pmf import Params, _kterm_weights
 
 __all__ = [
     "RootResult",
@@ -81,10 +81,7 @@ def _check_k(k: int, minimum: int = 1) -> None:
 def weight_value(k: int, n: int, lam: float) -> float:
     """Weight at a single index, via the k-term recurrence."""
     Params(k, lam)  # validate
-    w = [1.0]
-    for m in range(1, n + 1):
-        _extend_kp(w, k, lam, m)
-    return w[n]
+    return _kterm_weights(k, lam, n)[n]
 
 
 def root_upper_bound(k: int, n: int, c: float) -> float:
@@ -249,9 +246,7 @@ def shoulder_lambda(
     def pair(lam: float) -> tuple[float, float]:
         nonlocal last
         if last[0] != lam:
-            w = [1.0]
-            for m in range(1, k + 3):
-                _extend_kp(w, k, lam, m)
+            w = _kterm_weights(k, lam, k + 2)
             last = lam, (w[k + 1], w[k + 2])
         return last[1]
 

@@ -106,10 +106,6 @@ def _require_settled(table: PmfTable) -> None:
         )
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(abs(a), abs(b))
-
-
 def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> ModeSet:
     """All indices within relative tie_tol of the table maximum.
 
@@ -128,22 +124,23 @@ def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]
 
     An index is a peak when its value is at least both neighbours'; index 0
     needs only the right condition.  Neighbouring values equal within tie_tol
-    form one plateau counted once, at its left endpoint.
+    (|a - b| <= tie_tol * max(a, b), weights being non-negative) form one
+    plateau counted once, at its left endpoint.
     """
     _require_settled(table)
     v = table.values
-    last = len(v) - 1
     peaks: list[int] = []
-    n = 0
-    while n <= last:
-        m = n
-        while m < last and _close(v[m + 1], v[m], tie_tol):
-            m += 1
-        left_ok = n == 0 or v[n] > v[n - 1]
-        right_ok = m == last or v[m] > v[m + 1]
-        if left_ok and right_ok:
-            peaks.append(n)
-        n = m + 1
+    start = 0  # left end of the current plateau
+    for m, (a, b) in enumerate(zip(v, v[1:])):
+        if b > a:
+            if b - a > tie_tol * b:  # a rise ends the plateau, not a peak
+                start = m + 1
+        elif a - b > tie_tol * a:  # a fall ends the plateau
+            if start == 0 or v[start] > v[start - 1]:
+                peaks.append(start)
+            start = m + 1
+    if start == 0 or v[start] > v[start - 1]:
+        peaks.append(start)
     return peaks
 
 
@@ -241,7 +238,9 @@ def find_triple_ties(
     lo = hi = v[0]
     for n in range(1, len(v)):
         x = v[n]
-        new_lo, new_hi = min(lo, x), max(hi, x)
+        # cheaper than min()/max() calls, and equal to them for non-NaN values
+        new_lo = x if x < lo else lo
+        new_hi = x if x > hi else hi
         # pairwise closeness of positive values == spread within tolerance
         if new_hi - new_lo <= tie_tol * new_hi:
             lo, hi = new_lo, new_hi

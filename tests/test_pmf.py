@@ -29,6 +29,22 @@ def rel_gap(a: float, b: float) -> float:
     return abs(a - b) / m if m else 0.0
 
 
+def kterm_reference(params: Params, n_max: int) -> tuple[float, ...]:
+    """The k-term recurrence as an indexed loop over j = 1..min(n, k).
+
+    The shipped kernel walks a reversed window instead; it must perform the
+    same float operations in the same order, so the weights agree bit for bit.
+    """
+    k, lam = params.k, params.lam
+    w = [1.0]
+    for n in range(1, n_max + 1):
+        s = 0.0
+        for j in range(1, min(n, k) + 1):
+            s += j * w[n - j]
+        w.append(lam * s / n)
+    return tuple(w)
+
+
 def km_fraction_reference(params: Params, n_max: int) -> tuple[tuple[float, ...], float]:
     """The four-term recurrence in Fraction arithmetic: (values, mass_captured).
 
@@ -96,8 +112,39 @@ class TestBuildTable:
                 assert all(v[n] < v[n + 1] for n in range(1, k))
 
     def test_overflow_reports_first_offending_index(self):
-        with pytest.raises(OverflowError, match=r"n="):
+        # lam * s passes the float range before (lam * s) / n does; the first
+        # weight that is itself beyond the range is 800**459/459!
+        with pytest.raises(OverflowError, match=r"index n=459 "):
             build_table(Params(1, 800.0), 900)
+
+    def test_weights_next_to_the_float_limit_stay_accurate(self):
+        # from n=448 on lam * s overflows although the weight is finite
+        a = build_table(Params(1, 800.0), 457).values
+        b = build_table_km(Params(1, 800.0), 457).values
+        assert a[448] > 1e305
+        assert all(rel_gap(x, y) <= 1e-14 for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("build", [build_table, build_table_km])
+    def test_sum_overflow_is_named(self, build):
+        # every entry up to 458 is finite, their sum is not
+        with pytest.raises(OverflowError, match=r"k=1, lam=800.0, n_max=458"):
+            build(Params(1, 800.0), 458)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bit_identical_to_indexed_loop(self, k):
+        for lam in (0.05, 0.3, 0.6026076, 1.0, 4.0 / 3.0, 3.0, 12.5, 50.0):
+            t = build_table(Params(k, lam), 150)
+            assert t.values == kterm_reference(t.params, 150)
+
+    @given(
+        st.integers(1, 60),
+        st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0**e),
+        st.integers(0, 120),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_across_orders_and_binades(self, k, lam, n_max):
+        t = build_table(Params(k, lam), n_max)
+        assert t.values == kterm_reference(t.params, n_max)
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(ValueError):
@@ -204,6 +251,12 @@ class TestAdaptiveTruncation:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             build_adaptive_table(Params(2, 1.0), 0.0)
+
+    def test_bit_identical_to_indexed_loop_at_the_mean_k_rate(self):
+        # the scan --lambda-rule mean-k grid: rate 2/(k+1), mean equal to k
+        for k in range(2, 201):
+            t = build_adaptive_table(Params(k, 2.0 / (k + 1)), 1e-10)
+            assert t.values == kterm_reference(t.params, t.n_max)
 
     def test_huge_rate_fails_fast(self):
         with pytest.raises(OverflowError, match="underflow"):

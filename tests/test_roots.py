@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_order_k.oracle import weight_polynomial
+from poisson_order_k.pmf import _kterm_weights
 from poisson_order_k.roots import (
     SQRT5_MINUS_1,
     bounds_record,
@@ -19,6 +20,38 @@ from poisson_order_k.roots import (
     solve_weight_equals,
     weight_value,
 )
+
+
+def kterm_reference(k: int, lam: float, n_max: int) -> list[float]:
+    """The k-term recurrence as an indexed loop over j = 1..min(n, k)."""
+    w = [1.0]
+    for n in range(1, n_max + 1):
+        s = 0.0
+        for j in range(1, min(n, k) + 1):
+            s += j * w[n - j]
+        w.append(lam * s / n)
+    return w
+
+
+RATES = (1e-3, 0.1, 0.35, 0.6026076, 1.0, 1.5, 2.0)
+
+
+class TestKTermKernel:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 20, 75, 150])
+    def test_weight_value_bit_identical_to_indexed_loop(self, k):
+        for lam in RATES:
+            assert weight_value(k, k, lam) == kterm_reference(k, lam, k)[k]
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 20, 75, 150])
+    def test_shoulder_pair_bit_identical_to_indexed_loop(self, k):
+        # shoulder_lambda's gap reads the entries k+1 and k+2 of this table
+        for lam in RATES:
+            assert _kterm_weights(k, lam, k + 2) == kterm_reference(k, lam, k + 2)
+
+    def test_weight_past_the_float_range_is_inf(self):
+        # 800**459/459! is the first k = 1 weight beyond the float range
+        assert math.isfinite(weight_value(1, 458, 800.0))
+        assert weight_value(1, 459, 800.0) == weight_value(1, 470, 800.0) == math.inf
 
 
 class TestSolveWeightEquals:

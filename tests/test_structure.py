@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_order_k.pmf import Params, build_adaptive_table, build_table
@@ -27,6 +27,70 @@ def table(k, lam, eps=1e-10):
 
 def scaled(t, factor):
     return dataclasses.replace(t, values=tuple(v * factor for v in t.values))
+
+
+def local_maxima_reference(v, tie_tol):
+    """Plateau walk with the symmetric closeness test, index by index."""
+    last = len(v) - 1
+    peaks = []
+    n = 0
+    while n <= last:
+        m = n
+        while m < last and abs(v[m + 1] - v[m]) <= tie_tol * max(abs(v[m + 1]), abs(v[m])):
+            m += 1
+        if (n == 0 or v[n] > v[n - 1]) and (m == last or v[m] > v[m + 1]):
+            peaks.append(n)
+        n = m + 1
+    return peaks
+
+
+def triple_ties_reference(v, tie_tol):
+    """Maximal near-flat runs of length >= 3, tracking the spread with min/max."""
+    runs = []
+    start = 0
+    lo = hi = v[0]
+    for n in range(1, len(v)):
+        new_lo, new_hi = min(lo, v[n]), max(hi, v[n])
+        if new_hi - new_lo <= tie_tol * new_hi:
+            lo, hi = new_lo, new_hi
+            continue
+        if n - start >= 3:
+            runs.append((start, n - 1))
+        start = n
+        lo = hi = v[n]
+    if len(v) - start >= 3:
+        runs.append((start, len(v) - 1))
+    return runs
+
+
+# a power-of-two tolerance makes exact ties at the tolerance representable:
+# 1 - 2**-30 and 1 + 2**-30 sit exactly on its edge next to 1
+TIE = 2.0**-30
+SHAPE_VALUES = st.sampled_from(
+    [0.0, 5e-324, 1e-300, 0.5, 1.0 - TIE, 1.0, 1.0 + TIE, 1.0 + 2 * TIE, 1.0 + 3 * TIE, 2.0]
+)
+
+
+@given(st.lists(SHAPE_VALUES | st.floats(0.0, 4.0), min_size=1, max_size=30))
+@example([0.5, 1.0 - TIE, 1.0, 0.5])  # a rise exactly at the tolerance
+@example([0.5, 1.0, 1.0 - TIE, 0.5])  # a fall exactly at the tolerance
+@example([1.0 - TIE, 1.0, 1.0 + TIE, 0.5])  # a triple at the tolerance
+@settings(max_examples=300, deadline=None)
+def test_shape_scans_match_references(values):
+    # a strictly decreasing end keeps the table past its last peak
+    t = dataclasses.replace(table(1, 0.5), values=(*values, 8.0, 4.0))
+    assert local_maxima(t, TIE) == local_maxima_reference(t.values, TIE)
+    assert find_triple_ties(t, TIE) == triple_ties_reference(t.values, TIE)
+
+
+def test_shape_scans_match_references_on_scan_tables():
+    # the mean-k rates and a geometric grid, as the scan command builds them
+    points = [(k, 2.0 / (k + 1)) for k in range(2, 61)]
+    points += [(k, 0.05 * 60.0 ** (i / 19)) for k in range(2, 21) for i in range(20)]
+    for k, lam in points:
+        t = table(k, lam)
+        assert local_maxima(t) == local_maxima_reference(t.values, 1e-9)
+        assert find_triple_ties(t) == triple_ties_reference(t.values, 1e-9)
 
 
 class TestFindModes:
