@@ -19,7 +19,6 @@ from .pmf import (
     DiffIdentityReport,
     Params,
     PmfTable,
-    adaptive_n_max,
     build_adaptive_table,
     build_table,
     build_table_km,
@@ -64,7 +63,6 @@ __all__ = [
     "build_table",
     "build_table_km",
     "build_adaptive_table",
-    "adaptive_n_max",
     "normalize",
     "diff_forward",
     "diff_km",

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import oracle, roots, structure
@@ -77,7 +77,12 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
                 writer.writerow([_fmt(row[h]) for h in header])
         else:
             payload = [{h: _json_value(row[h]) for h in header} for row in rows]
-            out.write(json.dumps(payload, indent=2))
+            # write in slices of the encoder's chunks: one joined string holds
+            # the whole document, and one write per chunk is one system call
+            # when stdout is unbuffered (python -u, PYTHONUNBUFFERED)
+            chunks = json.JSONEncoder(indent=2).iterencode(payload)
+            while text := "".join(itertools.islice(chunks, 4096)):
+                out.write(text)
             out.write("\n")
     finally:
         if close:
@@ -282,6 +287,10 @@ def _cmd_scan(args) -> int:
         for lam in _lambda_grid(args, k):
             tasks.append((k, lam, args.tie_tol, args.tol, args.epsilon))
     if args.jobs > 1:
+        # imported here: the pool pulls in multiprocessing, pickle, socket
+        # and logging, which every other run would pay for at startup
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_scan_point, tasks, chunksize=8))
     else:

@@ -28,7 +28,6 @@ __all__ = [
     "build_table",
     "build_table_km",
     "build_adaptive_table",
-    "adaptive_n_max",
     "normalize",
     "diff_forward",
     "diff_km",
@@ -270,11 +269,6 @@ def build_adaptive_table(
         mass += scale * x
         dec_run = dec_run + 1 if x < w[n - 1] else 0
     return PmfTable(params=params, values=tuple(w), mass_captured=mass)
-
-
-def adaptive_n_max(params: Params, epsilon: float, cap: int = 1_000_000) -> int:
-    """Smallest table length satisfying the build_adaptive_table stopping rule."""
-    return build_adaptive_table(params, epsilon, cap=cap).n_max
 
 
 def normalize(table: PmfTable) -> list[float]:

@@ -81,6 +81,8 @@ def _check_k(k: int, minimum: int = 1) -> None:
 def weight_value(k: int, n: int, lam: float) -> float:
     """Weight at a single index, via the k-term recurrence."""
     Params(k, lam)  # validate
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"index n must be an integer >= 0, got {n!r}")
     return _kterm_weights(k, lam, n)[n]
 
 

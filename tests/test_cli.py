@@ -1,13 +1,19 @@
 """Tests for the command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from poisson_order_k.cli import main
+import poisson_order_k
+from poisson_order_k.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -114,11 +120,13 @@ class TestScanCommand:
             assert top == math.floor(float(row["lambda"]))
 
     def test_parallel_output_matches_serial(self, capsys):
-        args = ["scan", "--k-min", "2", "--k-max", "6", "--lambda-rule", "mean-k"]
-        code1, out1, _ = run(capsys, *args)
-        code2, out2, _ = run(capsys, *args, "--jobs", "2")
-        assert code1 == code2 == 0
-        assert out1 == out2
+        for fmt in ("csv", "json"):
+            args = ["scan", "--k-min", "2", "--k-max", "6", "--lambda-rule", "mean-k"]
+            args += ["--format", fmt]
+            code1, out1, _ = run(capsys, *args)
+            code2, out2, _ = run(capsys, *args, "--jobs", "2")
+            assert code1 == code2 == 0
+            assert out1 == out2
 
     def test_requires_a_rate_argument(self, capsys):
         code, _, err = run(capsys, "scan", "--k-min", "2", "--k-max", "3")
@@ -191,6 +199,50 @@ class TestOutputContract:
         )
         assert code == 0 and out == ""
         assert path.read_text().splitlines()[0] == "n,unnormalized,probability,cumulative"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_gets_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        args = ("scan", "--k-min", "2", "--k-max", "4", "--lambda", "0.5")
+        args += ("--format", fmt)
+        _, out, _ = run(capsys, *args)
+        path = tmp_path / f"scan.{fmt}"
+        code, to_stdout, _ = run(capsys, *args, "--out", str(path))
+        assert code == 0 and to_stdout == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_json_emitter_matches_json_dumps(self, capsys):
+        header = ["k", "lambda", "modes", "triple_ties", "error"]
+        rows = [
+            {"k": 2, "lambda": 1 / 3, "modes": None, "triple_ties": True, "error": ""},
+            {"k": 3, "lambda": 0.5, "modes": "0;1", "triple_ties": False,
+             "error": 'bad "rate"'},
+        ]
+        # enough rows that the encoder's chunks span several written slices
+        _emit(rows * 500, header, argparse.Namespace(format="json", out=None))
+        payload = [
+            {"k": 2, "lambda": 0.333333333333, "modes": None, "triple_ties": True,
+             "error": ""},
+            {"k": 3, "lambda": 0.5, "modes": "0;1", "triple_ties": False,
+             "error": 'bad "rate"'},
+        ] * 500
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only scan --jobs N > 1 needs multiprocessing; everything else
+        # should not pay for importing it
+        src = str(Path(poisson_order_k.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, poisson_order_k.cli; "
+            "pool = {'multiprocessing', 'concurrent.futures'}; "
+            "print(sorted(pool & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "figs", "1")

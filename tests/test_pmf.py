@@ -12,7 +12,6 @@ from poisson_order_k.oracle import weight_exact
 from poisson_order_k.pmf import (
     Params,
     PmfTable,
-    adaptive_n_max,
     build_adaptive_table,
     build_table,
     build_table_km,
@@ -231,7 +230,7 @@ class TestAdaptiveTruncation:
         # mass alone is satisfied at 12 (deficit ~6.4e-11), but the value
         # at 12 is ~7.7e-10 > epsilon; the negligible-last-term rule moves
         # the cut to 13, where the value is ~5.9e-11
-        assert adaptive_n_max(Params(1, 1.0), 1e-10) == 13
+        assert build_adaptive_table(Params(1, 1.0), 1e-10).n_max == 13
 
     def test_tail_is_past_the_last_peak(self):
         t = build_adaptive_table(Params(2, 4 / 3), 1e-10)

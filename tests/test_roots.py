@@ -53,6 +53,14 @@ class TestKTermKernel:
         assert math.isfinite(weight_value(1, 458, 800.0))
         assert weight_value(1, 459, 800.0) == weight_value(1, 470, 800.0) == math.inf
 
+    def test_weight_at_index_zero_is_one(self):
+        assert weight_value(2, 0, 0.5) == 1.0
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_index_is_rejected(self, n):
+        with pytest.raises(ValueError, match="index n"):
+            weight_value(2, n, 0.5)
+
 
 class TestSolveWeightEquals:
     def test_quadratic_level_one(self):
