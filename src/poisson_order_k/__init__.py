@@ -16,7 +16,6 @@ from .oracle import (
     weight_polynomial,
 )
 from .pmf import (
-    DiffIdentityReport,
     Params,
     PmfTable,
     build_adaptive_table,
@@ -39,7 +38,6 @@ from .roots import (
     weight_value,
 )
 from .structure import (
-    BlockCheck,
     ModeSet,
     StructureReport,
     TailCheck,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Params",
     "PmfTable",
-    "DiffIdentityReport",
     "build_table",
     "build_table_km",
     "build_adaptive_table",
@@ -84,7 +81,6 @@ __all__ = [
     "bounds_record",
     "ModeSet",
     "TailCheck",
-    "BlockCheck",
     "StructureReport",
     "find_modes",
     "local_maxima",

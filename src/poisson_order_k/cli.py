@@ -2,8 +2,8 @@
 
 Subcommands: ``pmf`` (one table), ``roots`` (one level crossing), ``bounds``
 (threshold constants over a k range), ``scan`` (shape reports over a
-parameter grid), ``verify`` (built-in cross-validation suites), ``figs``
-(datasets for the four reference figures).
+parameter grid), ``verify`` (the certification checks of :mod:`.checks`),
+``figs`` (datasets for the four reference figures).
 
 Output is CSV (default) or JSON with the same fields, written to stdout or
 ``--out``; all floats are printed with 12 significant digits so identical
@@ -20,18 +20,9 @@ import itertools
 import json
 import math
 import sys
-from fractions import Fraction
 
-from . import oracle, roots, structure
-from .pmf import (
-    Params,
-    build_adaptive_table,
-    build_table,
-    build_table_km,
-    diff_forward,
-    diff_km,
-    normalize,
-)
+from . import checks, roots, structure
+from .pmf import Params, build_adaptive_table, build_table, normalize
 
 __all__ = ["main"]
 
@@ -225,7 +216,8 @@ def _scan_point(task: tuple) -> dict:
     try:
         table = build_adaptive_table(Params(k, lam), epsilon)
         rep = structure.build_report(table, tie_tol=tie_tol, tail_tol=tail_tol)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
+        # invalid parameters (ValueError) abort the scan with exit code 1
         row["error"] = str(exc)
         return row
     row.update(
@@ -320,97 +312,9 @@ def _cmd_scan(args) -> int:
 # verify
 
 
-def _suite_oracle_equivalence() -> tuple[bool, str]:
-    worst = 0.0
-    for k in (2, 3, 4, 5):
-        polys = [oracle.weight_polynomial(k, n) for n in range(16)]
-        for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
-            table = build_table(Params(k, float(lam)), 15)
-            for n in range(16):
-                exact = float(polys[n].evaluate(lam))
-                rel = abs(table.values[n] - exact) / exact
-                worst = max(worst, rel)
-                if rel > 1e-12:
-                    return False, (
-                        f"k={k} n={n} lam={lam}: got {table.values[n]!r}, "
-                        f"want {exact!r} (rel {rel:.3e})"
-                    )
-    return True, f"k<=5, n<=15, worst rel {worst:.3e}"
-
-
-def _suite_recurrence_cross_check() -> tuple[bool, str]:
-    worst = 0.0
-    fmin = sys.float_info.min
-    for k in range(1, 11):
-        for lam in (0.1, 0.6026076, 4.0 / 3.0, 3.0):
-            a = build_table(Params(k, lam), 200)
-            b = build_table_km(Params(k, lam), 200)
-            for n in range(201):
-                x, y = a.values[n], b.values[n]
-                if max(x, y) < fmin:
-                    # below the normal range floats hold no relative precision
-                    if abs(x - y) >= fmin:
-                        return False, f"k={k} n={n} lam={lam}: subnormal mismatch"
-                    continue
-                rel = abs(x - y) / max(x, y)
-                worst = max(worst, rel)
-                if rel > 1e-10:
-                    return False, f"k={k} n={n} lam={lam}: rel gap {rel:.3e}"
-    return True, f"k<=10, n<=200, worst rel {worst:.3e}"
-
-
-def _suite_difference_identities() -> tuple[bool, str]:
-    worst = 0.0
-    for k in range(1, 7):
-        for lam in (0.3, 1.0, 2.0):
-            table = build_table(Params(k, lam), 100)
-            for n in range(1, 100):
-                rep = diff_forward(table, n)
-                scale = max(1.0, table.values[n])
-                worst = max(worst, rep.abs_gap / scale)
-                if rep.abs_gap > 1e-12 * scale:
-                    return False, f"forward k={k} n={n} lam={lam}: gap {rep.abs_gap:.3e}"
-            for n in range(2, 101):
-                rep = diff_km(table, n)
-                scale = max(1.0, table.values[n])
-                worst = max(worst, rep.abs_gap / scale)
-                if rep.abs_gap > 1e-12 * scale:
-                    return False, f"km k={k} n={n} lam={lam}: gap {rep.abs_gap:.3e}"
-    return True, f"k<=6, n<=100, worst scaled gap {worst:.3e}"
-
-
-def _suite_closed_form_roots() -> tuple[bool, str]:
-    worst = 0.0
-    for c in (0.5, 1.0, 2.0, 10.0):
-        want = roots.closed_form_root_n2(c)
-        for k in (2, 5, 10):
-            got = roots.solve_weight_equals(k, 2, c).root
-            worst = max(worst, abs(got - want))
-            if abs(got - want) > 1e-12:
-                return False, f"k={k} c={c}: got {got!r}, want {want!r}"
-    return True, f"c in {{0.5,1,2,10}}, k in {{2,5,10}}, worst abs {worst:.3e}"
-
-
-def _suite_lambda2_coefficients() -> tuple[bool, str]:
-    for k in range(2, 13):
-        for j in range(1, k + 1):
-            got = oracle.lambda2_coefficient(k, j)
-            want = Fraction(k + 1 - j, 2)
-            if got != want:
-                return False, f"k={k} j={j}: got {got}, want {want}"
-    return True, "k<=12, exact rational comparison"
-
-
 def _cmd_verify(args) -> int:
-    suites = [
-        ("oracle-equivalence", _suite_oracle_equivalence),
-        ("recurrence-cross-check", _suite_recurrence_cross_check),
-        ("difference-identities", _suite_difference_identities),
-        ("closed-form-roots", _suite_closed_form_roots),
-        ("lambda2-coefficients", _suite_lambda2_coefficients),
-    ]
     failed = False
-    for name, run in suites:
+    for name, run in checks.SUITES:
         ok, detail = run()
         if ok:
             print(f"{name}: pass ({detail})")

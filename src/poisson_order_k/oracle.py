@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .pmf import _check_int
+
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
     "WeightPolynomial",
@@ -34,16 +36,10 @@ DEFAULT_TUPLE_BUDGET = 10_000_000
 Rational = Fraction | int | float
 
 
-def _check_kn(k: int, n: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"order k must be an integer >= 1, got {k!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"index n must be an integer >= 0, got {n!r}")
-
-
 def count_tuples(k: int, n: int) -> int:
     """Number of solution tuples = partitions of n into parts of size <= k."""
-    _check_kn(k, n)
+    _check_int("order k", k, 1)
+    _check_int("index n", n, 0)
     counts = [1] + [0] * n
     for part in range(1, k + 1):
         for m in range(part, n + 1):
@@ -137,8 +133,7 @@ def lambda2_coefficient(k: int, j: int) -> Fraction:
     part j+i with a part k-i, and there are floor((k+1-j)/2) of them except
     that j = k leaves the single doubled part (0, ..., 0, 2).
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"order k must be an integer >= 2, got {k!r}")
+    _check_int("order k", k, 2)
     if not isinstance(j, int) or not 1 <= j <= k:
         raise ValueError(f"offset j must be an integer in [1, {k}], got {j!r}")
     return weight_polynomial(k, k + j).coeffs.get(2, Fraction(0))

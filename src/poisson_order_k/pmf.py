@@ -24,7 +24,6 @@ from dataclasses import dataclass
 __all__ = [
     "Params",
     "PmfTable",
-    "DiffIdentityReport",
     "build_table",
     "build_table_km",
     "build_adaptive_table",
@@ -42,8 +41,7 @@ class Params:
     lam: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"order k must be an integer >= 1, got {self.k!r}")
+        _check_int("order k", self.k, 1)
         lam = float(self.lam)
         if not math.isfinite(lam) or lam <= 0.0:
             raise ValueError(f"rate lam must be finite and > 0, got {self.lam!r}")
@@ -101,9 +99,10 @@ class DiffIdentityReport:
     abs_gap: float
 
 
-def _check_n_max(n_max: int) -> None:
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
+def _check_int(name: str, value: int, minimum: int) -> None:
+    """The one integer-argument validator; ``bool`` is not an integer here."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _overflow(n: int, params: Params) -> OverflowError:
@@ -171,7 +170,7 @@ def build_table(params: Params, n_max: int) -> PmfTable:
     Terms with negative indices are zero and w_0 is seeded as exactly 1.
     Raises OverflowError at the first non-finite entry.
     """
-    _check_n_max(n_max)
+    _check_int("n_max", n_max, 0)
     w = _kterm_weights(params.k, params.lam, n_max)
     if w[-1] == math.inf:
         raise _overflow(w.index(math.inf), params)
@@ -199,7 +198,7 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
     float once, as the correctly rounded quotient W_n / (n! * D**n), which
     keeps it an honest certification path for build_table at every index.
     """
-    _check_n_max(n_max)
+    _check_int("n_max", n_max, 0)
     k = params.k
     m, d = params.lam.as_integer_ratio()
     # n-independent factors of the second, third and fourth coefficients

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pmf import Params, _kterm_weights
+from .pmf import Params, _check_int, _kterm_weights
 
 __all__ = [
     "RootResult",
@@ -73,16 +73,10 @@ class BoundsRecord:
     shoulder: float | None
 
 
-def _check_k(k: int, minimum: int = 1) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < minimum:
-        raise ValueError(f"order k must be an integer >= {minimum}, got {k!r}")
-
-
 def weight_value(k: int, n: int, lam: float) -> float:
     """Weight at a single index, via the k-term recurrence."""
     Params(k, lam)  # validate
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"index n must be an integer >= 0, got {n!r}")
+    _check_int("index n", n, 0)
     return _kterm_weights(k, lam, n)[n]
 
 
@@ -94,9 +88,8 @@ def root_upper_bound(k: int, n: int, c: float) -> float:
     truncation gives 2c/(sqrt(2c(k-1)+1)+1).  All are evaluated in the log
     domain where factorials could overflow.
     """
-    _check_k(k)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"index n must be an integer >= 1, got {n!r}")
+    _check_int("order k", k, 1)
+    _check_int("index n", n, 1)
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"level c must be finite and > 0, got {c!r}")
     logc = math.log(c)
@@ -147,18 +140,13 @@ def solve_weight_equals(k: int, n: int, c: float, tol: float = 1e-13) -> RootRes
     nudged up by tiny factors in the (equality) cases where the bound is the
     root itself and float rounding puts the evaluated weight just below c.
     """
-    _check_k(k)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"index n must be an integer >= 1, got {n!r}")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"level c must be finite and > 0, got {c!r}")
+    hi = root_upper_bound(k, n, c)  # validates k, n and c
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
 
     def f(lam: float) -> float:
         return weight_value(k, n, lam) - c
 
-    hi = root_upper_bound(k, n, c)
     fhi = f(hi)
     grown = 0
     while fhi < 0.0:
@@ -206,7 +194,7 @@ def rise_threshold(k: int) -> float:
     decreasing in k, from (sqrt(33)-3)/2 at k = 2 down to the limit
     sqrt(5) - 1.  A sufficient, not necessary, threshold.
     """
-    _check_k(k, minimum=2)
+    _check_int("order k", k, 2)
     kappa = k * (k + 1) // 2
     return 4.0 / (math.sqrt(5.0 - 4.0 / kappa) + 1.0)
 
@@ -222,7 +210,7 @@ def monotone_tail_bound(k: int, tol: float = 1e-13) -> float:
     For rates at or below it, the weights decrease strictly for every
     n >= k.  The factorial term is the smaller one for all k >= 2.
     """
-    _check_k(k, minimum=2)
+    _check_int("order k", k, 2)
     root2 = solve_weight_equals(k, k, 2.0, tol=tol).root
     return min(root2, _log_factorial_over_power(k))
 
@@ -238,7 +226,7 @@ def shoulder_lambda(
     then solved to ``|g| <= tol * w(k+1)``.  Raises RuntimeError, reporting
     the scanned range, if no sign change is found.
     """
-    _check_k(k, minimum=2)
+    _check_int("order k", k, 2)
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
 
@@ -286,7 +274,7 @@ def bounds_record(
     k: int, tol: float = 1e-13, with_shoulder: bool = True
 ) -> BoundsRecord:
     """All threshold constants for one order, with their closed-form bounds."""
-    _check_k(k)
+    _check_int("order k", k, 1)
     root1 = solve_weight_equals(k, k, 1.0, tol=tol).root
     root2 = solve_weight_equals(k, k, 2.0, tol=tol).root
     if k >= 2:

@@ -19,7 +19,6 @@ from .pmf import Params, PmfTable
 __all__ = [
     "ModeSet",
     "TailCheck",
-    "BlockCheck",
     "StructureReport",
     "find_modes",
     "local_maxima",
@@ -64,18 +63,6 @@ class TailCheck(NamedTuple):
     strict: bool
 
 
-class BlockCheck(NamedTuple):
-    """Nonincreasing check over the k+1 entries starting at a mode.
-
-    ``nonincreasing`` is the full-chain condition; ``last_at_most_min`` is the
-    weaker single-point condition that the final entry not exceed any of the
-    k entries before it, which is all the mean-gap derivation needs.
-    """
-
-    nonincreasing: bool
-    last_at_most_min: bool
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """Shape summary and bound audits for one (k, lam) point."""
@@ -110,8 +97,10 @@ def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> ModeSet:
     """All indices within relative tie_tol of the table maximum.
 
     Refuses tables whose tail is still rising at the cut, since the true
-    maximum could then lie beyond it.
+    maximum could then lie beyond it, and a ``tie_tol`` outside [0, 1).
     """
+    if not 0.0 <= tie_tol < 1.0:
+        raise ValueError(f"tie_tol must be in [0, 1), got {tie_tol!r}")
     _require_settled(table)
     peak = max(table.values)
     floor = (1.0 - tie_tol) * peak
@@ -164,8 +153,10 @@ def check_monotone_tail(table: PmfTable, tol: float = 1e-12) -> TailCheck:
 
     A violation is an index whose value exceeds its predecessor's by more
     than relative ``tol``; ties within tolerance keep ``ok`` true but clear
-    the ``strict`` flag.
+    the ``strict`` flag.  A negative or NaN ``tol`` is refused.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     k = table.params.k
     if table.n_max < k:
         raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
@@ -197,8 +188,8 @@ def audit_mode_bounds(params: Params, modes: ModeSet) -> tuple[bool, bool]:
     return thm_ok, conj_ok
 
 
-def check_block_assumption(table: PmfTable, mode_index: int) -> BlockCheck:
-    """Nonincreasing check over the k+1 entries from a (nonzero) mode upward.
+def check_block_assumption(table: PmfTable, mode_index: int) -> bool:
+    """Whether the k+1 entries from a (nonzero) mode upward are nonincreasing.
 
     Requires mode_index >= k (a nonzero mode is never below k) and a table
     reaching mode_index + k.
@@ -214,9 +205,7 @@ def check_block_assumption(table: PmfTable, mode_index: int) -> BlockCheck:
             f"table ends at {table.n_max}, need index {m + k} for the block check"
         )
     seg = table.values[m : m + k + 1]
-    nonincreasing = all(seg[i] >= seg[i + 1] for i in range(k))
-    last_at_most_min = seg[-1] <= min(seg[:-1])
-    return BlockCheck(nonincreasing=nonincreasing, last_at_most_min=last_at_most_min)
+    return all(seg[i] >= seg[i + 1] for i in range(k))
 
 
 def mean_mode_gap(params: Params, modes: ModeSet) -> float:
@@ -272,7 +261,7 @@ def build_report(
     thm_ok, conj_ok = audit_mode_bounds(params, modes)
     block: Optional[bool] = None
     if modes.bottom >= params.k and modes.bottom + params.k <= table.n_max:
-        block = check_block_assumption(table, modes.bottom).nonincreasing
+        block = check_block_assumption(table, modes.bottom)
     return StructureReport(
         params=params,
         mode_set=modes,

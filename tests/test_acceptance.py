@@ -2,24 +2,18 @@
 
 One test per acceptance criterion, run at the criterion's stated tolerance
 and caps.  Each test prints a single pass/fail line (run with ``-s`` to see
-them live); a FAIL line always comes with the failing assertion.
+them live); a FAIL line always comes with the failing assertion.  Criteria
+01, 02, 03, 13 and 14 run the certification checks of
+:mod:`poisson_order_k.checks`, the same ones ``verify`` runs, with their grids
+and bounds.
 """
 
 import functools
 import math
-import sys
 import time
-from fractions import Fraction
 
-from poisson_order_k.oracle import lambda2_coefficient, weight_polynomial
-from poisson_order_k.pmf import (
-    Params,
-    build_adaptive_table,
-    build_table,
-    build_table_km,
-    diff_forward,
-    diff_km,
-)
+from poisson_order_k import checks
+from poisson_order_k.pmf import Params, build_adaptive_table, build_table
 from poisson_order_k.roots import (
     monotone_tail_bound,
     rise_threshold,
@@ -33,8 +27,6 @@ from poisson_order_k.structure import (
     find_modes,
     find_triple_ties,
 )
-
-FLOAT_MIN = sys.float_info.min
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -52,56 +44,19 @@ def log_grid(lo: float, hi: float, count: int) -> list[float]:
 
 def test_01_oracle_equivalence():
     start = time.perf_counter()
-    worst = 0.0
-    for k in (2, 3, 4, 5):
-        polys = [weight_polynomial(k, n) for n in range(16)]
-        for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
-            table = build_table(Params(k, float(lam)), 15)
-            for n in range(16):
-                exact = float(polys[n].evaluate(lam))
-                worst = max(worst, abs(table.values[n] - exact) / exact)
+    ok, detail = checks.oracle_equivalence()
     elapsed = time.perf_counter() - start
     _verdict(
-        1,
-        "oracle equivalence (k<=5, n<=15)",
-        worst <= 1e-12 and elapsed < 10.0,
-        f"worst rel {worst:.2e}, {elapsed:.2f}s",
+        1, "oracle equivalence", ok and elapsed < 10.0, f"{detail}, {elapsed:.2f}s"
     )
 
 
 def test_02_recurrence_cross_check():
-    worst = 0.0
-    checked = subnormal = 0
-    ok = True
-    for k in range(1, 11):
-        for lam in (0.1, 0.6026076, 4.0 / 3.0, 3.0):
-            a = build_table(Params(k, lam), 200).values
-            b = build_table_km(Params(k, lam), 200).values
-            for x, y in zip(a, b):
-                if max(x, y) < FLOAT_MIN:
-                    # subnormals carry no relative precision; agreement there
-                    # means both sides sit below the normal-float floor
-                    subnormal += 1
-                    ok = ok and abs(x - y) < FLOAT_MIN
-                    continue
-                checked += 1
-                worst = max(worst, abs(x - y) / max(x, y))
-    ok = ok and worst <= 1e-10
-    _verdict(
-        2,
-        "recurrence cross-check (k<=10, n<=200)",
-        ok,
-        f"worst rel {worst:.2e} over {checked} values, {subnormal} below float-min",
-    )
+    _verdict(2, "recurrence cross-check", *checks.recurrence_cross_check())
 
 
 def test_03_closed_form_roots():
-    worst = abs(solve_weight_equals(2, 2, 1.0).root - (math.sqrt(3) - 1.0))
-    for k in (2, 5, 10):
-        worst = max(
-            worst, abs(solve_weight_equals(k, 2, 2.0).root - (math.sqrt(5) - 1.0))
-        )
-    _verdict(3, "closed-form roots at n=2", worst <= 1e-12, f"worst abs {worst:.2e}")
+    _verdict(3, "closed-form roots at n=2", *checks.closed_form_roots())
 
 
 def test_04_bound_audit():
@@ -295,34 +250,8 @@ def test_12_conjectured_floor_audit():
 
 
 def test_13_quadratic_coefficient_identity():
-    mismatches = [
-        (k, j)
-        for k in range(2, 13)
-        for j in range(1, k + 1)
-        if lambda2_coefficient(k, j) != Fraction(k + 1 - j, 2)
-    ]
-    _verdict(
-        13,
-        "quadratic coefficient identity (k in 2..12, exact)",
-        not mismatches,
-        f"{len(mismatches)} mismatches",
-    )
+    _verdict(13, "quadratic coefficient identity", *checks.lambda2_coefficients())
 
 
 def test_14_difference_identities():
-    worst = 0.0
-    for k in range(1, 7):
-        for lam in (0.3, 1.0, 2.0):
-            table = build_table(Params(k, lam), 100)
-            for n in range(1, 100):
-                gap = diff_forward(table, n).abs_gap
-                worst = max(worst, gap / max(1.0, table.values[n]))
-            for n in range(2, 101):
-                gap = diff_km(table, n).abs_gap
-                worst = max(worst, gap / max(1.0, table.values[n]))
-    _verdict(
-        14,
-        "difference identities (k in 1..6, n<=100)",
-        worst <= 1e-12,
-        f"worst scaled gap {worst:.2e}",
-    )
+    _verdict(14, "difference identities", *checks.difference_identities())

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import poisson_order_k
+from poisson_order_k import checks
 from poisson_order_k.cli import _emit, main
 
 
@@ -143,6 +144,18 @@ class TestVerifyCommand:
         assert all(": pass" in line for line in lines)
         assert any(line.startswith("oracle-equivalence") for line in lines)
 
+    def test_failing_suite_exits_three(self, capsys, monkeypatch):
+        suites = list(checks.SUITES)
+        name = suites[2][0]
+        suites[2] = (name, lambda: (False, "planted"))
+        monkeypatch.setattr(checks, "SUITES", tuple(suites))
+        code, out, _ = run(capsys, "verify")
+        assert code == 3
+        lines = out.strip().splitlines()
+        assert len(lines) == 5
+        assert lines.pop(2) == f"{name}: FAIL (planted)"
+        assert all(": pass (" in line for line in lines)
+
 
 class TestFigsCommand:
     def test_threshold_curve(self, capsys):
@@ -258,6 +271,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "pmf", "--k", "0", "--lambda", "1")
         assert code == 1
         assert "k must be" in err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--lambda", "0.5", "--tie-tol", "-1"], "tie_tol must"),
+            (["--lambda", "0.5", "--tie-tol", "nan"], "tie_tol must"),
+            (["--lambda", "0.5", "--tie-tol", "2"], "tie_tol must"),
+            (["--lambda", "0.5", "--tol", "-1"], "tol must be >= 0"),
+            (["--lambda", "0.5", "--tol", "nan"], "tol must be >= 0"),
+            (["--lambda", "-1"], "rate lam must"),
+            (["--lambda", "0.5", "--epsilon", "2"], "epsilon must"),
+            (["--lambda", "0.5", "--tie-tol", "-1", "--jobs", "2"], "tie_tol must"),
+        ],
+    )
+    def test_invalid_scan_parameter_is_one(self, capsys, extra, named):
+        code, out, err = run(capsys, "scan", "--k-min", "2", "--k-max", "3", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
 
     def test_computation_failure_is_two(self, capsys):
         code, _, err = run(capsys, "pmf", "--k", "1", "--lambda", "800", "--n-max", "900")

@@ -56,7 +56,7 @@ class TestKTermKernel:
     def test_weight_at_index_zero_is_one(self):
         assert weight_value(2, 0, 0.5) == 1.0
 
-    @pytest.mark.parametrize("n", [-1, -3])
+    @pytest.mark.parametrize("n", [-1, -3, True])
     def test_negative_index_is_rejected(self, n):
         with pytest.raises(ValueError, match="index n"):
             weight_value(2, n, 0.5)
@@ -100,11 +100,16 @@ class TestSolveWeightEquals:
 
     @pytest.mark.parametrize(
         "k, n, c",
-        [(0, 2, 1.0), (2, 0, 1.0), (2, 2, 0.0), (2, 2, -1.0), (2, 2, math.nan)],
+        [
+            (0, 2, 1.0), (2, 0, 1.0), (2, 2, 0.0), (2, 2, -1.0), (2, 2, math.nan),
+            (True, 2, 1.0), (2, True, 1.0),
+        ],
     )
     def test_validation(self, k, n, c):
         with pytest.raises(ValueError):
             solve_weight_equals(k, n, c)
+        with pytest.raises(ValueError):
+            root_upper_bound(k, n, c)
 
 
 class TestClosedFormRootN2:

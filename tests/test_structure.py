@@ -188,15 +188,10 @@ class TestModeBoundAudits:
 
 class TestBlockAssumption:
     def test_fails_in_the_equality_example(self):
-        t = table(2, 4 / 3)
-        res = check_block_assumption(t, 2)
-        assert not res.nonincreasing
-        assert not res.last_at_most_min  # p4 exceeds both p2's successors
+        assert not check_block_assumption(table(2, 4 / 3), 2)
 
     def test_consecutive_double_mode_is_nonincreasing(self):
-        t = table(1, 3.0)
-        res = check_block_assumption(t, 2)
-        assert res.nonincreasing and res.last_at_most_min
+        assert check_block_assumption(table(1, 3.0), 2)
 
     def test_requires_nonzero_mode_and_room(self):
         t = table(2, 4 / 3)
@@ -213,7 +208,7 @@ class TestBlockAssumption:
                 modes = find_modes(t)
                 if modes.indices[0] < k:
                     continue
-                if check_block_assumption(t, modes.indices[-1]).nonincreasing:
+                if check_block_assumption(t, modes.indices[-1]):
                     p = t.params
                     assert p.kappa * p.lam <= modes.indices[-1] + k + 1e-9
 
