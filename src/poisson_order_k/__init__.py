@@ -18,6 +18,7 @@ from .oracle import (
 from .pmf import (
     Params,
     PmfTable,
+    WeightUnderflowError,
     build_adaptive_table,
     build_table,
     build_table_km,
@@ -38,9 +39,7 @@ from .roots import (
     weight_value,
 )
 from .structure import (
-    ModeSet,
     StructureReport,
-    TailCheck,
     audit_mode_bounds,
     build_report,
     check_block_assumption,
@@ -63,6 +62,7 @@ __all__ = [
     "normalize",
     "diff_forward",
     "diff_km",
+    "WeightUnderflowError",
     "WeightPolynomial",
     "count_tuples",
     "enumerate_tuples",
@@ -79,8 +79,6 @@ __all__ = [
     "monotone_tail_bound",
     "shoulder_lambda",
     "bounds_record",
-    "ModeSet",
-    "TailCheck",
     "StructureReport",
     "find_modes",
     "local_maxima",

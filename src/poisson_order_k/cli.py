@@ -7,18 +7,20 @@ parameter grid), ``verify`` (the certification checks of :mod:`.checks`),
 
 Output is CSV (default) or JSON with the same fields, written to stdout or
 ``--out``; all floats are printed with 12 significant digits so identical
-configurations produce byte-identical output.  Diagnostics and scan
-summaries go to stderr.  Exit codes: 0 success, 1 invalid parameters,
-2 computation failure, 3 verification-suite failure.
+configurations produce byte-identical output.  The ``roots``, ``bounds`` and
+``scan`` columns are the fields of the library's result records, named only
+there.  Diagnostics and scan summaries go to stderr.  Exit codes:
+0 success, 1 invalid parameters, 2 computation failure, 3 verification-suite
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
-import math
 import sys
 
 from . import checks, roots, structure
@@ -35,15 +37,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _columns(record_type) -> list[str]:
+    """Output columns of a result record: its field names, in order."""
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
+def _joined(indices: tuple) -> str:
+    # a tuple of indices is one cell, "0;2", in CSV and JSON alike
+    return ";".join(map(str, indices))
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".12g")
+    if isinstance(x, tuple):
+        return _joined(x)
     return str(x)
 
 
@@ -51,6 +63,8 @@ def _json_value(x):
     if isinstance(x, float):
         # reparse the 12-digit form so JSON and CSV carry identical values
         return float(format(x, ".12g"))
+    if isinstance(x, tuple):
+        return _joined(x)
     return x
 
 
@@ -108,21 +122,7 @@ def _cmd_pmf(args) -> int:
 
 def _cmd_roots(args) -> int:
     result = roots.solve_weight_equals(args.k, args.n, args.c, tol=args.tol)
-    row = {
-        "k": result.k,
-        "n": result.n,
-        "c": result.c,
-        "root": result.root,
-        "bracket_low": result.bracket_low,
-        "bracket_high": result.bracket_high,
-        "tol": result.tol,
-        "iterations": result.iterations,
-    }
-    _emit(
-        [row],
-        ["k", "n", "c", "root", "bracket_low", "bracket_high", "tol", "iterations"],
-        args,
-    )
+    _emit([vars(result)], _columns(roots.RootResult), args)
     return 0
 
 
@@ -130,59 +130,18 @@ def _cmd_roots(args) -> int:
 # bounds
 
 
-def _bounds_status(rec: roots.BoundsRecord) -> str:
-    bad = []
-    slack = 1e-9
-    if rec.k > 2:
-        if not rec.root1 < rec.root1_upper:
-            bad.append("root1_bound")
-    elif abs(rec.root1 - rec.root1_upper) > slack:
-        bad.append("root1_bound")
-    if rec.root2 > rec.root2_upper * (1.0 + slack):
-        bad.append("root2_bound")
-    if rec.rise_threshold is not None:
-        lo, hi = roots.SQRT5_MINUS_1, (math.sqrt(33.0) - 3.0) / 2.0
-        if not lo < rec.rise_threshold <= hi * (1.0 + slack):
-            bad.append("rise_range")
-    if rec.tail_bound is not None and rec.tail_bound > rec.root2 * (1.0 + slack):
-        bad.append("tail_bound")
-    return "ok" if not bad else ";".join(bad)
+def _check_k_range(args) -> None:
+    if args.k_max < args.k_min:
+        raise ValueError(f"--k-max {args.k_max} below --k-min {args.k_min}")
 
 
 def _cmd_bounds(args) -> int:
-    if args.k_max < args.k_min:
-        raise ValueError(f"--k-max {args.k_max} below --k-min {args.k_min}")
-    rows = []
-    for k in range(args.k_min, args.k_max + 1):
-        rec = roots.bounds_record(k, tol=args.tol, with_shoulder=not args.no_shoulder)
-        rows.append(
-            {
-                "k": rec.k,
-                "root1": rec.root1,
-                "root1_upper": rec.root1_upper,
-                "root2": rec.root2,
-                "root2_upper": rec.root2_upper,
-                "rise_threshold": rec.rise_threshold,
-                "tail_bound": rec.tail_bound,
-                "shoulder": rec.shoulder,
-                "status": _bounds_status(rec),
-            }
-        )
-    _emit(
-        rows,
-        [
-            "k",
-            "root1",
-            "root1_upper",
-            "root2",
-            "root2_upper",
-            "rise_threshold",
-            "tail_bound",
-            "shoulder",
-            "status",
-        ],
-        args,
-    )
+    _check_k_range(args)
+    rows = [
+        vars(roots.bounds_record(k, tol=args.tol, with_shoulder=not args.no_shoulder))
+        for k in range(args.k_min, args.k_max + 1)
+    ]
+    _emit(rows, _columns(roots.BoundsRecord), args)
     return 0
 
 
@@ -190,28 +149,12 @@ def _cmd_bounds(args) -> int:
 # scan
 
 
-_SCAN_HEADER = [
-    "k",
-    "lambda",
-    "n_max",
-    "modes",
-    "local_maxima",
-    "initial_increase",
-    "monotone_tail_from_k",
-    "first_tail_violation",
-    "mean",
-    "mean_mode_gap",
-    "mode_bounds_ok",
-    "mode_floor_ok",
-    "block_nonincreasing",
-    "triple_ties",
-    "error",
-]
+_SCAN_HEADER = ["k", "lambda", "n_max", *_columns(structure.StructureReport), "error"]
 
 
 def _scan_point(task: tuple) -> dict:
     k, lam, tie_tol, tail_tol, epsilon = task
-    row = {h: None for h in _SCAN_HEADER}
+    row = dict.fromkeys(_SCAN_HEADER)
     row["k"], row["lambda"], row["error"] = k, lam, ""
     try:
         table = build_adaptive_table(Params(k, lam), epsilon)
@@ -220,22 +163,8 @@ def _scan_point(task: tuple) -> dict:
         # invalid parameters (ValueError) abort the scan with exit code 1
         row["error"] = str(exc)
         return row
-    row.update(
-        {
-            "n_max": table.n_max,
-            "modes": ";".join(map(str, rep.mode_set.indices)),
-            "local_maxima": ";".join(map(str, rep.local_maxima)),
-            "initial_increase": rep.initial_increase_ok,
-            "monotone_tail_from_k": rep.monotone_tail_from_k,
-            "first_tail_violation": rep.first_tail_violation,
-            "mean": rep.mean,
-            "mean_mode_gap": rep.mean_mode_gap,
-            "mode_bounds_ok": rep.thm_bounds_ok,
-            "mode_floor_ok": rep.conj_floor_ok,
-            "block_nonincreasing": rep.block_assumption_ok,
-            "triple_ties": rep.triple_tie_found,
-        }
-    )
+    row["n_max"] = table.n_max
+    row.update(vars(rep))
     return row
 
 
@@ -249,9 +178,12 @@ def _lambda_grid(args, k: int) -> list[float]:
     if args.lambda_rule == "shoulder":
         return [roots.shoulder_lambda(k)]
     start, stop, count = args.lambda_grid
+    if not (count >= 1 and count.is_integer() and 0 < start <= stop):
+        raise ValueError(
+            f"bad lambda grid ({start}, {stop}, {count}): "
+            f"need 0 < START <= STOP and an integer COUNT >= 1"
+        )
     n = int(count)
-    if n < 1 or start <= 0 or stop < start:
-        raise ValueError(f"bad lambda grid ({start}, {stop}, {count})")
     if n == 1:
         return [start]
     if args.lambda_spacing == "linear":
@@ -264,18 +196,13 @@ def _lambda_grid(args, k: int) -> list[float]:
 def _cmd_scan(args) -> int:
     if args.k_min < 1:
         raise ValueError(f"--k-min must be >= 1, got {args.k_min}")
-    if args.k_max < args.k_min:
-        raise ValueError(f"--k-max {args.k_max} below --k-min {args.k_min}")
+    _check_k_range(args)
     if args.k_step < 1:
         raise ValueError(f"--k-step must be >= 1, got {args.k_step}")
-    if args.lam is None and args.lambda_grid is None and args.lambda_rule is None:
-        raise ValueError(
-            "one of --lambda, --lambda-grid, or --lambda-rule is required"
-        )
+    if args.lambda_rule is not None and args.k_min < 2:
+        raise ValueError(f"--lambda-rule {args.lambda_rule} needs k >= 2")
     tasks = []
     for k in range(args.k_min, args.k_max + 1, args.k_step):
-        if args.lambda_rule in ("mean-k", "tail-bound", "shoulder") and k < 2:
-            raise ValueError(f"--lambda-rule {args.lambda_rule} needs k >= 2")
         for lam in _lambda_grid(args, k):
             tasks.append((k, lam, args.tie_tol, args.tol, args.epsilon))
     if args.jobs > 1:
@@ -403,8 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--k-step", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="fixed rate")
-    p.add_argument(
+    rate = p.add_mutually_exclusive_group(required=True)
+    rate.add_argument(
+        "--lambda", dest="lam", type=float, default=None, help="fixed rate"
+    )
+    rate.add_argument(
         "--lambda-grid",
         nargs=3,
         type=float,
@@ -418,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="geometric",
         help="spacing of --lambda-grid",
     )
-    p.add_argument(
+    rate.add_argument(
         "--lambda-rule",
         choices=("mean-k", "tail-bound", "shoulder"),
         default=None,

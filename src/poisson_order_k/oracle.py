@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pmf import _check_int
+from .pmf import _check_int, _check_real
 
 __all__ = [
     "DEFAULT_TUPLE_BUDGET",
@@ -120,10 +120,8 @@ def weight_exact(
     k: int, n: int, lam: Rational, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> Fraction:
     """Exact weight value at a rational rate lam > 0."""
-    x = Fraction(lam)
-    if x <= 0:
-        raise ValueError(f"rate must be > 0, got {lam!r}")
-    return weight_polynomial(k, n, budget=budget).evaluate(x)
+    _check_real("rate lam", lam, 0.0)
+    return weight_polynomial(k, n, budget=budget).evaluate(lam)
 
 
 def lambda2_coefficient(k: int, j: int) -> Fraction:

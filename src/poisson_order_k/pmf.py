@@ -30,6 +30,7 @@ __all__ = [
     "normalize",
     "diff_forward",
     "diff_km",
+    "WeightUnderflowError",
 ]
 
 
@@ -43,8 +44,7 @@ class Params:
     def __post_init__(self) -> None:
         _check_int("order k", self.k, 1)
         lam = float(self.lam)
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise ValueError(f"rate lam must be finite and > 0, got {self.lam!r}")
+        _check_real("rate lam", lam, 0.0)
         object.__setattr__(self, "lam", lam)
 
     @property
@@ -103,6 +103,31 @@ def _check_int(name: str, value: int, minimum: int) -> None:
     """The one integer-argument validator; ``bool`` is not an integer here."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(
+    name: str, value, low: float, high: float = math.inf, *, inclusive: bool = False
+) -> None:
+    """The one real-argument validator: ``low < value < high``.
+
+    ``inclusive`` admits ``value == low``.  The upper end is always open, so
+    NaN and infinities are refused.  Exact rationals are compared as they
+    are, without rounding to float.
+    """
+    if not ((low <= value if inclusive else low < value) and value < high):
+        if high == math.inf:
+            want = f"{'>=' if inclusive else '>'} {low:g} and finite"
+        else:
+            want = f"in {'[' if inclusive else '('}{low:g}, {high:g})"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+class WeightUnderflowError(ArithmeticError):
+    """A weight past index 0 underflowed to 0.0 before the table settled.
+
+    The float table has then lost every digit of that weight, and the
+    strictly decreasing run that adaptive truncation waits for cannot form.
+    """
 
 
 def _overflow(n: int, params: Params) -> OverflowError:
@@ -240,10 +265,11 @@ def build_adaptive_table(
       peak: once k+1 consecutive weights decrease, every later weight is
       smaller still, hence no mode can hide beyond the cut.
 
-    Raises RuntimeError when ``cap`` indices are exhausted first.
+    Raises WeightUnderflowError at the first weight that underflows to 0.0
+    before the table settles (a rate whose square underflows), and
+    RuntimeError when ``cap`` indices are exhausted first.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    _check_real("epsilon", epsilon, 0.0, 1.0)
     k, lam = params.k, params.lam
     scale = math.exp(-k * lam)
     if scale == 0.0:
@@ -260,6 +286,11 @@ def build_adaptive_table(
             raise RuntimeError(
                 f"adaptive truncation exceeded its cap of {cap} indices "
                 f"at k={k}, lam={lam}, epsilon={epsilon}"
+            )
+        if w[n] == 0.0:
+            raise WeightUnderflowError(
+                f"weight underflowed to 0.0 at index n={n} for k={k}, lam={lam}; "
+                f"the float table cannot settle at this rate"
             )
         n += 1
         x = _extend_kp(w, k, lam, n)

@@ -15,9 +15,9 @@ weights just past k are equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .pmf import Params, _check_int, _kterm_weights
+from .pmf import Params, _check_int, _check_real, _kterm_weights
 
 __all__ = [
     "RootResult",
@@ -60,7 +60,8 @@ class BoundsRecord:
     weight at k; tail_bound = min(root2, k!/(2k)^k) is the proved rate below
     which the weights are strictly decreasing for all n >= k; shoulder is the
     rate at which the weights at k+1 and k+2 are equal.  Fields that are only
-    defined for k >= 2 are None at k = 1.
+    defined for k >= 2 are None at k = 1.  ``status`` is derived from the
+    others: "ok", or the ``;``-joined names of the bounds that fail.
     """
 
     k: int
@@ -71,6 +72,29 @@ class BoundsRecord:
     rise_threshold: float | None
     tail_bound: float | None
     shoulder: float | None
+    status: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "status", _bounds_status(self))
+
+
+def _bounds_status(rec: BoundsRecord) -> str:
+    bad = []
+    slack = 1e-9
+    if rec.k > 2:
+        if not rec.root1 < rec.root1_upper:
+            bad.append("root1_bound")
+    elif abs(rec.root1 - rec.root1_upper) > slack:
+        bad.append("root1_bound")
+    if rec.root2 > rec.root2_upper * (1.0 + slack):
+        bad.append("root2_bound")
+    if rec.rise_threshold is not None:
+        lo, hi = SQRT5_MINUS_1, (math.sqrt(33.0) - 3.0) / 2.0
+        if not lo < rec.rise_threshold <= hi * (1.0 + slack):
+            bad.append("rise_range")
+    if rec.tail_bound is not None and rec.tail_bound > rec.root2 * (1.0 + slack):
+        bad.append("tail_bound")
+    return "ok" if not bad else ";".join(bad)
 
 
 def weight_value(k: int, n: int, lam: float) -> float:
@@ -90,8 +114,7 @@ def root_upper_bound(k: int, n: int, c: float) -> float:
     """
     _check_int("order k", k, 1)
     _check_int("index n", n, 1)
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"level c must be finite and > 0, got {c!r}")
+    _check_real("level c", c, 0.0)
     logc = math.log(c)
     bounds = [math.exp((logc + math.lgamma(n + 1)) / n)]
     if n % k == 0:
@@ -141,8 +164,7 @@ def solve_weight_equals(k: int, n: int, c: float, tol: float = 1e-13) -> RootRes
     root itself and float rounding puts the evaluated weight just below c.
     """
     hi = root_upper_bound(k, n, c)  # validates k, n and c
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_real("tol", tol, 0.0)
 
     def f(lam: float) -> float:
         return weight_value(k, n, lam) - c
@@ -182,8 +204,7 @@ def closed_form_root_n2(c: float) -> float:
     The weight at n = 2 is lam**2/2 + lam for every such k, so the crossing
     solves a plain quadratic.
     """
-    if not (c >= 0.0 and math.isfinite(c)):
-        raise ValueError(f"level c must be finite and >= 0, got {c!r}")
+    _check_real("level c", c, 0.0, inclusive=True)
     return math.sqrt(2.0 * c + 1.0) - 1.0
 
 
@@ -227,8 +248,7 @@ def shoulder_lambda(
     the scanned range, if no sign change is found.
     """
     _check_int("order k", k, 2)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    _check_real("tol", tol, 0.0)
 
     # is_done asks for the pair at the rate g has just evaluated; reuse it
     last: tuple = (None, None)

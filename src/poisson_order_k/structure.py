@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
-from .pmf import Params, PmfTable
+from .pmf import Params, PmfTable, _check_real
 
 __all__ = [
-    "ModeSet",
-    "TailCheck",
     "StructureReport",
     "find_modes",
     "local_maxima",
@@ -35,50 +33,26 @@ DEFAULT_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ModeSet:
-    """Indices attaining the global maximum of the table, within tie_tol."""
+class StructureReport:
+    """Shape summary and bound audits for one (k, lam) point.
 
-    indices: tuple[int, ...]
-    tie_tol: float
-
-    @property
-    def top(self) -> int:
-        return self.indices[-1]
-
-    @property
-    def bottom(self) -> int:
-        return self.indices[0]
-
-
-class TailCheck(NamedTuple):
-    """Verdict of a nonincreasing-from-k check.
-
-    ``ok`` allows ties within tolerance; ``strict`` records whether the run
-    was strictly decreasing; ``first_violation`` is the first index whose
-    value exceeds its predecessor beyond tolerance (None when ok).
+    The fields are the columns of a ``scan`` row, in order.  ``modes`` and
+    ``local_maxima`` are ascending indices; ``first_tail_violation`` is None
+    when the tail from k is nonincreasing; ``block_nonincreasing`` is None
+    when the block check does not apply (see ``build_report``).
     """
 
-    ok: bool
-    first_violation: Optional[int]
-    strict: bool
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Shape summary and bound audits for one (k, lam) point."""
-
-    params: Params
-    mode_set: ModeSet
+    modes: tuple[int, ...]
     local_maxima: tuple[int, ...]
-    initial_increase_ok: bool
+    initial_increase: bool
     monotone_tail_from_k: bool
     first_tail_violation: Optional[int]
     mean: float
     mean_mode_gap: float
-    thm_bounds_ok: bool
-    conj_floor_ok: bool
-    block_assumption_ok: Optional[bool]
-    triple_tie_found: bool
+    mode_bounds_ok: bool
+    mode_floor_ok: bool
+    block_nonincreasing: Optional[bool]
+    triple_ties: bool
 
 
 def _require_settled(table: PmfTable) -> None:
@@ -93,19 +67,16 @@ def _require_settled(table: PmfTable) -> None:
         )
 
 
-def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> ModeSet:
-    """All indices within relative tie_tol of the table maximum.
+def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
+    """All indices within relative tie_tol of the table maximum, ascending.
 
     Refuses tables whose tail is still rising at the cut, since the true
     maximum could then lie beyond it, and a ``tie_tol`` outside [0, 1).
     """
-    if not 0.0 <= tie_tol < 1.0:
-        raise ValueError(f"tie_tol must be in [0, 1), got {tie_tol!r}")
+    _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     _require_settled(table)
-    peak = max(table.values)
-    floor = (1.0 - tie_tol) * peak
-    idx = tuple(n for n, v in enumerate(table.values) if v >= floor)
-    return ModeSet(indices=idx, tie_tol=tie_tol)
+    floor = (1.0 - tie_tol) * max(table.values)
+    return tuple(n for n, v in enumerate(table.values) if v >= floor)
 
 
 def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]:
@@ -148,29 +119,25 @@ def check_initial_increase(table: PmfTable) -> bool:
     return all(v[n] < v[n + 1] for n in range(1, k))
 
 
-def check_monotone_tail(table: PmfTable, tol: float = 1e-12) -> TailCheck:
-    """Nonincreasing check for all indices from k to the end of the table.
+def check_monotone_tail(table: PmfTable, tol: float = 1e-12) -> Optional[int]:
+    """First violation of a nonincreasing tail from k, or None when there is none.
 
     A violation is an index whose value exceeds its predecessor's by more
-    than relative ``tol``; ties within tolerance keep ``ok`` true but clear
-    the ``strict`` flag.  A negative or NaN ``tol`` is refused.
+    than relative ``tol``, so ties within tolerance pass.  A negative or
+    non-finite ``tol`` is refused.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    _check_real("tol", tol, 0.0, inclusive=True)
     k = table.params.k
     if table.n_max < k:
         raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
     v = table.values
-    strict = True
     for n in range(k, table.n_max):
         if v[n + 1] > v[n] * (1.0 + tol):
-            return TailCheck(ok=False, first_violation=n + 1, strict=False)
-        if v[n + 1] >= v[n]:
-            strict = False
-    return TailCheck(ok=True, first_violation=None, strict=strict)
+            return n + 1
+    return None
 
 
-def audit_mode_bounds(params: Params, modes: ModeSet) -> tuple[bool, bool]:
+def audit_mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, bool]:
     """(proved-bounds verdict, conjectured-floor verdict) for a mode set.
 
     Proved: every mode lies in [floor(kappa*lam) - kappa + 1 - [k=1],
@@ -180,11 +147,8 @@ def audit_mode_bounds(params: Params, modes: ModeSet) -> tuple[bool, bool]:
     """
     fl = math.floor(params.kappa * params.lam)
     low = fl - params.kappa + 1 - (1 if params.k == 1 else 0)
-    thm_ok = all(low <= m <= fl for m in modes.indices)
-    if 0 in modes.indices:
-        conj_ok = True
-    else:
-        conj_ok = all(m >= fl - params.k for m in modes.indices)
+    thm_ok = all(low <= m <= fl for m in modes)
+    conj_ok = 0 in modes or all(m >= fl - params.k for m in modes)
     return thm_ok, conj_ok
 
 
@@ -208,9 +172,9 @@ def check_block_assumption(table: PmfTable, mode_index: int) -> bool:
     return all(seg[i] >= seg[i + 1] for i in range(k))
 
 
-def mean_mode_gap(params: Params, modes: ModeSet) -> float:
+def mean_mode_gap(params: Params, modes: tuple[int, ...]) -> float:
     """Mean minus the highest mode, kappa*lam - max(modes)."""
-    return params.kappa * params.lam - modes.top
+    return params.kappa * params.lam - modes[-1]
 
 
 def find_triple_ties(
@@ -218,8 +182,10 @@ def find_triple_ties(
 ) -> list[tuple[int, int]]:
     """Maximal runs of >= 3 consecutive indices pairwise equal within tie_tol.
 
-    Returned as inclusive (start, end) pairs.  Expected empty everywhere: no
-    such run has ever been observed for this family.
+    Returned as inclusive (start, end) pairs.  Runs anywhere in the table
+    count, not only at the top: at tiny rates the near-flat run w_1..w_k, far
+    below the mode at 0, is one (37 of the 49 points of ``scan --k-min 2
+    --k-max 50 --lambda-rule tail-bound``).
     """
     v = table.values
     runs: list[tuple[int, int]] = []
@@ -256,23 +222,21 @@ def build_report(
     """
     params = table.params
     modes = find_modes(table, tie_tol)
-    maxima = tuple(local_maxima(table, tie_tol))
-    tail = check_monotone_tail(table, tail_tol)
-    thm_ok, conj_ok = audit_mode_bounds(params, modes)
+    violation = check_monotone_tail(table, tail_tol)
+    bounds_ok, floor_ok = audit_mode_bounds(params, modes)
     block: Optional[bool] = None
-    if modes.bottom >= params.k and modes.bottom + params.k <= table.n_max:
-        block = check_block_assumption(table, modes.bottom)
+    if modes[0] >= params.k and modes[0] + params.k <= table.n_max:
+        block = check_block_assumption(table, modes[0])
     return StructureReport(
-        params=params,
-        mode_set=modes,
-        local_maxima=maxima,
-        initial_increase_ok=check_initial_increase(table),
-        monotone_tail_from_k=tail.ok,
-        first_tail_violation=tail.first_violation,
+        modes=modes,
+        local_maxima=tuple(local_maxima(table, tie_tol)),
+        initial_increase=check_initial_increase(table),
+        monotone_tail_from_k=violation is None,
+        first_tail_violation=violation,
         mean=params.kappa * params.lam,
         mean_mode_gap=mean_mode_gap(params, modes),
-        thm_bounds_ok=thm_ok,
-        conj_floor_ok=conj_ok,
-        block_assumption_ok=block,
-        triple_tie_found=bool(find_triple_ties(table, tie_tol)),
+        mode_bounds_ok=bounds_ok,
+        mode_floor_ok=floor_ok,
+        block_nonincreasing=block,
+        triple_ties=bool(find_triple_ties(table, tie_tol)),
     )

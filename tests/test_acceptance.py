@@ -113,7 +113,7 @@ def test_06_monotone_tail_proved_regime():
     for k in range(2, 51):
         lam = monotone_tail_bound(k)
         table = build_adaptive_table(Params(k, lam), 1e-10)
-        if not check_monotone_tail(table).ok:
+        if check_monotone_tail(table) is not None:
             violations += 1
     _verdict(
         6,
@@ -128,7 +128,7 @@ def test_07_monotone_tail_empirical_regime():
     violations = 0
     for k in range(2, 201):
         table = build_adaptive_table(Params(k, 2.0 / (k + 1)), 1e-10)
-        if not check_monotone_tail(table).ok:
+        if check_monotone_tail(table) is not None:
             violations += 1
     elapsed = time.perf_counter() - start
     _verdict(
@@ -160,12 +160,12 @@ def test_09_equality_histogram():
     table = build_adaptive_table(params, 1e-10)
     modes = find_modes(table)
     floor_gap = math.floor(params.kappa * params.lam) - params.k
-    ok = modes.indices == (2,) and floor_gap == 2 and params.mean == 4.0
+    ok = modes == (2,) and floor_gap == 2 and params.mean == 4.0
     _verdict(
         9,
         "equality-case histogram (k=2, rate 4/3)",
         ok,
-        f"modes {modes.indices}, floor bound {floor_gap}, mean {params.mean!r}",
+        f"modes {modes}, floor bound {floor_gap}, mean {params.mean!r}",
     )
 
 
@@ -175,15 +175,15 @@ def test_10_bimodal_histogram():
     modes = find_modes(table, tie_tol=1e-4)
     floor_bound = math.floor(params.kappa * params.lam) - params.k
     ok = (
-        modes.indices == (2, 4)
-        and modes.indices[1] > floor_bound
-        and modes.indices[0] == floor_bound
+        modes == (2, 4)
+        and modes[1] > floor_bound
+        and modes[0] == floor_bound
     )
     _verdict(
         10,
         "near-bimodal histogram (k=2, rate 4.02373/3)",
         ok,
-        f"modes {modes.indices}, floor bound {floor_bound}",
+        f"modes {modes}, floor bound {floor_bound}",
     )
 
 
@@ -207,11 +207,11 @@ def test_11_mode_bound_theorem():
     for params, _, modes in mode_audit_grid():
         fl = math.floor(params.kappa * params.lam)
         low = fl - params.kappa + 1 - (1 if params.k == 1 else 0)
-        if any(not low <= m <= fl for m in modes.indices):
+        if any(not low <= m <= fl for m in modes):
             violations += 1
-        if modes.indices == (0,):
+        if modes == (0,):
             zero_points += 1
-        if modes.indices[-1] > params.k:
+        if modes[-1] > params.k:
             high_points += 1
     ok = violations == 0 and zero_points > 0 and high_points > 0
     _verdict(
@@ -229,13 +229,13 @@ def test_12_conjectured_floor_audit():
     for params, table, modes in mode_audit_grid():
         if find_triple_ties(table):
             tie_viol += 1
-        if 0 in modes.indices:
+        if 0 in modes:
             continue
         nonzero_points += 1
         fl = math.floor(params.kappa * params.lam)
-        if any(m < fl - params.k for m in modes.indices):
+        if any(m < fl - params.k for m in modes):
             floor_viol += 1
-        if modes.indices[0] < params.k:
+        if modes[0] < params.k:
             min_mode_viol += 1
     detail = (
         f"audited {nonzero_points} nonzero-mode points: "

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -134,6 +135,32 @@ class TestScanCommand:
         assert code == 1
         assert "required" in err
 
+    @pytest.mark.parametrize(
+        "rates, named",
+        [
+            (["--lambda", "1", "--lambda-rule", "mean-k"], "not allowed with"),
+            (["--lambda", "0.5", "--lambda-grid", "1", "2", "3"], "not allowed with"),
+            (["--lambda-grid", "1", "2", "3", "--lambda-rule", "shoulder"], "not allowed with"),
+            (["--lambda-grid", "1", "2", "2.7"], "integer COUNT"),
+        ],
+    )
+    def test_ambiguous_rate_source_is_one(self, capsys, rates, named):
+        code, out, err = run(capsys, "scan", "--k-min", "2", "--k-max", "2", *rates)
+        assert code == 1
+        assert out == ""
+        assert named in err
+
+    def test_underflowing_weights_become_an_error_row(self, capsys):
+        code, out, _ = run(
+            capsys, "scan", "--k-min", "2", "--k-max", "3", "--lambda", "1e-200"
+        )
+        assert code == 0
+        errors = [r["error"] for r in rows_of(out)]
+        assert [e.split(" for ")[0] for e in errors] == [
+            "weight underflowed to 0.0 at index n=3",
+            "weight underflowed to 0.0 at index n=4",
+        ]
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
@@ -263,6 +290,66 @@ class TestOutputContract:
         assert value == "1.37228132327"
 
 
+# stdout of commands the benchmark does not pin, as first produced by the
+# hand-written row builders; the record-built rows must keep every byte
+SCAN_ARGS = ("scan", "--k-min", "1", "--k-max", "3", "--lambda-grid", "0.3", "300", "3")
+PINNED_CSV = {
+    ("roots", "--k", "3", "--n", "3", "--c", "1"): (
+        "k,n,c,root,bracket_low,bracket_high,tol,iterations\n"
+        "3,3,1,0.601679131883,0,0.61803398875,1e-13,8\n"
+    ),
+    ("bounds", "--k-max", "5", "--no-shoulder"): (
+        "k,root1,root1_upper,root2,root2_upper,rise_threshold,tail_bound,shoulder,status\n"
+        "2,0.732050807569,0.732050807569,1.2360679775,1.2360679775,1.37228132327,0.125,,ok\n"
+        "3,0.601679131883,0.61803398875,0.951373035591,1,1.29799919936,0.0277777777778,,ok\n"
+        "4,0.520351017693,0.548583770355,0.792525604201,0.868517091821,1.27195673217,"
+        "0.005859375,,ok\n"
+        "5,0.463329043454,0.5,0.688189712959,0.780776406404,1.25959555315,0.0012,,ok\n"
+    ),
+    # two modes, two local maxima, empty optional cells and one error row
+    SCAN_ARGS: (
+        "k,lambda,n_max,modes,local_maxima,initial_increase,monotone_tail_from_k,"
+        "first_tail_violation,mean,mean_mode_gap,mode_bounds_ok,mode_floor_ok,"
+        "block_nonincreasing,triple_ties,error\n"
+        "1,0.3,9,0,0,true,true,,0.3,0.3,true,true,,false,\n"
+        "1,9.48683298051,36,9,9,true,false,2,9.48683298051,0.486832980505,true,true,true,false,\n"
+        "1,300,417,299;300,299,true,false,2,300,0,true,true,true,false,\n"
+        "2,0.3,18,0,0;2,true,true,,0.9,0.9,true,true,,false,\n"
+        "2,9.48683298051,83,28,28,true,false,3,28.4604989415,0.460498941515,"
+        "true,true,true,false,\n"
+        "2,300,1158,899,899,true,false,3,900,1,true,true,true,false,\n"
+        "3,0.3,28,0,0;3,true,true,,1.8,1.8,true,true,,false,\n"
+        "3,9.48683298051,146,56,56,true,false,4,56.920997883,0.920997883031,"
+        "true,true,true,false,\n"
+        '3,300,,,,,,,,,,,,,"exp(-k*lam) underflows for k=3, lam=300.0; '
+        'normalized-mass truncation is unusable at this scale"\n'
+    ),
+}
+PINNED_SHA256 = {
+    ("roots", "--k", "3", "--n", "3", "--c", "1", "--format", "json"):
+        "7fac9f92895d0ed7641d603b247d1d794b3fd4347682c627d9a7f80bfe81c3af",
+    ("bounds", "--k-max", "5", "--no-shoulder", "--format", "json"):
+        "4cccd38a4cc3dcb99121e2b99ed8275ef4a436d15e44120baf038d037bbb5d5f",
+    (*SCAN_ARGS, "--format", "json"):
+        "bc8b5594229afb10e8a1bbdc88dcada2cab80af20d66c98ebcd971d6241c8f41",
+    ("figs", "1"): "9cf841191ba335637be7924a8f9adcbd281822c3c633adb340ba8fc1fa714df9",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv", list(PINNED_CSV))
+    def test_csv_bytes(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == PINNED_CSV[argv]
+
+    @pytest.mark.parametrize("argv", list(PINNED_SHA256))
+    def test_sha256(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[argv]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_one(self, capsys):
         assert run(capsys, "pmf", "--k", "2", "--lambda", "1", "--bogus")[0] == 1
@@ -290,6 +377,29 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["bounds", "--k-min", "2", "--k-max", "3"], "tol must be > 0 and finite"),
+            (["roots", "--k", "3", "--n", "3", "--c", "1"], "tol must be > 0 and finite"),
+            (
+                ["scan", "--k-min", "2", "--k-max", "2", "--lambda", "3"],
+                "tol must be >= 0 and finite",
+            ),
+        ],
+    )
+    def test_infinite_tolerance_is_one(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv, "--tol", "inf")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {named}, got inf\n"
+
+    def test_underflowing_weights_are_two(self, capsys):
+        code, out, err = run(capsys, "pmf", "--k", "2", "--lambda", "1e-200")
+        assert code == 2
+        assert out == ""
+        assert "underflowed to 0.0 at index n=3 for k=2, lam=1e-200" in err
 
     def test_computation_failure_is_two(self, capsys):
         code, _, err = run(capsys, "pmf", "--k", "1", "--lambda", "800", "--n-max", "900")

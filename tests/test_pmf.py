@@ -12,6 +12,8 @@ from poisson_order_k.oracle import weight_exact
 from poisson_order_k.pmf import (
     Params,
     PmfTable,
+    WeightUnderflowError,
+    _check_real,
     build_adaptive_table,
     build_table,
     build_table_km,
@@ -76,6 +78,31 @@ class TestParams:
     def test_rejects_bad_parameters(self, k, lam):
         with pytest.raises(ValueError):
             Params(k, lam)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_open_half_line(self, value):
+        with pytest.raises(ValueError, match=r"^x must be > 0 and finite, got "):
+            _check_real("x", value, 0.0)
+
+    @pytest.mark.parametrize("value", [-1e-300, math.inf, -math.inf, math.nan])
+    def test_closed_half_line(self, value):
+        with pytest.raises(ValueError, match=r"^x must be >= 0 and finite, got "):
+            _check_real("x", value, 0.0, inclusive=True)
+
+    @pytest.mark.parametrize("value, inclusive", [(0.0, False), (1.0, True), (math.nan, True)])
+    def test_interval(self, value, inclusive):
+        want = r"\[0, 1\)" if inclusive else r"\(0, 1\)"
+        with pytest.raises(ValueError, match=rf"^x must be in {want}, got "):
+            _check_real("x", value, 0.0, 1.0, inclusive=inclusive)
+
+    def test_accepts_the_interior_and_exact_rationals(self):
+        _check_real("x", 0.0, 0.0, inclusive=True)
+        _check_real("x", 5e-324, 0.0)
+        _check_real("x", 1.7e308, 0.0)
+        _check_real("x", Fraction(1, 3), 0.0, 1.0)
+        _check_real("x", Fraction(10**400), 0.0)  # beyond float, still finite
 
 
 class TestBuildTable:
@@ -248,8 +275,9 @@ class TestAdaptiveTruncation:
             build_adaptive_table(Params(2, 4 / 3), 1e-10, cap=5)
 
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            build_adaptive_table(Params(2, 1.0), 0.0)
+        for epsilon in (0.0, 1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+                build_adaptive_table(Params(2, 1.0), epsilon)
 
     def test_bit_identical_to_indexed_loop_at_the_mean_k_rate(self):
         # the scan --lambda-rule mean-k grid: rate 2/(k+1), mean equal to k
@@ -260,6 +288,15 @@ class TestAdaptiveTruncation:
     def test_huge_rate_fails_fast(self):
         with pytest.raises(OverflowError, match="underflow"):
             build_adaptive_table(Params(3, 400.0), 1e-10)
+
+    @pytest.mark.parametrize("k, lam, n", [(2, 1e-200, 3), (300, 1.1e-219, 301)])
+    def test_underflowed_weight_stops_at_its_index(self, k, lam, n):
+        # w_1..w_k are about lam, but w_{k+1} is about lam**2, which is 0.0;
+        # the decreasing run truncation waits for can then never form
+        with pytest.raises(WeightUnderflowError, match=rf"index n={n} for k={k}, "):
+            build_adaptive_table(Params(k, lam), 1e-10)
+        w = build_table(Params(k, lam), n).values
+        assert w[n] == 0.0 < w[n - 1]
 
 
 class TestDifferenceIdentities:

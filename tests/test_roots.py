@@ -1,5 +1,6 @@
 """Tests for level-crossing solves and the closed-form threshold constants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -111,6 +112,19 @@ class TestSolveWeightEquals:
         with pytest.raises(ValueError):
             root_upper_bound(k, n, c)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # an infinite tol once stopped the solver at its first secant step
+        solvers = [
+            lambda: solve_weight_equals(3, 3, 1.0, tol=tol),
+            lambda: shoulder_lambda(3, tol=tol),
+            lambda: monotone_tail_bound(3, tol=tol),
+            lambda: bounds_record(2, tol=tol),
+        ]
+        for solve in solvers:
+            with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+                solve()
+
 
 class TestClosedFormRootN2:
     @pytest.mark.parametrize(
@@ -119,6 +133,11 @@ class TestClosedFormRootN2:
     )
     def test_values(self, c, expected):
         assert closed_form_root_n2(c) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [-1.0, math.inf, math.nan])
+    def test_rejects_a_level_outside_the_closed_half_line(self, c):
+        with pytest.raises(ValueError, match="level c must be >= 0 and finite"):
+            closed_form_root_n2(c)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("k", [2, 5, 10])
@@ -246,6 +265,20 @@ class TestBoundsRecord:
         assert rec.rise_threshold is None
         assert rec.tail_bound is None
         assert rec.shoulder is None
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 25])
+    def test_status_is_ok_and_the_last_field(self, k):
+        rec = bounds_record(k, with_shoulder=False)
+        assert rec.status == "ok"
+        assert [f.name for f in dataclasses.fields(rec)][-1] == "status"
+
+    def test_status_names_each_failing_bound(self):
+        rec = bounds_record(3, with_shoulder=False)
+        bad = dataclasses.replace(
+            rec, root1=rec.root1_upper, root2=2 * rec.root2_upper, rise_threshold=1.0
+        )
+        assert bad.status == "root1_bound;root2_bound;rise_range"
+        assert dataclasses.replace(rec, tail_bound=2 * rec.root2).status == "tail_bound"
 
     @pytest.mark.parametrize("k", [3, 7, 25])
     def test_strict_bound_above_order_two(self, k):

@@ -95,15 +95,15 @@ def test_shape_scans_match_references_on_scan_tables():
 
 class TestFindModes:
     def test_single_mode_case(self):
-        assert find_modes(table(2, 4 / 3)).indices == (2,)
+        assert find_modes(table(2, 4 / 3)) == (2,)
 
     def test_near_tie_becomes_bimodal_at_loose_tolerance(self):
         t = table(2, 4.02373 / 3)
-        assert find_modes(t, tie_tol=1e-4).indices == (2, 4)
-        assert find_modes(t, tie_tol=1e-9).indices == (4,)
+        assert find_modes(t, tie_tol=1e-4) == (2, 4)
+        assert find_modes(t, tie_tol=1e-9) == (4,)
 
     def test_tiny_rate_concentrates_at_zero(self):
-        assert find_modes(table(3, 0.01)).indices == (0,)
+        assert find_modes(table(3, 0.01)) == (0,)
 
     def test_refuses_truncated_table(self):
         # n_max=2 cuts the table while it is still rising
@@ -115,7 +115,7 @@ class TestFindModes:
     @settings(max_examples=50, deadline=None)
     def test_invariant_under_positive_scaling(self, factor):
         t = table(2, 4 / 3)
-        assert find_modes(scaled(t, factor)).indices == find_modes(t).indices
+        assert find_modes(scaled(t, factor)) == find_modes(t)
 
 
 class TestLocalMaxima:
@@ -144,17 +144,25 @@ class TestInitialIncrease:
 
 class TestMonotoneTail:
     def test_rise_after_k_is_located(self):
-        res = check_monotone_tail(table(2, 4 / 3))
-        assert not res.ok
-        assert res.first_violation == 4
+        assert check_monotone_tail(table(2, 4 / 3)) == 4
 
     def test_small_rate_tail_decreases(self):
-        res = check_monotone_tail(table(4, 0.05))
-        assert res.ok and res.first_violation is None and res.strict
+        t = table(4, 0.05)
+        assert check_monotone_tail(t) is None
+        tail = t.values[4:]
+        assert all(a > b for a, b in zip(tail, tail[1:]))  # strictly
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # an infinite tol forgave the rise from k to the mode at 8 here
+        t = build_table(Params(2, 3.0), 12)
+        assert check_monotone_tail(t) == 3
+        with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
+            check_monotone_tail(t, tol)
 
     def test_mean_k_rule_small_orders(self):
         for k in range(2, 31):
-            assert check_monotone_tail(table(k, 2 / (k + 1))).ok
+            assert check_monotone_tail(table(k, 2 / (k + 1))) is None
 
 
 class TestModeBoundAudits:
@@ -163,7 +171,7 @@ class TestModeBoundAudits:
         modes = find_modes(table(2, 4 / 3))
         thm_ok, conj_ok = audit_mode_bounds(p, modes)
         assert thm_ok and conj_ok
-        assert math.floor(p.kappa * p.lam) - p.k == 2 == modes.indices[0]
+        assert math.floor(p.kappa * p.lam) - p.k == 2 == modes[0]
 
     def test_bimodal_case_floor_and_strict(self):
         lam = 4.02373 / 3
@@ -172,13 +180,13 @@ class TestModeBoundAudits:
         thm_ok, conj_ok = audit_mode_bounds(p, modes)
         assert thm_ok and conj_ok
         floor_bound = math.floor(p.kappa * p.lam) - p.k
-        assert modes.indices[0] == floor_bound  # attains equality
-        assert modes.indices[1] > floor_bound
+        assert modes[0] == floor_bound  # attains equality
+        assert modes[1] > floor_bound
 
     def test_standard_poisson_window(self):
         p = Params(1, 2.5)
         modes = find_modes(table(1, 2.5))
-        assert modes.indices == (2,)
+        assert modes == (2,)
         assert audit_mode_bounds(p, modes) == (True, True)
 
     def test_zero_mode_makes_floor_vacuous(self):
@@ -206,11 +214,11 @@ class TestBlockAssumption:
             for lam in (1.0, 2.0, 4.0):
                 t = table(k, lam)
                 modes = find_modes(t)
-                if modes.indices[0] < k:
+                if modes[0] < k:
                     continue
-                if check_block_assumption(t, modes.indices[-1]):
+                if check_block_assumption(t, modes[-1]):
                     p = t.params
-                    assert p.kappa * p.lam <= modes.indices[-1] + k + 1e-9
+                    assert p.kappa * p.lam <= modes[-1] + k + 1e-9
 
 
 class TestMeanModeGap:
@@ -246,24 +254,24 @@ class TestTripleTies:
 class TestBuildReport:
     def test_equality_case_report(self):
         rep = build_report(table(2, 4 / 3))
-        assert rep.mode_set.indices == (2,)
+        assert rep.modes == (2,)
         assert rep.local_maxima == (2, 4)
-        assert rep.initial_increase_ok
+        assert rep.initial_increase
         assert not rep.monotone_tail_from_k
         assert rep.first_tail_violation == 4
         assert rep.mean == 4.0
         assert rep.mean_mode_gap == 2.0
-        assert rep.thm_bounds_ok and rep.conj_floor_ok
-        assert rep.block_assumption_ok is False
-        assert not rep.triple_tie_found
+        assert rep.mode_bounds_ok and rep.mode_floor_ok
+        assert rep.block_nonincreasing is False
+        assert not rep.triple_ties
 
     def test_zero_mode_report_leaves_block_undefined(self):
         rep = build_report(table(3, 0.05))
-        assert rep.mode_set.indices == (0,)
-        assert rep.block_assumption_ok is None
+        assert rep.modes == (0,)
+        assert rep.block_nonincreasing is None
 
     def test_shoulder_case_is_clean(self):
         rep = build_report(table(4, 0.6026076))
-        assert rep.mode_set.indices == (4,)
+        assert rep.modes == (4,)
         assert rep.monotone_tail_from_k
-        assert not rep.triple_tie_found
+        assert not rep.triple_ties
