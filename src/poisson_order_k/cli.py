@@ -11,7 +11,7 @@ configurations produce byte-identical output.  The ``roots``, ``bounds`` and
 ``scan`` columns are the fields of the library's result records, named only
 there.  Diagnostics and scan summaries go to stderr.  Exit codes:
 0 success, 1 invalid parameters, 2 computation failure, 3 verification-suite
-failure.
+failure.  A reader that closes stdout early is not a failure: exit 0.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 from . import checks, roots, structure
-from .pmf import Params, build_adaptive_table, build_table, normalize
+from .pmf import Params, _check_real, build_adaptive_table, build_table, normalize
 
 __all__ = ["main"]
 
@@ -201,6 +202,10 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"--k-step must be >= 1, got {args.k_step}")
     if args.lambda_rule is not None and args.k_min < 2:
         raise ValueError(f"--lambda-rule {args.lambda_rule} needs k >= 2")
+    # the same checks as build_report's, made here because a point whose
+    # table build fails never reaches it
+    _check_real("tie_tol", args.tie_tol, 0.0, 1.0, inclusive=True)
+    _check_real("tol", args.tol, 0.0, inclusive=True)
     tasks = []
     for k in range(args.k_min, args.k_max + 1, args.k_step):
         for lam in _lambda_grid(args, k):
@@ -381,13 +386,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # buffered rows reach a closed pipe only when flushed; do it here,
+        # where the handler below sees it
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (`figs 1 | head -1`), which is not an
+        # error; stdout goes to devnull so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

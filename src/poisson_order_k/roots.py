@@ -4,7 +4,10 @@ For fixed k >= 1 and n >= 1 the map lam -> w(n; lam) is a polynomial with
 all-positive coefficients and no constant term, hence strictly increasing on
 lam > 0 and unbounded: each level c > 0 is crossed at exactly one positive
 rate.  Crossings are solved by regula falsi with Illinois safeguarding inside
-an a-priori bracket given by closed-form upper bounds.
+an a-priori bracket given by closed-form upper bounds.  Each solver step
+evaluates ``weight_value``: at 1 <= n <= k the order drops out and the weight
+is an n-term closed form, evaluated in O(n); past k it is an entry of a
+k-term table, as is the shoulder's pair at k+1 and k+2.
 
 From the n = k crossings at levels 1 and 2 this module derives the constants
 that delimit the distribution's shape regimes: the proved monotone-tail
@@ -98,9 +101,21 @@ def _bounds_status(rec: BoundsRecord) -> str:
 
 
 def weight_value(k: int, n: int, lam: float) -> float:
-    """Weight at a single index, via the k-term recurrence."""
+    """Weight at a single index.
+
+    For 1 <= n <= k the order drops out: w_n = sum_{j=1..n} C(n-1, j-1)
+    lam^j / j!, the Laguerre value L_n^(-1)(-lam).  Its term ratios are
+    (n-j) lam / (j(j+1)), so it is evaluated in Horner form with n - 1
+    positive steps.  Index 0 and indices past k build a k-term table, which
+    costs about k multiply-adds per entry.
+    """
     Params(k, lam)  # validate
     _check_int("index n", n, 0)
+    if 1 <= n <= k:
+        s = 1.0
+        for j in range(n - 1, 0, -1):
+            s = 1.0 + s * ((n - j) * lam) / (j * (j + 1))
+        return lam * s
     return _kterm_weights(k, lam, n)[n]
 
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import poisson_order_k
 from poisson_order_k import checks
 from poisson_order_k.cli import _emit, main
+from poisson_order_k.pmf import Params, build_table_km
 
 
 def run(capsys, *argv):
@@ -83,6 +85,23 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "--k-min", "5", "--k-max", "2")
         assert code == 1
         assert "error" in err
+
+    def test_printed_roots_bracket_the_level(self, capsys):
+        # each printed root, widened by half a unit in its 12th significant
+        # digit, must bracket the level on the correctly rounded exact path
+        code, out, _ = run(
+            capsys, "bounds", "--k-min", "2", "--k-max", "150", "--no-shoulder"
+        )
+        assert code == 0
+        for row in rows_of(out):
+            k = int(row["k"])
+            for name, level in (("root1", 1.0), ("root2", 2.0)):
+                p = Decimal(row[name])
+                half = Decimal(5).scaleb(p.adjusted() - 12)
+                low, high = float(p - half), float(p + half)
+                below = build_table_km(Params(k, low), k).values[k]
+                above = build_table_km(Params(k, high), k).values[k]
+                assert below < level < above, (k, name, row[name])
 
 
 class TestScanCommand:
@@ -394,6 +413,40 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == f"error: {named}, got inf\n"
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [(["--tol", "inf"], "tol must be >= 0"), (["--tie-tol", "1"], "tie_tol must")],
+    )
+    def test_scan_tolerance_checked_before_any_point(self, capsys, extra, named):
+        # the only point of this scan fails its table build, so it never
+        # hands the tolerances to build_report
+        code, out, err = run(
+            capsys, "scan", "--k-min", "3", "--k-max", "3", "--lambda", "300", *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("flags", [[], ["-u"]])
+    def test_closed_pipe_is_zero_and_quiet(self, flags):
+        # a reader that stops early (`figs 1 | head -1`) is not an error; the
+        # read end is closed before the child writes, so the first write
+        # (unbuffered, -u) or the flush (buffered) meets a broken pipe
+        src = str(Path(poisson_order_k.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "poisson_order_k", "figs", "1"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
 
     def test_underflowing_weights_are_two(self, capsys):
         code, out, err = run(capsys, "pmf", "--k", "2", "--lambda", "1e-200")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_order_k.oracle import weight_polynomial
-from poisson_order_k.pmf import _kterm_weights
+from poisson_order_k.pmf import Params, _kterm_weights, build_table_km
 from poisson_order_k.roots import (
     SQRT5_MINUS_1,
     bounds_record,
@@ -40,8 +40,10 @@ RATES = (1e-3, 0.1, 0.35, 0.6026076, 1.0, 1.5, 2.0)
 class TestKTermKernel:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 20, 75, 150])
     def test_weight_value_bit_identical_to_indexed_loop(self, k):
+        # weight_value takes the closed form at index k; the kernel's own
+        # entry there stays bit-identical to the indexed loop
         for lam in RATES:
-            assert weight_value(k, k, lam) == kterm_reference(k, lam, k)[k]
+            assert _kterm_weights(k, lam, k)[k] == kterm_reference(k, lam, k)[k]
 
     @pytest.mark.parametrize("k", [2, 3, 7, 20, 75, 150])
     def test_shoulder_pair_bit_identical_to_indexed_loop(self, k):
@@ -61,6 +63,52 @@ class TestKTermKernel:
     def test_negative_index_is_rejected(self, n):
         with pytest.raises(ValueError, match="index n"):
             weight_value(2, n, 0.5)
+
+
+CLOSED_FORM_RATES = (1e-6, 1e-3, 0.1, 0.35, 0.6026076, 1.0, 2.0, 5.0, 12.5, 40.0)
+
+
+def first_inf_rate(f, lo: float, hi: float) -> float:
+    """Smallest float rate in (lo, hi] where f is inf, given f(lo) < inf = f(hi)."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if f(mid) == math.inf else (mid, hi)
+    return hi
+
+
+class TestClosedFormWeight:
+    """weight_value at 1 <= n <= k, where it sums C(n-1, j-1) lam^j / j!."""
+
+    @pytest.mark.parametrize("k", [*range(1, 61), 75, 100, 150, 200])
+    def test_within_16_ulps_of_the_exact_path(self, k):
+        for lam in CLOSED_FORM_RATES:
+            exact = build_table_km(Params(k, lam), k).values
+            for n in range(1, k + 1):
+                got = weight_value(k, n, lam)
+                assert abs(got - exact[n]) <= 16 * math.ulp(exact[n]), (n, lam)
+
+    @pytest.mark.parametrize("k", [100, 200, 400])
+    def test_overflows_where_the_kernel_does(self, k):
+        def kernel(lam):
+            return _kterm_weights(k, lam, k)[k]
+
+        edge = first_inf_rate(kernel, 1.0, 1e5)
+        assert math.isfinite(weight_value(k, k, math.nextafter(edge, 0.0)))
+        assert weight_value(k, k, edge) == math.inf
+        for step in range(-50, 51):
+            lam = edge * (1.0 + step * 1e-14)
+            assert (weight_value(k, k, lam) == math.inf) == (kernel(lam) == math.inf)
+
+    @given(
+        st.integers(1, 60).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k))),
+        st.floats(1e-6, 40.0),
+        st.floats(1e-6, 40.0) | st.just(None),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_decreasing_in_the_rate(self, kn, a, b):
+        # b = None compares a with the next float up, where rounding decides
+        k, n = kn
+        lo, hi = (a, math.nextafter(a, math.inf)) if b is None else sorted((a, b))
+        assert weight_value(k, n, lo) <= weight_value(k, n, hi)
 
 
 class TestSolveWeightEquals:
