@@ -132,6 +132,5 @@ def lambda2_coefficient(k: int, j: int) -> Fraction:
     that j = k leaves the single doubled part (0, ..., 0, 2).
     """
     _check_int("order k", k, 2)
-    if not isinstance(j, int) or not 1 <= j <= k:
-        raise ValueError(f"offset j must be an integer in [1, {k}], got {j!r}")
+    _check_int("offset j", j, 1, k)
     return weight_polynomial(k, k + j).coeffs.get(2, Fraction(0))

@@ -99,10 +99,20 @@ class DiffIdentityReport:
     abs_gap: float
 
 
-def _check_int(name: str, value: int, minimum: int) -> None:
-    """The one integer-argument validator; ``bool`` is not an integer here."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _check_int(
+    name: str, value: int, minimum: int, maximum: float = math.inf
+) -> None:
+    """The one integer-argument validator: ``minimum <= value <= maximum``.
+
+    ``bool`` is not an integer here.
+    """
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or not minimum <= value <= maximum
+    ):
+        want = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an integer {want}, got {value!r}")
 
 
 def _check_real(

@@ -7,7 +7,9 @@ rate.  Crossings are solved by regula falsi with Illinois safeguarding inside
 an a-priori bracket given by closed-form upper bounds.  Each solver step
 evaluates ``weight_value``: at 1 <= n <= k the order drops out and the weight
 is an n-term closed form, evaluated in O(n); past k it is an entry of a
-k-term table, as is the shoulder's pair at k+1 and k+2.
+k-term table.  The shoulder's bracket is located by the O(k) closed form of
+the gap w(k+2) - w(k+1), confirmed on the k-term gap, and the root is solved
+on the k-term pair at k+1 and k+2.
 
 From the n = k crossings at levels 1 and 2 this module derives the constants
 that delimit the distribution's shape regimes: the proved monotone-tail
@@ -251,6 +253,20 @@ def monotone_tail_bound(k: int, tol: float = 1e-13) -> float:
     return min(root2, _log_factorial_over_power(k))
 
 
+def _gap_factor(k: int, lam: float) -> float:
+    """The shoulder gap w(k+2) - w(k+1) divided by lam**2, in O(k).
+
+    Just past k the generating function cancels exactly, and the gap is
+    lam**2 * (-1/2 + sum_{m=1..k} C(k, m) lam^m / (m+2)!).  The sum has
+    positive terms with ratios (k-m) lam / ((m+1)(m+3)), so it is evaluated
+    in Horner form; it rises with lam, and the gap changes sign exactly once.
+    """
+    s = 1.0
+    for m in range(k - 1, 0, -1):
+        s = 1.0 + s * ((k - m) * lam) / ((m + 1) * (m + 3))
+    return k * lam / 6.0 * s - 0.5
+
+
 def shoulder_lambda(
     k: int, tol: float = 1e-13, scan_high: float = 2.0
 ) -> float:
@@ -258,12 +274,16 @@ def shoulder_lambda(
 
     The gap g(lam) = w(k+2) - w(k+1) is negative for small rates (the
     quadratic coefficients just past k drop by 1/2 per index) and positive by
-    lam = 2, so a sign change is bracketed by a geometric scan of (0, 2] and
-    then solved to ``|g| <= tol * w(k+1)``.  Raises RuntimeError, reporting
+    lam = 2.  The bracket is the first step of the grid 1e-3 * 1.5**i,
+    capped at scan_high, that ends where g >= 0.  That grid point is located
+    by the O(k) closed form of g and confirmed on the k-term gap, stepping to
+    a neighbour where the two signs differ; the root is then solved on the
+    k-term pair to ``|g| <= tol * w(k+1)``.  Raises RuntimeError, reporting
     the scanned range, if no sign change is found.
     """
     _check_int("order k", k, 2)
     _check_real("tol", tol, 0.0)
+    _check_real("scan_high", scan_high, 0.0)
 
     # is_done asks for the pair at the rate g has just evaluated; reuse it
     last: tuple = (None, None)
@@ -279,23 +299,33 @@ def shoulder_lambda(
         a, b = pair(lam)
         return b - a
 
-    lo = 1e-3
-    flo = g(lo)
-    if flo >= 0.0:
-        raise RuntimeError(
-            f"no negative start for the shoulder gap at lam={lo}, k={k}"
-        )
-    hi = lo
-    fhi = flo
+    grid = [1e-3]
+    while grid[-1] < scan_high:
+        grid.append(min(grid[-1] * 1.5, scan_high))
+    i = next(
+        (j for j, x in enumerate(grid) if _gap_factor(k, x) >= 0.0), len(grid) - 1
+    )
+    fhi = g(grid[i])
+    # the signs agree at every grid point for k <= 150 (a test checks it);
+    # stepping to a neighbour is a safeguard
     while fhi < 0.0:
-        if hi >= scan_high:
+        if i == len(grid) - 1:
             raise RuntimeError(
                 f"no shoulder sign change for k={k} in the scanned range "
-                f"({lo}, {scan_high}]"
+                f"({grid[max(i - 1, 0)]}, {scan_high}]"
             )
-        lo, flo = hi, fhi
-        hi = min(hi * 1.5, scan_high)
-        fhi = g(hi)
+        i += 1
+        fhi = g(grid[i])
+    while True:
+        if i == 0:
+            raise RuntimeError(
+                f"no negative start for the shoulder gap at lam={grid[0]}, k={k}"
+            )
+        flo = g(grid[i - 1])
+        if flo < 0.0:
+            break
+        i, fhi = i - 1, flo
+    lo, hi = grid[i - 1], grid[i]
 
     def is_done(x: float, fx: float, lo_: float, hi_: float) -> bool:
         ref = pair(x)[0]

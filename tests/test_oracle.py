@@ -149,3 +149,5 @@ class TestLambda2Coefficient:
             lambda2_coefficient(1, 1)
         with pytest.raises(ValueError):
             lambda2_coefficient(4, 5)
+        with pytest.raises(ValueError, match=r"offset j must be an integer in \[1, 2\]"):
+            lambda2_coefficient(2, True)

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_order_k.oracle import weight_polynomial
+from poisson_order_k import roots
 from poisson_order_k.pmf import Params, _kterm_weights, build_table_km
 from poisson_order_k.roots import (
     SQRT5_MINUS_1,
+    _gap_factor,
+    _illinois,
     bounds_record,
     closed_form_root_n2,
     monotone_tail_bound,
@@ -32,6 +35,53 @@ def kterm_reference(k: int, lam: float, n_max: int) -> list[float]:
             s += j * w[n - j]
         w.append(lam * s / n)
     return w
+
+
+def shoulder_reference(
+    k: int, tol: float = 1e-13, scan_high: float = 2.0
+) -> tuple[float, int]:
+    """The shoulder by a linear walk of the grid 1e-3 * 1.5**i, gap at each step.
+
+    Returns the root and the number of evaluations the Illinois phase made.
+    """
+
+    def pair(lam: float) -> tuple[float, float]:
+        w = _kterm_weights(k, lam, k + 2)
+        return w[k + 1], w[k + 2]
+
+    def g(lam: float) -> float:
+        a, b = pair(lam)
+        return b - a
+
+    lo = 1e-3
+    flo = g(lo)
+    if flo >= 0.0:
+        raise RuntimeError(
+            f"no negative start for the shoulder gap at lam={lo}, k={k}"
+        )
+    hi = lo
+    fhi = flo
+    while fhi < 0.0:
+        if hi >= scan_high:
+            raise RuntimeError(
+                f"no shoulder sign change for k={k} in the scanned range "
+                f"({lo}, {scan_high}]"
+            )
+        lo, flo = hi, fhi
+        hi = min(hi * 1.5, scan_high)
+        fhi = g(hi)
+
+    def is_done(x: float, fx: float, lo_: float, hi_: float) -> bool:
+        return abs(fx) <= tol * pair(x)[0] or hi_ - lo_ <= 4.0 * math.ulp(x)
+
+    return _illinois(g, lo, flo, hi, fhi, is_done)
+
+
+def shoulder_grid(scan_high: float = 2.0) -> list[float]:
+    grid = [1e-3]
+    while grid[-1] < scan_high:
+        grid.append(min(grid[-1] * 1.5, scan_high))
+    return grid
 
 
 RATES = (1e-3, 0.1, 0.35, 0.6026076, 1.0, 1.5, 2.0)
@@ -277,6 +327,50 @@ class TestShoulder:
         with pytest.raises(RuntimeError, match="scanned range"):
             shoulder_lambda(4, scan_high=0.1)
 
+    @pytest.mark.parametrize("scan_high", [math.nan, math.inf, 0.0, -1.0])
+    def test_scan_high_must_be_finite_and_positive(self, scan_high):
+        with pytest.raises(ValueError, match="scan_high must be > 0 and finite"):
+            shoulder_lambda(4, scan_high=scan_high)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-6])
+    def test_identical_to_the_linear_walk_with_fewer_tables(self, tol, monkeypatch):
+        # the closed form only locates the bracket; the walk's bracket and
+        # root are kept, and two k-term tables per order replace the walk
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _kterm_weights(*args)
+
+        monkeypatch.setattr(roots, "_kterm_weights", counted)
+        allowed = 0
+        for k in range(2, 151):
+            ref, evals = shoulder_reference(k, tol)
+            assert shoulder_lambda(k, tol) == ref, k
+            allowed += evals + 2
+        assert calls <= allowed
+
+    @pytest.mark.parametrize("k", [200, 300, 400])
+    def test_identical_to_the_linear_walk_at_large_orders(self, k):
+        assert shoulder_lambda(k) == shoulder_reference(k)[0]
+
+    @pytest.mark.parametrize(
+        "k, scan_high",
+        [(k, s) for k in (2, 4, 40, 150) for s in (1e-3, 0.01, 0.1)] + [(2300, 2.0)],
+    )
+    def test_failures_match_the_linear_walk(self, k, scan_high):
+        # scan_high = 1e-3 stops at the first grid point; k = 2300 has no
+        # negative start; the others run out of range or find the root
+        try:
+            want = shoulder_reference(k, scan_high=scan_high)[0]
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as got:
+                shoulder_lambda(k, scan_high=scan_high)
+            assert str(got.value) == str(exc)
+        else:
+            assert shoulder_lambda(k, scan_high=scan_high) == want
+
     def test_high_precision_cross_check(self):
         # solve the same crossing from the exact polynomials at 40 digits
         mp = pytest.importorskip("mpmath")
@@ -294,6 +388,31 @@ class TestShoulder:
 
         ref = mp.findroot(gap, mp.mpf("0.6"))
         assert abs(shoulder_lambda(4) - float(ref)) <= 1e-12
+
+
+class TestShoulderGapClosedForm:
+    """w(k+2) - w(k+1) = lam**2 (-1/2 + sum_{j=3..k+2} C(k, j-2) lam^(j-2) / j!)."""
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_exact_coefficients(self, k):
+        p1 = weight_polynomial(k, k + 1).coeffs
+        p2 = weight_polynomial(k, k + 2).coeffs
+        gap = {d: p2.get(d, 0) - p1.get(d, 0) for d in p1.keys() | p2.keys()}
+        gap = {d: c for d, c in gap.items() if c != 0}
+        want = {2: Fraction(-1, 2)}
+        want.update(
+            {j: Fraction(math.comb(k, j - 2), math.factorial(j)) for j in range(3, k + 3)}
+        )
+        assert gap == want
+
+    @pytest.mark.parametrize("k", range(2, 151))
+    def test_matches_the_kterm_gap_on_the_grid(self, k):
+        for lam in shoulder_grid():
+            w = _kterm_weights(k, lam, k + 2)
+            gap = w[k + 2] - w[k + 1]
+            closed = _gap_factor(k, lam) * lam * lam
+            assert abs(closed - gap) <= 1e-14 * w[k + 1], lam
+            assert (closed >= 0.0) == (gap >= 0.0), lam
 
 
 class TestBoundsRecord:
