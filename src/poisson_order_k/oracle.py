@@ -8,12 +8,14 @@ partitions of n into parts of size at most k (n_i = multiplicity of part i).
 This module exists to be obviously correct, not fast: it certifies the
 recurrence paths in :mod:`poisson_order_k.pmf`.  Everything is exact; floats
 are accepted as rate inputs but converted to the binary rational they
-represent, so comparisons against float pipelines are well defined.
+represent, so comparisons against float pipelines are well defined.  Tuple
+terms are summed as integer multinomials per power of the rate, so each
+coefficient costs one rational division rather than one Fraction addition
+per tuple.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,14 +107,24 @@ def weight_polynomial(
     k: int, n: int, budget: int = DEFAULT_TUPLE_BUDGET
 ) -> WeightPolynomial:
     """Exact polynomial of the weight at index n: coefficient of power d is
-    the sum of 1/(n_1! ... n_k!) over tuples with n_1 + ... + n_k = d."""
-    coeffs: dict[int, Fraction] = {}
+    the sum of 1/(n_1! ... n_k!) over tuples with n_1 + ... + n_k = d.
+
+    Over a common denominator that sum is S_d / d!, where S_d adds up the
+    integer multinomials d!/(n_1! ... n_k!).  The tuples are summed in plain
+    integers and each coefficient is reduced once, as Fraction(S_d, d!);
+    powers appear in ``coeffs`` in the order the tuples first reach them.
+    """
+    fact = [1]
+    for i in range(1, n + 1):
+        fact.append(fact[-1] * i)
+    sums: dict[int, int] = {}
     for t in enumerate_tuples(k, n, budget=budget):
         d = sum(t)
         denom = 1
         for c in t:
-            denom *= math.factorial(c)
-        coeffs[d] = coeffs.get(d, Fraction(0)) + Fraction(1, denom)
+            denom *= fact[c]
+        sums[d] = sums.get(d, 0) + fact[d] // denom
+    coeffs = {d: Fraction(s, fact[d]) for d, s in sums.items()}
     return WeightPolynomial(k=k, n=n, coeffs=coeffs)
 
 

@@ -226,9 +226,11 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
     in the scaled integers W_n = n! * D**n * w_n:
 
     W_n = (2(n-1)D + m) W_{n-1} - (n-1)(n-2) D^2 W_{n-2}
-          - (k+1) m D^k perm(n-1, k) W_{n-k-1}
-          + k m D^(k+1) perm(n-1, k+1) W_{n-k-2}
+          - m D^k perm(n-1, k) [(k+1) W_{n-k-1} - k (n-1-k) D W_{n-k-2}]
 
+    The two lagged terms share one multiplication, because perm(n-1, k+1) =
+    perm(n-1, k) (n-1-k).  With D = 2**e every multiplication by a power of
+    D is a left shift, and so is the denominator: n! * D**n = n! << (e*n).
     Integer arithmetic needs no gcd normalisation.  Each entry is rounded to
     float once, as the correctly rounded quotient W_n / (n! * D**n), which
     keeps it an honest certification path for build_table at every index.
@@ -236,24 +238,23 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
     _check_int("n_max", n_max, 0)
     k = params.k
     m, d = params.lam.as_integer_ratio()
-    # n-independent factors of the second, third and fourth coefficients
-    d2, mdk = d * d, m * d**k
-    a3, a4 = (k + 1) * mdk, k * mdk * d
+    e = d.bit_length() - 1  # d == 2**e
     # the step only reaches back k+2 indices; keep that window exact
     window: deque[int] = deque([1], maxlen=k + 2)
-    denom = 1  # n! * D**n
+    fact = 1  # n!
     out = [1.0]
     for n in range(1, n_max + 1):
-        x = (2 * (n - 1) * d + m) * window[-1]
+        x = (((n - 1) << (e + 1)) + m) * window[-1]
         if n >= 3:
-            x -= (n - 1) * (n - 2) * d2 * window[-2]
-        if n - k - 1 >= 0:
-            x -= a3 * math.perm(n - 1, k) * window[-(k + 1)]
-        if n - k - 2 >= 0:
-            x += a4 * math.perm(n - 1, k + 1) * window[-(k + 2)]
-        denom *= n * d
+            x -= ((n - 1) * (n - 2) * window[-2]) << (2 * e)
+        if n > k:
+            lag = (k + 1) * window[-(k + 1)]
+            if n > k + 1:
+                lag -= (k * (n - 1 - k) * window[-(k + 2)]) << e
+            x -= (m * math.perm(n - 1, k) * lag) << (e * k)
+        fact *= n
         try:
-            fx = x / denom
+            fx = x / (fact << (e * n))
         except OverflowError:
             raise _overflow(n, params) from None
         window.append(x)

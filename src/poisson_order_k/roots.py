@@ -275,11 +275,14 @@ def shoulder_lambda(
     The gap g(lam) = w(k+2) - w(k+1) is negative for small rates (the
     quadratic coefficients just past k drop by 1/2 per index) and positive by
     lam = 2.  The bracket is the first step of the grid 1e-3 * 1.5**i,
-    capped at scan_high, that ends where g >= 0.  That grid point is located
-    by the O(k) closed form of g and confirmed on the k-term gap, stepping to
-    a neighbour where the two signs differ; the root is then solved on the
-    k-term pair to ``|g| <= tol * w(k+1)``.  Raises RuntimeError, reporting
-    the scanned range, if no sign change is found.
+    capped at scan_high, that ends where g >= 0.  Where the closed form of g
+    is not yet negative at the grid's first point (at 1e-3, orders
+    k >= 2258), the grid reaches further down by the same factor.  The
+    bracket's grid point is located by the O(k) closed form of g and
+    confirmed on the k-term gap, stepping to a neighbour where the two signs
+    differ; the root is then solved on the k-term pair to
+    ``|g| <= tol * w(k+1)``.  Raises RuntimeError, reporting the scanned
+    range, if no sign change is found.
     """
     _check_int("order k", k, 2)
     _check_real("tol", tol, 0.0)
@@ -299,7 +302,10 @@ def shoulder_lambda(
         a, b = pair(lam)
         return b - a
 
-    grid = [1e-3]
+    grid = [min(1e-3, scan_high)]
+    # for k >= 2258 the gap is already non-negative at 1e-3
+    while _gap_factor(k, grid[0]) >= 0.0:
+        grid.insert(0, grid[0] / 1.5)
     while grid[-1] < scan_high:
         grid.append(min(grid[-1] * 1.5, scan_high))
     i = next(
@@ -312,7 +318,7 @@ def shoulder_lambda(
         if i == len(grid) - 1:
             raise RuntimeError(
                 f"no shoulder sign change for k={k} in the scanned range "
-                f"({grid[max(i - 1, 0)]}, {scan_high}]"
+                f"({grid[0]}, {scan_high}]"
             )
         i += 1
         fhi = g(grid[i])

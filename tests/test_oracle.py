@@ -32,6 +32,22 @@ def partitions_at_most(n: int, max_part: int) -> int:
     return p(n, max_part)
 
 
+def fraction_sum_reference(k: int, n: int) -> dict[int, Fraction]:
+    """The tuple sum with one Fraction addition per tuple, as first written.
+
+    weight_polynomial sums integer multinomials per power instead; the
+    coefficients and the order of their keys must come out the same.
+    """
+    coeffs: dict[int, Fraction] = {}
+    for t in enumerate_tuples(k, n):
+        d = sum(t)
+        denom = 1
+        for c in t:
+            denom *= math.factorial(c)
+        coeffs[d] = coeffs.get(d, Fraction(0)) + Fraction(1, denom)
+    return coeffs
+
+
 class TestEnumerateTuples:
     @pytest.mark.parametrize(
         "k, n, expected",
@@ -86,6 +102,19 @@ class TestWeightPolynomial:
 
     def test_order_one_is_pure_power(self):
         assert weight_polynomial(1, 4).coeffs == {4: Fraction(1, 24)}
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_equals_the_fraction_sum(self, k):
+        for n in range(19):
+            got, want = weight_polynomial(k, n).coeffs, fraction_sum_reference(k, n)
+            assert got == want and list(got) == list(want), n
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_equals_the_fraction_sum_on_the_lambda2_grid(self, k):
+        # the indices the lambda2-coefficients suite reads
+        for n in range(k + 1, 2 * k + 1):
+            got, want = weight_polynomial(k, n).coeffs, fraction_sum_reference(k, n)
+            assert got == want and list(got) == list(want), n
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])

@@ -214,8 +214,22 @@ class TestBuildTableKm:
             t = build_table_km(Params(k, lam), 200)
             assert (t.values, t.mass_captured) == km_fraction_reference(t.params, 200)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bit_identical_at_integer_rates(self, k):
+        # the rate's denominator is 2**0, so every shift is by zero bits
+        for lam in (1.0, 3.0, 50.0):
+            t = build_table_km(Params(k, lam), 120)
+            assert (t.values, t.mass_captured) == km_fraction_reference(t.params, 120)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bit_identical_where_one_lagged_term_enters(self, k):
+        # index k+1 reaches back to W_0 but not yet to W_{-1}
+        for lam in (1e-6, 0.1, 0.6026076, 1.0, 4.0 / 3.0, 50.0):
+            t = build_table_km(Params(k, lam), k + 1)
+            assert (t.values, t.mass_captured) == km_fraction_reference(t.params, k + 1)
+
     @given(
-        st.integers(1, 8),
+        st.integers(1, 12),
         st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0**e),
         st.integers(0, 80),
     )

@@ -53,7 +53,7 @@ def shoulder_reference(
         a, b = pair(lam)
         return b - a
 
-    lo = 1e-3
+    start = lo = 1e-3
     flo = g(lo)
     if flo >= 0.0:
         raise RuntimeError(
@@ -65,7 +65,7 @@ def shoulder_reference(
         if hi >= scan_high:
             raise RuntimeError(
                 f"no shoulder sign change for k={k} in the scanned range "
-                f"({lo}, {scan_high}]"
+                f"({start}, {scan_high}]"
             )
         lo, flo = hi, fhi
         hi = min(hi * 1.5, scan_high)
@@ -324,8 +324,14 @@ class TestShoulder:
         assert below > 0 > above
 
     def test_reports_scan_range_when_no_crossing(self):
-        with pytest.raises(RuntimeError, match="scanned range"):
+        with pytest.raises(RuntimeError, match=r"scanned range \(0\.001, 0\.1\]$"):
             shoulder_lambda(4, scan_high=0.1)
+
+    @pytest.mark.parametrize("k", [4, 2300])
+    def test_scan_high_below_the_grid_start_caps_it(self, k):
+        # the root at k = 2300 is about 9.8e-4, above this scan_high
+        with pytest.raises(RuntimeError, match=r"scanned range \(0\.0001, 0\.0001\]$"):
+            shoulder_lambda(k, scan_high=1e-4)
 
     @pytest.mark.parametrize("scan_high", [math.nan, math.inf, 0.0, -1.0])
     def test_scan_high_must_be_finite_and_positive(self, scan_high):
@@ -360,11 +366,21 @@ class TestShoulder:
         [(k, s) for k in (2, 4, 40, 150) for s in (1e-3, 0.01, 0.1)] + [(2300, 2.0)],
     )
     def test_failures_match_the_linear_walk(self, k, scan_high):
-        # scan_high = 1e-3 stops at the first grid point; k = 2300 has no
-        # negative start; the others run out of range or find the root
+        # scan_high = 1e-3 stops at the first grid point; the others run out
+        # of range or find the root.  At k = 2300 the gap is already
+        # non-negative at 1e-3, where the walk gives up; the grid reaches
+        # below it instead, and the k-term gap changes sign at the root
         try:
             want = shoulder_reference(k, scan_high=scan_high)[0]
         except RuntimeError as exc:
+            if str(exc).startswith("no negative start"):
+                root = shoulder_lambda(k, scan_high=scan_high)
+                below, above = (
+                    _kterm_weights(k, root * f, k + 2) for f in (1 - 1e-9, 1 + 1e-9)
+                )
+                assert root < 1e-3
+                assert below[k + 2] - below[k + 1] < 0.0 < above[k + 2] - above[k + 1]
+                return
             with pytest.raises(RuntimeError) as got:
                 shoulder_lambda(k, scan_high=scan_high)
             assert str(got.value) == str(exc)
