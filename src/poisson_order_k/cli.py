@@ -25,7 +25,14 @@ import os
 import sys
 
 from . import checks, roots, structure
-from .pmf import Params, _check_real, build_adaptive_table, build_table, normalize
+from .pmf import (
+    Params,
+    _check_int,
+    _check_real,
+    build_adaptive_table,
+    build_table,
+    normalize,
+)
 
 __all__ = ["main"]
 
@@ -195,11 +202,10 @@ def _lambda_grid(args, k: int) -> list[float]:
 
 
 def _cmd_scan(args) -> int:
-    if args.k_min < 1:
-        raise ValueError(f"--k-min must be >= 1, got {args.k_min}")
+    _check_int("--k-min", args.k_min, 1)
     _check_k_range(args)
-    if args.k_step < 1:
-        raise ValueError(f"--k-step must be >= 1, got {args.k_step}")
+    _check_int("--k-step", args.k_step, 1)
+    _check_int("--jobs", args.jobs, 1)
     if args.lambda_rule is not None and args.k_min < 2:
         raise ValueError(f"--lambda-rule {args.lambda_rule} needs k >= 2")
     # the same checks as build_report's, made here because a point whose

@@ -22,7 +22,6 @@ from fractions import Fraction
 from .pmf import _check_int, _check_real
 
 __all__ = [
-    "DEFAULT_TUPLE_BUDGET",
     "WeightPolynomial",
     "count_tuples",
     "enumerate_tuples",
@@ -33,7 +32,7 @@ __all__ = [
 
 # Paper-scale certification (k <= 5, n <= 15) needs a few hundred tuples;
 # the budget guards against accidental combinatorial blow-ups only.
-DEFAULT_TUPLE_BUDGET = 10_000_000
+_TUPLE_BUDGET = 10_000_000
 
 Rational = Fraction | int | float
 
@@ -49,19 +48,17 @@ def count_tuples(k: int, n: int) -> int:
     return counts[n]
 
 
-def enumerate_tuples(
-    k: int, n: int, budget: int = DEFAULT_TUPLE_BUDGET
-) -> list[tuple[int, ...]]:
+def enumerate_tuples(k: int, n: int) -> list[tuple[int, ...]]:
     """Every multiplicity tuple exactly once, in a fixed deterministic order.
 
     Recursive descent on part sizes from k down to 1, taking the multiplicity
     of each part from high to low.  n = 0 yields the single all-zero tuple.
-    Refuses (RuntimeError) when the solution count exceeds ``budget``.
+    Refuses (RuntimeError) when the solution count exceeds ``_TUPLE_BUDGET``.
     """
     total = count_tuples(k, n)
-    if total > budget:
+    if total > _TUPLE_BUDGET:
         raise RuntimeError(
-            f"{total} tuples for k={k}, n={n} exceeds the budget of {budget}"
+            f"{total} tuples for k={k}, n={n} exceeds the budget of {_TUPLE_BUDGET}"
         )
     out: list[tuple[int, ...]] = []
     counts = [0] * k
@@ -103,9 +100,7 @@ class WeightPolynomial:
         return sum((c * x**d for d, c in self.coeffs.items()), Fraction(0))
 
 
-def weight_polynomial(
-    k: int, n: int, budget: int = DEFAULT_TUPLE_BUDGET
-) -> WeightPolynomial:
+def weight_polynomial(k: int, n: int) -> WeightPolynomial:
     """Exact polynomial of the weight at index n: coefficient of power d is
     the sum of 1/(n_1! ... n_k!) over tuples with n_1 + ... + n_k = d.
 
@@ -118,7 +113,7 @@ def weight_polynomial(
     for i in range(1, n + 1):
         fact.append(fact[-1] * i)
     sums: dict[int, int] = {}
-    for t in enumerate_tuples(k, n, budget=budget):
+    for t in enumerate_tuples(k, n):
         d = sum(t)
         denom = 1
         for c in t:
@@ -128,12 +123,10 @@ def weight_polynomial(
     return WeightPolynomial(k=k, n=n, coeffs=coeffs)
 
 
-def weight_exact(
-    k: int, n: int, lam: Rational, budget: int = DEFAULT_TUPLE_BUDGET
-) -> Fraction:
+def weight_exact(k: int, n: int, lam: Rational) -> Fraction:
     """Exact weight value at a rational rate lam > 0."""
     _check_real("rate lam", lam, 0.0)
-    return weight_polynomial(k, n, budget=budget).evaluate(lam)
+    return weight_polynomial(k, n).evaluate(lam)
 
 
 def lambda2_coefficient(k: int, j: int) -> Fraction:

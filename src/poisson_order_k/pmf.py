@@ -262,9 +262,11 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
     return _finish(params, out)
 
 
-def build_adaptive_table(
-    params: Params, epsilon: float, cap: int = 1_000_000
-) -> PmfTable:
+# Adaptive truncation refuses to grow a table past this many indices.
+_ADAPTIVE_CAP = 1_000_000
+
+
+def build_adaptive_table(params: Params, epsilon: float) -> PmfTable:
     """Grow a table until truncation can no longer distort shape analysis.
 
     Stops at the smallest n_max such that, simultaneously,
@@ -278,7 +280,7 @@ def build_adaptive_table(
 
     Raises WeightUnderflowError at the first weight that underflows to 0.0
     before the table settles (a rate whose square underflows), and
-    RuntimeError when ``cap`` indices are exhausted first.
+    RuntimeError when ``_ADAPTIVE_CAP`` indices are exhausted first.
     """
     _check_real("epsilon", epsilon, 0.0, 1.0)
     k, lam = params.k, params.lam
@@ -292,6 +294,7 @@ def build_adaptive_table(
     mass = scale
     dec_run = 0
     n = 0
+    cap = _ADAPTIVE_CAP  # a local: the loop reads it at every index
     while not (mass >= 1.0 - epsilon and scale * w[n] <= epsilon and dec_run >= k):
         if n >= cap:
             raise RuntimeError(

@@ -7,14 +7,16 @@ rate.  Crossings are solved by regula falsi with Illinois safeguarding inside
 an a-priori bracket given by closed-form upper bounds.  Each solver step
 evaluates ``weight_value``: at 1 <= n <= k the order drops out and the weight
 is an n-term closed form, evaluated in O(n); past k it is an entry of a
-k-term table.  The shoulder's bracket is located by the O(k) closed form of
-the gap w(k+2) - w(k+1), confirmed on the k-term gap, and the root is solved
-on the k-term pair at k+1 and k+2.
+k-term table.  The shoulder's bracket is the grid step across which the O(k)
+closed form of the gap w(k+2) - w(k+1) changes sign, confirmed once at each
+end on the k-term gap, and the root is solved on the k-term pair at k+1 and
+k+2.
 
 From the n = k crossings at levels 1 and 2 this module derives the constants
 that delimit the distribution's shape regimes: the proved monotone-tail
-bound, the closed-form rise threshold, and the shoulder rate at which the two
-weights just past k are equal.
+bound min(root2, k!/(2k)^k), whose minimum is always the closed-form
+factorial term, the closed-form rise threshold, and the shoulder rate at
+which the two weights just past k are equal.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class BoundsRecord:
 
     root1 / root2 are the rates where the weight at index k reaches 1 / 2;
     rise_threshold is the rate above which the weight at k+1 is at least the
-    weight at k; tail_bound = min(root2, k!/(2k)^k) is the proved rate below
-    which the weights are strictly decreasing for all n >= k; shoulder is the
+    weight at k; tail_bound = k!/(2k)^k = min(root2, k!/(2k)^k) is the proved
+    rate below which the weights are strictly decreasing for all n >= k
+    (``status`` still audits that it is at most root2); shoulder is the
     rate at which the weights at k+1 and k+2 are equal.  Fields that are only
     defined for k >= 2 are None at k = 1.  ``status`` is derived from the
     others: "ok", or the ``;``-joined names of the bounds that fail.
@@ -237,20 +240,18 @@ def rise_threshold(k: int) -> float:
     return 4.0 / (math.sqrt(5.0 - 4.0 / kappa) + 1.0)
 
 
-def _log_factorial_over_power(k: int) -> float:
-    # k!/(2k)^k in the log domain; underflows to 0.0 harmlessly for huge k
-    return math.exp(math.lgamma(k + 1) - k * math.log(2.0 * k))
-
-
-def monotone_tail_bound(k: int, tol: float = 1e-13) -> float:
-    """Proved sufficient rate bound for a monotone tail: min(root2, k!/(2k)^k).
+def monotone_tail_bound(k: int) -> float:
+    """Proved sufficient rate bound for a monotone tail: k!/(2k)^k.
 
     For rates at or below it, the weights decrease strictly for every
-    n >= k.  The factorial term is the smaller one for all k >= 2.
+    n >= k.  The proved bound is min(root2, k!/(2k)^k), and the factorial
+    term is always the minimum: w_k(lam) <= lam (1+lam)^(k-1), and at
+    lam = k!/(2k)^k <= 2^-k that is at most 2^-k e^((k-1) 2^-k) < 2, so it
+    lies below root2, where w_k = 2.  Evaluated in the log domain; it
+    underflows to 0.0 from k = 443 on.
     """
     _check_int("order k", k, 2)
-    root2 = solve_weight_equals(k, k, 2.0, tol=tol).root
-    return min(root2, _log_factorial_over_power(k))
+    return math.exp(math.lgamma(k + 1) - k * math.log(2.0 * k))
 
 
 def _gap_factor(k: int, lam: float) -> float:
@@ -267,26 +268,20 @@ def _gap_factor(k: int, lam: float) -> float:
     return k * lam / 6.0 * s - 0.5
 
 
-def shoulder_lambda(
-    k: int, tol: float = 1e-13, scan_high: float = 2.0
-) -> float:
+def shoulder_lambda(k: int, tol: float = 1e-13) -> float:
     """Rate at which the weights at k+1 and k+2 are equal (the shoulder).
 
     The gap g(lam) = w(k+2) - w(k+1) is negative for small rates (the
-    quadratic coefficients just past k drop by 1/2 per index) and positive by
-    lam = 2.  The bracket is the first step of the grid 1e-3 * 1.5**i,
-    capped at scan_high, that ends where g >= 0.  Where the closed form of g
-    is not yet negative at the grid's first point (at 1e-3, orders
-    k >= 2258), the grid reaches further down by the same factor.  The
-    bracket's grid point is located by the O(k) closed form of g and
-    confirmed on the k-term gap, stepping to a neighbour where the two signs
-    differ; the root is then solved on the k-term pair to
-    ``|g| <= tol * w(k+1)``.  Raises RuntimeError, reporting the scanned
-    range, if no sign change is found.
+    quadratic coefficients just past k drop by 1/2 per index) and rises
+    through zero once.  The bracket is the step of the grid 1e-3 * 1.5**i
+    across which the O(k) closed form of g changes sign; the grid reaches
+    below 1e-3 where g is not yet negative there (orders k >= 2258).  The
+    bracket is confirmed on the k-term gap, and the root is solved on the
+    k-term pair to ``|g| <= tol * w(k+1)``.  Raises RuntimeError if the
+    closed form and the k-term gap disagree on the bracket's signs.
     """
     _check_int("order k", k, 2)
     _check_real("tol", tol, 0.0)
-    _check_real("scan_high", scan_high, 0.0)
 
     # is_done asks for the pair at the rate g has just evaluated; reuse it
     last: tuple = (None, None)
@@ -302,36 +297,21 @@ def shoulder_lambda(
         a, b = pair(lam)
         return b - a
 
-    grid = [min(1e-3, scan_high)]
-    # for k >= 2258 the gap is already non-negative at 1e-3
-    while _gap_factor(k, grid[0]) >= 0.0:
-        grid.insert(0, grid[0] / 1.5)
-    while grid[-1] < scan_high:
-        grid.append(min(grid[-1] * 1.5, scan_high))
-    i = next(
-        (j for j, x in enumerate(grid) if _gap_factor(k, x) >= 0.0), len(grid) - 1
-    )
-    fhi = g(grid[i])
-    # the signs agree at every grid point for k <= 150 (a test checks it);
-    # stepping to a neighbour is a safeguard
-    while fhi < 0.0:
-        if i == len(grid) - 1:
-            raise RuntimeError(
-                f"no shoulder sign change for k={k} in the scanned range "
-                f"({grid[0]}, {scan_high}]"
-            )
-        i += 1
-        fhi = g(grid[i])
-    while True:
-        if i == 0:
-            raise RuntimeError(
-                f"no negative start for the shoulder gap at lam={grid[0]}, k={k}"
-            )
-        flo = g(grid[i - 1])
-        if flo < 0.0:
-            break
-        i, fhi = i - 1, flo
-    lo, hi = grid[i - 1], grid[i]
+    # the closed form rises with the rate: walk down until it is negative at
+    # lo (only orders k >= 2258 start non-negative), then up until it is
+    # non-negative at hi
+    lo = hi = 1e-3
+    while _gap_factor(k, lo) >= 0.0:
+        lo, hi = lo / 1.5, lo
+    while _gap_factor(k, hi) < 0.0:
+        lo, hi = hi, hi * 1.5
+    flo, fhi = g(lo), g(hi)
+    # the signs agree at every grid point for k <= 150 (a test checks it)
+    if not flo < 0.0 <= fhi:
+        raise RuntimeError(
+            f"the closed form and the k-term gap disagree on the shoulder "
+            f"bracket for k={k}: k-term gap {flo} at {lo}, {fhi} at {hi}"
+        )
 
     def is_done(x: float, fx: float, lo_: float, hi_: float) -> bool:
         ref = pair(x)[0]
@@ -350,7 +330,7 @@ def bounds_record(
     root2 = solve_weight_equals(k, k, 2.0, tol=tol).root
     if k >= 2:
         rise = rise_threshold(k)
-        tail = min(root2, _log_factorial_over_power(k))
+        tail = monotone_tail_bound(k)
         shoulder = shoulder_lambda(k, tol=tol) if with_shoulder else None
     else:
         rise = tail = shoulder = None

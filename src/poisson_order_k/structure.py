@@ -174,7 +174,7 @@ def check_block_assumption(table: PmfTable, mode_index: int) -> bool:
 
 def mean_mode_gap(params: Params, modes: tuple[int, ...]) -> float:
     """Mean minus the highest mode, kappa*lam - max(modes)."""
-    return params.kappa * params.lam - modes[-1]
+    return params.mean - modes[-1]
 
 
 def find_triple_ties(
@@ -233,7 +233,7 @@ def build_report(
         initial_increase=check_initial_increase(table),
         monotone_tail_from_k=violation is None,
         first_tail_violation=violation,
-        mean=params.kappa * params.lam,
+        mean=params.mean,
         mean_mode_gap=mean_mode_gap(params, modes),
         mode_bounds_ok=bounds_ok,
         mode_floor_ok=floor_ok,

@@ -352,6 +352,8 @@ PINNED_SHA256 = {
     (*SCAN_ARGS, "--format", "json"):
         "bc8b5594229afb10e8a1bbdc88dcada2cab80af20d66c98ebcd971d6241c8f41",
     ("figs", "1"): "9cf841191ba335637be7924a8f9adcbd281822c3c633adb340ba8fc1fa714df9",
+    ("scan", "--k-min", "2", "--k-max", "50", "--lambda-rule", "tail-bound"):
+        "e30b878f37cc6f54f41010c088a5ae74e5d83fae750e4d23675e41638be1c041",
 }
 
 
@@ -389,6 +391,9 @@ class TestExitCodes:
             (["--lambda", "-1"], "rate lam must"),
             (["--lambda", "0.5", "--epsilon", "2"], "epsilon must"),
             (["--lambda", "0.5", "--tie-tol", "-1", "--jobs", "2"], "tie_tol must"),
+            (["--lambda", "0.5", "--jobs", "0"], "--jobs must"),
+            (["--lambda", "0.5", "--jobs", "-3"], "--jobs must"),
+            (["--lambda", "0.5", "--k-step", "0"], "--k-step must"),
         ],
     )
     def test_invalid_scan_parameter_is_one(self, capsys, extra, named):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisson_order_k import oracle
 from poisson_order_k.oracle import (
     count_tuples,
     enumerate_tuples,
@@ -79,9 +80,10 @@ class TestEnumerateTuples:
             assert sum((i + 1) * c for i, c in enumerate(t)) == n
         assert len(tuples) == count_tuples(k, n) == partitions_at_most(n, k)
 
-    def test_budget_guard_refuses(self):
-        with pytest.raises(RuntimeError, match="budget"):
-            enumerate_tuples(3, 12, budget=10)
+    def test_budget_guard_refuses(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_TUPLE_BUDGET", 10)
+        with pytest.raises(RuntimeError, match="budget of 10"):
+            enumerate_tuples(3, 12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisson_order_k import pmf
 from poisson_order_k.oracle import weight_exact
 from poisson_order_k.pmf import (
     Params,
@@ -284,9 +285,10 @@ class TestAdaptiveTruncation:
         t = build_adaptive_table(Params(5, 0.1), 1e-12)
         assert t.mass_captured >= 1 - 1e-12
 
-    def test_cap_is_reported(self):
+    def test_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(pmf, "_ADAPTIVE_CAP", 5)
         with pytest.raises(RuntimeError, match="cap of 5"):
-            build_adaptive_table(Params(2, 4 / 3), 1e-10, cap=5)
+            build_adaptive_table(Params(2, 4 / 3), 1e-10)
 
     def test_rejects_bad_epsilon(self):
         for epsilon in (0.0, 1.0, math.inf, math.nan):

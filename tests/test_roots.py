@@ -37,12 +37,12 @@ def kterm_reference(k: int, lam: float, n_max: int) -> list[float]:
     return w
 
 
-def shoulder_reference(
-    k: int, tol: float = 1e-13, scan_high: float = 2.0
-) -> tuple[float, int]:
+def shoulder_reference(k: int, tol: float = 1e-13) -> tuple[float, int]:
     """The shoulder by a linear walk of the grid 1e-3 * 1.5**i, gap at each step.
 
-    Returns the root and the number of evaluations the Illinois phase made.
+    The walk starts at 1e-3, so it needs k <= 2257, where the gap is still
+    negative there.  Returns the root and the number of evaluations the
+    Illinois phase made.
     """
 
     def pair(lam: float) -> tuple[float, float]:
@@ -53,22 +53,12 @@ def shoulder_reference(
         a, b = pair(lam)
         return b - a
 
-    start = lo = 1e-3
-    flo = g(lo)
-    if flo >= 0.0:
-        raise RuntimeError(
-            f"no negative start for the shoulder gap at lam={lo}, k={k}"
-        )
-    hi = lo
-    fhi = flo
+    lo = hi = 1e-3
+    flo = fhi = g(lo)
+    assert flo < 0.0, k
     while fhi < 0.0:
-        if hi >= scan_high:
-            raise RuntimeError(
-                f"no shoulder sign change for k={k} in the scanned range "
-                f"({start}, {scan_high}]"
-            )
         lo, flo = hi, fhi
-        hi = min(hi * 1.5, scan_high)
+        hi *= 1.5
         fhi = g(hi)
 
     def is_done(x: float, fx: float, lo_: float, hi_: float) -> bool:
@@ -77,10 +67,10 @@ def shoulder_reference(
     return _illinois(g, lo, flo, hi, fhi, is_done)
 
 
-def shoulder_grid(scan_high: float = 2.0) -> list[float]:
+def shoulder_grid() -> list[float]:
     grid = [1e-3]
-    while grid[-1] < scan_high:
-        grid.append(min(grid[-1] * 1.5, scan_high))
+    while grid[-1] < 2.0:
+        grid.append(min(grid[-1] * 1.5, 2.0))
     return grid
 
 
@@ -216,7 +206,6 @@ class TestSolveWeightEquals:
         solvers = [
             lambda: solve_weight_equals(3, 3, 1.0, tol=tol),
             lambda: shoulder_lambda(3, tol=tol),
-            lambda: monotone_tail_bound(3, tol=tol),
             lambda: bounds_record(2, tol=tol),
         ]
         for solve in solvers:
@@ -297,9 +286,15 @@ class TestMonotoneTailBound:
         assert t3 > 6 / 216
         assert monotone_tail_bound(3) == pytest.approx(6 / 216, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [2, 5, 20, 100])
+    @pytest.mark.parametrize("k", [2, 3, 5, 20, 100, 300, 442])
     def test_never_exceeds_level_two_bound(self, k):
-        assert monotone_tail_bound(k) <= 4 / (math.sqrt(4 * k - 3) + 1)
+        # the factorial term alone is the bound: it lies below root2
+        tail = monotone_tail_bound(k)
+        assert 0.0 < tail < solve_weight_equals(k, k, 2.0).root
+        assert tail <= 4 / (math.sqrt(4 * k - 3) + 1)
+
+    def test_underflows_to_zero_from_order_443(self):
+        assert monotone_tail_bound(443) == 0.0
 
 
 class TestShoulder:
@@ -323,20 +318,14 @@ class TestShoulder:
         above = weight_value(k, k + 1, lam * 1.01) - weight_value(k, k + 2, lam * 1.01)
         assert below > 0 > above
 
-    def test_reports_scan_range_when_no_crossing(self):
-        with pytest.raises(RuntimeError, match=r"scanned range \(0\.001, 0\.1\]$"):
-            shoulder_lambda(4, scan_high=0.1)
-
-    @pytest.mark.parametrize("k", [4, 2300])
-    def test_scan_high_below_the_grid_start_caps_it(self, k):
-        # the root at k = 2300 is about 9.8e-4, above this scan_high
-        with pytest.raises(RuntimeError, match=r"scanned range \(0\.0001, 0\.0001\]$"):
-            shoulder_lambda(k, scan_high=1e-4)
-
-    @pytest.mark.parametrize("scan_high", [math.nan, math.inf, 0.0, -1.0])
-    def test_scan_high_must_be_finite_and_positive(self, scan_high):
-        with pytest.raises(ValueError, match="scan_high must be > 0 and finite"):
-            shoulder_lambda(4, scan_high=scan_high)
+    @pytest.mark.parametrize("bias", [0.4, -0.4])
+    def test_disagreeing_closed_form_is_named(self, bias, monkeypatch):
+        # a shifted closed form puts the bracket where the k-term gap is
+        # negative at both ends (+0.4) or non-negative at both ends (-0.4)
+        exact = roots._gap_factor
+        monkeypatch.setattr(roots, "_gap_factor", lambda k, lam: exact(k, lam) + bias)
+        with pytest.raises(RuntimeError, match="closed form and the k-term gap disagree"):
+            shoulder_lambda(4)
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-6])
     def test_identical_to_the_linear_walk_with_fewer_tables(self, tol, monkeypatch):
@@ -361,31 +350,15 @@ class TestShoulder:
     def test_identical_to_the_linear_walk_at_large_orders(self, k):
         assert shoulder_lambda(k) == shoulder_reference(k)[0]
 
-    @pytest.mark.parametrize(
-        "k, scan_high",
-        [(k, s) for k in (2, 4, 40, 150) for s in (1e-3, 0.01, 0.1)] + [(2300, 2.0)],
-    )
-    def test_failures_match_the_linear_walk(self, k, scan_high):
-        # scan_high = 1e-3 stops at the first grid point; the others run out
-        # of range or find the root.  At k = 2300 the gap is already
-        # non-negative at 1e-3, where the walk gives up; the grid reaches
-        # below it instead, and the k-term gap changes sign at the root
-        try:
-            want = shoulder_reference(k, scan_high=scan_high)[0]
-        except RuntimeError as exc:
-            if str(exc).startswith("no negative start"):
-                root = shoulder_lambda(k, scan_high=scan_high)
-                below, above = (
-                    _kterm_weights(k, root * f, k + 2) for f in (1 - 1e-9, 1 + 1e-9)
-                )
-                assert root < 1e-3
-                assert below[k + 2] - below[k + 1] < 0.0 < above[k + 2] - above[k + 1]
-                return
-            with pytest.raises(RuntimeError) as got:
-                shoulder_lambda(k, scan_high=scan_high)
-            assert str(got.value) == str(exc)
-        else:
-            assert shoulder_lambda(k, scan_high=scan_high) == want
+    def test_bracket_reaches_below_the_grid_start(self):
+        # at k = 2300 the gap is already non-negative at 1e-3, where the
+        # linear walk gives up; the grid reaches below it instead, and the
+        # k-term gap changes sign at the root
+        k = 2300
+        root = shoulder_lambda(k)
+        below, above = (_kterm_weights(k, root * f, k + 2) for f in (1 - 1e-9, 1 + 1e-9))
+        assert root < 1e-3
+        assert below[k + 2] - below[k + 1] < 0.0 < above[k + 2] - above[k + 1]
 
     def test_high_precision_cross_check(self):
         # solve the same crossing from the exact polynomials at 40 digits
