@@ -165,7 +165,13 @@ def _scan_point(task: tuple) -> dict:
     row = dict.fromkeys(_SCAN_HEADER)
     row["k"], row["lambda"], row["error"] = k, lam, ""
     try:
-        table = build_adaptive_table(Params(k, lam), epsilon)
+        # the running sums decide where the audits' comparisons clear the
+        # margin; otherwise the loop builds the table inside the same call
+        table = build_adaptive_table(
+            Params(k, lam),
+            epsilon,
+            decided=lambda v: structure._decided(v, tie_tol, tail_tol),
+        )
         rep = structure.build_report(table, tie_tol=tie_tol, tail_tol=tail_tol)
     except (RuntimeError, ArithmeticError) as exc:
         # invalid parameters (ValueError) abort the scan with exit code 1
@@ -216,12 +222,13 @@ def _cmd_scan(args) -> int:
     for k in range(args.k_min, args.k_max + 1, args.k_step):
         for lam in _lambda_grid(args, k):
             tasks.append((k, lam, args.tie_tol, args.tol, args.epsilon))
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         # imported here: the pool pulls in multiprocessing, pickle, socket
         # and logging, which every other run would pay for at startup
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, tasks, chunksize=8))
     else:
         rows = [_scan_point(t) for t in tasks]

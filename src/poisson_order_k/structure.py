@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .pmf import Params, PmfTable, _check_real
+from .pmf import _MARGIN, Params, PmfTable, _check_real
 
 __all__ = [
     "StructureReport",
@@ -85,8 +85,10 @@ def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]
     An index is a peak when its value is at least both neighbours'; index 0
     needs only the right condition.  Neighbouring values equal within tie_tol
     (|a - b| <= tie_tol * max(a, b), weights being non-negative) form one
-    plateau counted once, at its left endpoint.
+    plateau counted once, at its left endpoint.  A ``tie_tol`` outside
+    [0, 1) is refused.
     """
+    _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     _require_settled(table)
     v = table.values
     peaks: list[int] = []
@@ -185,8 +187,10 @@ def find_triple_ties(
     Returned as inclusive (start, end) pairs.  Runs anywhere in the table
     count, not only at the top: at tiny rates the near-flat run w_1..w_k, far
     below the mode at 0, is one (37 of the 49 points of ``scan --k-min 2
-    --k-max 50 --lambda-rule tail-bound``).
+    --k-max 50 --lambda-rule tail-bound``).  A ``tie_tol`` outside [0, 1)
+    is refused.
     """
+    _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     v = table.values
     runs: list[tuple[int, int]] = []
     start = 0
@@ -207,6 +211,35 @@ def find_triple_ties(
     if len(v) - start >= 3:
         runs.append((start, len(v) - 1))
     return runs
+
+
+def _decided(values, tie_tol: float, tail_tol: float) -> bool:
+    """Whether every comparison of ``build_report`` clears the margin on ``values``.
+
+    ``values`` agree with the loop's table entry by entry to within
+    ``_MARGIN / 10`` (see ``build_adaptive_table``).  With m = ``_MARGIN``,
+    False when a consecutive ratio b/a lies in [(1 - tie_tol)(1 - m),
+    (1 + m)/(1 - tie_tol)] (a near-flat pair) or within relative m of
+    1 + tail_tol, or when an entry other than the peak lies within m * peak
+    of (1 - tie_tol) * peak.  That suffices: with no near-flat pair every tie
+    run and plateau has one entry, so each comparison in ``find_modes``,
+    ``local_maxima``, ``find_triple_ties``, ``check_monotone_tail``,
+    ``check_initial_increase`` and the block check is decided by one
+    consecutive pair or by the entry-to-peak test, the same way on the
+    loop's table.  The peak itself is a mode on both tables once no other
+    entry comes near it.
+    """
+    m = _MARGIN
+    flat_low = (1.0 - tie_tol) * (1.0 - m)
+    flat_high = (1.0 + m) / (1.0 - tie_tol)
+    tail_low, tail_high = (1.0 + tail_tol) * (1.0 - m), (1.0 + tail_tol) * (1.0 + m)
+    for a, b in zip(values, values[1:]):
+        if a * flat_low <= b <= a * flat_high or a * tail_low <= b <= a * tail_high:
+            return False
+    top = max(values)
+    low, high = (1.0 - tie_tol - m) * top, (1.0 - tie_tol + m) * top
+    near = [v for v in values if low <= v <= high]
+    return not near or near == [top]
 
 
 def build_report(

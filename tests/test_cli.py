@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import poisson_order_k
-from poisson_order_k import checks
+from poisson_order_k import checks, cli, pmf
 from poisson_order_k.cli import _emit, main
 from poisson_order_k.pmf import Params, build_table_km
 
@@ -179,6 +179,81 @@ class TestScanCommand:
             "weight underflowed to 0.0 at index n=3",
             "weight underflowed to 0.0 at index n=4",
         ]
+
+
+def scan_rows(monkeypatch, argv, *, loop=False):
+    """The rows a scan emits; with ``loop``, every table is the loop's."""
+    rows = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_emit", lambda got, header, args: rows.extend(got))
+        if loop:
+            m.setattr(
+                cli,
+                "build_adaptive_table",
+                lambda params, epsilon, **_: pmf.build_adaptive_table(params, epsilon),
+            )
+        assert main(["scan", *argv]) == 0
+    return rows
+
+
+class TestScanDecisions:
+    """scan decides on running sums; its rows must be the loop's rows."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--k-min 2 --k-max 50 --lambda-rule tail-bound",
+            "--k-min 2 --k-max 60 --lambda-rule shoulder",
+            "--k-min 2 --k-max 80 --k-step 13 --lambda-grid 0.01 6 12",
+            "--k-min 2 --k-max 30 --k-step 4 --lambda-grid 0.1 3 10 --lambda-spacing linear",
+            "--k-min 2 --k-max 40 --k-step 2 --lambda-rule mean-k --tie-tol 0.25",
+            "--k-min 2 --k-max 40 --k-step 3 --lambda-grid 0.05 3 8 --tol 0",
+        ],
+    )
+    def test_rows_are_the_loops(self, capsys, monkeypatch, argv):
+        rows = scan_rows(monkeypatch, argv.split())
+        assert rows == scan_rows(monkeypatch, argv.split(), loop=True)
+        capsys.readouterr()
+
+    def test_most_grid_points_build_no_loop_table(self, capsys, monkeypatch):
+        builds = []
+        step = pmf._extend_kp
+
+        def counted(w, k, lam, n):
+            if n == 1:
+                builds.append(k)
+            return step(w, k, lam, n)
+
+        monkeypatch.setattr(pmf, "_extend_kp", counted)
+        rows = scan_rows(monkeypatch, "--k-min 2 --k-max 80 --k-step 13 --lambda-grid 0.01 6 12".split())
+        assert len(builds) < len(rows) / 4
+        capsys.readouterr()
+
+    def test_pool_never_outnumbers_the_points(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        argv = ["scan", "--k-min", "2", "--k-max", "2", "--lambda", "0.5", "--jobs", "3"]
+        assert run(capsys, *argv)[0] == 0
+        assert started == []  # one point runs in this process
+        argv[4] = "3"
+        assert run(capsys, *argv)[0] == 0
+        assert started == [2]
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 """Tests for the recurrence tables, normalization, and difference identities."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from poisson_order_k import pmf
 from poisson_order_k.oracle import weight_exact
+from poisson_order_k.roots import monotone_tail_bound, shoulder_lambda
 from poisson_order_k.pmf import (
     Params,
     PmfTable,
@@ -313,6 +315,113 @@ class TestAdaptiveTruncation:
             build_adaptive_table(Params(k, lam), 1e-10)
         w = build_table(Params(k, lam), n).values
         assert w[n] == 0.0 < w[n - 1]
+
+
+def always(values) -> bool:
+    return True
+
+
+def count_loop_builds(monkeypatch) -> list[int]:
+    """Count the tables the k-term loop starts (its first step, n = 1)."""
+    builds = [0]
+    step = pmf._extend_kp
+
+    def counted(w, k, lam, n):
+        builds[0] += n == 1
+        return step(w, k, lam, n)
+
+    monkeypatch.setattr(pmf, "_extend_kp", counted)
+    return builds
+
+
+class TestRunningSums:
+    """``build_adaptive_table(decided=...)``: running sums, the loop decides close calls."""
+
+    def test_loop_n_max_and_entries_at_the_mean_k_rate(self):
+        # the loop's table is kterm_reference bit for bit (tested above)
+        tol = pmf._MARGIN / 10
+        for k in range(2, 201):
+            p = Params(k, 2.0 / (k + 1))
+            loop = build_adaptive_table(p, 1e-10)
+            t = build_adaptive_table(p, 1e-10, decided=always)
+            assert t.n_max == loop.n_max
+            assert max(map(rel_gap, t.values, loop.values)) <= tol
+            assert abs(t.mass_captured - loop.mass_captured) <= tol
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 21, 34, 55])
+    def test_loop_n_max_and_entries_on_a_rate_grid(self, k):
+        tol = pmf._MARGIN / 10
+        for i in range(9):
+            p = Params(k, 0.01 * 600.0 ** (i / 8))  # 0.01 .. 6, geometric
+            if p.k * p.lam > 150:
+                continue
+            t = build_adaptive_table(p, 1e-10, decided=always)
+            assert t.n_max == build_adaptive_table(p, 1e-10).n_max
+            assert max(map(rel_gap, t.values, kterm_reference(p, t.n_max))) <= tol
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k_lam", [300.0, 700.0])
+    def test_loop_n_max_and_entries_at_small_orders_and_extreme_rates(self, k, k_lam):
+        # long tables on few terms: without the recomputation every k steps
+        # the drift of the running sums adds up past the tenth of the margin
+        p = Params(k, k_lam / k)
+        loop = build_adaptive_table(p, 1e-10)
+        t = build_adaptive_table(p, 1e-10, decided=always)
+        assert t.n_max == loop.n_max
+        assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
+
+    @pytest.mark.parametrize(
+        "k, lam, epsilon",
+        [
+            (24, monotone_tail_bound(24), 1e-10),  # float ties inside w_1..w_24
+            *[(k, shoulder_lambda(k), 1e-10) for k in (2, 3, 10, 40)],  # w_{k+1} = w_{k+2}
+            (2, 1e-160, 1e-10),  # w_2 == w_1 in floats, and w_3 is subnormal
+            (86, 2.0 / 87, 1e-10),  # the mass ends 3.2e-14 above 1 - epsilon
+            # epsilon is the loop's last normalized value, at n = 11; the
+            # running sums' value there is a rounding error above it
+            (2, 0.2, 4.1950562630990616e-07),
+        ],
+    )
+    def test_close_calls_give_the_loops_table(self, monkeypatch, k, lam, epsilon):
+        p = Params(k, lam)
+        builds = count_loop_builds(monkeypatch)
+        t = build_adaptive_table(p, epsilon, decided=always)
+        assert builds == [1]
+        assert t == build_adaptive_table(p, epsilon)
+
+    def test_clear_calls_build_no_loop_table(self, monkeypatch):
+        p = Params(200, 2.0 / 201)
+        builds = count_loop_builds(monkeypatch)
+        t = build_adaptive_table(p, 1e-10, decided=always)
+        assert builds == [0]
+        assert t.n_max == build_adaptive_table(p, 1e-10).n_max
+        assert t != build_adaptive_table(p, 1e-10)  # the running sums' rounding
+
+    def test_refused_weights_give_the_loops_table(self, monkeypatch):
+        p = Params(50, 2.0 / 51)
+        seen = []
+
+        def refuse(values):
+            seen.append(len(values))
+            return False
+
+        builds = count_loop_builds(monkeypatch)
+        t = build_adaptive_table(p, 1e-10, decided=refuse)
+        assert builds == [1]
+        assert seen == [t.n_max + 1]
+        assert t == build_adaptive_table(p, 1e-10)
+
+    @pytest.mark.parametrize("k, lam", [(2, 1e-200), (300, 1.1e-219), (1, 740.0), (3, 400.0)])
+    def test_failures_are_the_loops(self, k, lam):
+        with pytest.raises((ArithmeticError, RuntimeError)) as loop:
+            build_adaptive_table(Params(k, lam), 1e-10)
+        with pytest.raises(type(loop.value), match=f"^{re.escape(str(loop.value))}$"):
+            build_adaptive_table(Params(k, lam), 1e-10, decided=always)
+
+    def test_cap_is_the_loops(self, monkeypatch):
+        monkeypatch.setattr(pmf, "_ADAPTIVE_CAP", 5)
+        with pytest.raises(RuntimeError, match="cap of 5"):
+            build_adaptive_table(Params(2, 4 / 3), 1e-10, decided=always)
 
 
 class TestDifferenceIdentities:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poisson_order_k.pmf import Params, build_adaptive_table, build_table
+from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_adaptive_table, build_table
 from poisson_order_k.structure import (
+    _decided,
     audit_mode_bounds,
     build_report,
     check_block_assumption,
@@ -91,6 +92,79 @@ def test_shape_scans_match_references_on_scan_tables():
         t = table(k, lam)
         assert local_maxima(t) == local_maxima_reference(t.values, 1e-9)
         assert find_triple_ties(t) == triple_ties_reference(t.values, 1e-9)
+
+
+@pytest.mark.parametrize("scan", [find_modes, local_maxima, find_triple_ties])
+@pytest.mark.parametrize("tie_tol", [math.nan, -1.0, 1.0, 2.0])
+def test_every_tie_scan_refuses_a_tolerance_outside_unit_interval(scan, tie_tol):
+    with pytest.raises(ValueError, match=r"^tie_tol must be in \[0, 1\), got "):
+        scan(table(2, 4 / 3), tie_tol)
+
+
+class TestDecided:
+    """The margin predicate that lets scan decide on running-sum tables."""
+
+    def test_scan_tables_clear_the_margin(self):
+        for k, lam in [(4, 0.6026076), (2, 4 / 3), (50, 2 / 51), (3, 0.05)]:
+            assert _decided(table(k, lam).values, 1e-9, 1e-12)
+
+    def test_near_flat_pair_is_refused(self):
+        v = (1.0, 0.5, 0.5 * (1 + 1e-14), 0.2)
+        assert not _decided(v, 0.0, 1.0)
+        # a pair at the edge of a loose tie tolerance is near-flat as well
+        assert not _decided((1.0, 0.75, 0.1), 0.25, 1.0)
+        assert _decided((1.0, 0.7, 0.1), 0.25, 1.0)
+
+    def test_ratio_near_the_tail_tolerance_is_refused(self):
+        v = (1.0, 0.5, 0.5 * (1 + 1e-12), 0.2)
+        assert not _decided(v, 0.0, 1e-12)
+        assert _decided(v, 0.0, 1e-10)
+
+    def test_entry_near_the_mode_floor_is_refused(self):
+        # consecutive ratios are far from 1, so only the floor test speaks
+        v = (1.0, 0.1, 3.0, 0.1, 4.0, 0.5, 0.1)
+        assert not _decided(v, 0.25, 1.0)
+        assert _decided(v[:2] + (2.9,) + v[3:], 0.25, 1.0)
+
+    def test_a_lone_peak_is_a_mode_at_zero_tolerance(self):
+        assert _decided((1.0, 3.0, 0.5), 0.0, 1.0)
+        assert not _decided((1.0, 3.0, 0.5, 3.0 * (1 - 1e-14)), 0.0, 1.0)
+
+
+NEAR = _MARGIN / 10
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.5, 1.0 - TIE, 1.0, 1.0 + TIE, 2.0, 2.0 * (1.0 - TIE)])
+        | st.floats(0.25, 4.0),
+        min_size=2,
+        max_size=20,
+    ),
+    st.integers(1, 3),
+    st.sampled_from([0.0, TIE, 0.25]),
+    st.sampled_from([0.0, TIE, 1e-12]),
+    st.lists(st.floats(-NEAR, NEAR), min_size=24, max_size=24),
+)
+# a falling and a rising triple whose spread sits exactly on the tolerance
+@example([0.5, 0.6, 1.0, 1.0 - TIE / 2, 1.0 - TIE, 0.3, 3.0], 1, TIE, 0.0,
+         [0.0, 0.0, NEAR, 0.0, -NEAR] + [0.0] * 19)
+@example([0.5, 0.6, 1.0 - TIE, 1.0 - TIE / 2, 1.0, 0.3, 3.0], 1, TIE, 0.0,
+         [0.0, 0.0, -NEAR, 0.0, NEAR] + [0.0] * 19)
+@settings(max_examples=300, deadline=None)
+def test_decided_tables_report_the_same_within_a_tenth_of_the_margin(
+    values, k, tie_tol, tail_tol, shifts
+):
+    # any table within _MARGIN / 10 of a decided one gets the same report;
+    # w_1 is the rate exactly in every table the builders make
+    v = [*values, *(0.2 / 2**i for i in range(k + 1))]
+    moved = [x if n == 1 else x * (1 + d) for n, (x, d) in enumerate(zip(v, shifts))]
+    if _decided(v, tie_tol, tail_tol):
+        reports = [
+            build_report(PmfTable(Params(k, v[1]), tuple(w), 1.0), tie_tol, tail_tol)
+            for w in (v, moved)
+        ]
+        assert reports[0] == reports[1]
 
 
 class TestFindModes:
