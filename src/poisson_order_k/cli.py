@@ -160,8 +160,20 @@ def _cmd_bounds(args) -> int:
 _SCAN_HEADER = ["k", "lambda", "n_max", *_columns(structure.StructureReport), "error"]
 
 
+def _rule_rate(rule: str, k: int) -> float:
+    if rule == "mean-k":
+        return 2.0 / (k + 1)
+    if rule == "tail-bound":
+        return roots.monotone_tail_bound(k)
+    return roots.shoulder_lambda(k)
+
+
 def _scan_point(task: tuple) -> dict:
-    k, lam, tie_tol, tail_tol, epsilon = task
+    k, lam, rule, tie_tol, tail_tol, epsilon = task
+    if rule is not None:
+        # outside the try: a failed solve ends the whole scan (exit 2 for a
+        # RuntimeError), it does not become this row's error
+        lam = _rule_rate(rule, k)
     row = dict.fromkeys(_SCAN_HEADER)
     row["k"], row["lambda"], row["error"] = k, lam, ""
     try:
@@ -182,15 +194,9 @@ def _scan_point(task: tuple) -> dict:
     return row
 
 
-def _lambda_grid(args, k: int) -> list[float]:
+def _lambda_grid(args) -> list[float]:
     if args.lam is not None:
         return [args.lam]
-    if args.lambda_rule == "mean-k":
-        return [2.0 / (k + 1)]
-    if args.lambda_rule == "tail-bound":
-        return [roots.monotone_tail_bound(k)]
-    if args.lambda_rule == "shoulder":
-        return [roots.shoulder_lambda(k)]
     start, stop, count = args.lambda_grid
     if not (count >= 1 and count.is_integer() and 0 < start <= stop):
         raise ValueError(
@@ -218,10 +224,13 @@ def _cmd_scan(args) -> int:
     # table build fails never reaches it
     _check_real("tie_tol", args.tie_tol, 0.0, 1.0, inclusive=True)
     _check_real("tol", args.tol, 0.0, inclusive=True)
-    tasks = []
-    for k in range(args.k_min, args.k_max + 1, args.k_step):
-        for lam in _lambda_grid(args, k):
-            tasks.append((k, lam, args.tie_tol, args.tol, args.epsilon))
+    # a rule's rate is solved by each point, in the worker that runs it
+    rates = [None] if args.lambda_rule is not None else _lambda_grid(args)
+    tasks = [
+        (k, lam, args.lambda_rule, args.tie_tol, args.tol, args.epsilon)
+        for k in range(args.k_min, args.k_max + 1, args.k_step)
+        for lam in rates
+    ]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, pickle, socket

@@ -1,6 +1,9 @@
 """Shape analysis of weight tables: modes, local maxima, monotone stretches.
 
-All analyses are pure functions of an immutable table.  Mode finding refuses
+All analyses are pure functions of an immutable table.  One walk over
+neighbouring pairs decides modes, maxima, tie runs and the tail: ``build_report``
+makes it once, and ``find_modes``, ``local_maxima``, ``find_triple_ties`` and
+``check_monotone_tail`` are views of it.  Mode finding refuses
 tables that are not past their last peak (see ``build_adaptive_table``), so a
 reported mode can never be an artifact of truncation.  The audits compare the
 observed shape against the proved mode bounds and against the conjectured
@@ -55,16 +58,57 @@ class StructureReport:
     triple_ties: bool
 
 
-def _require_settled(table: PmfTable) -> None:
-    k = table.params.k
-    v = table.values
-    tail = v[-(k + 1):]
-    if len(tail) < k + 1 or any(tail[i + 1] >= tail[i] for i in range(len(tail) - 1)):
+def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True):
+    """(modes, local maxima, triple-tie runs, first tail violation) in one pass.
+
+    Checks ``tie_tol``, settledness (when ``settled``), then ``tail_tol``.  For
+    neighbours (a, b), b at n: a rise or fall beyond tie_tol * max(a, b) ends
+    the plateau; a tie run of one entry ends exactly there, a longer one when
+    its spread passes tie_tol * hi; a tail violation (n > k) needs b > a, the
+    weights being non-negative.
+    """
+    _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
+    v, k = table.values, table.params.k
+    end = v[-(k + 1):]
+    if settled and (len(end) < k + 1 or any(b >= a for a, b in zip(end, end[1:]))):
         raise ValueError(
             f"table (k={k}, lam={table.params.lam}, n_max={table.n_max}) is not "
             f"past its last peak: the final {k + 1} weights are not strictly "
             f"decreasing; build with build_adaptive_table"
         )
+    _check_real("tol", tail_tol, 0.0, inclusive=True)
+    floor = (1.0 - tie_tol) * max(v)
+    modes = [0] if v[0] >= floor else []
+    peaks, runs, violation = [], [], None
+    top, up = 0, True  # left end of the plateau; whether it began with a rise
+    tie, lo, hi = 0, v[0], v[0]  # first index and spread of the tie run
+    for n, (a, b) in enumerate(zip(v, v[1:]), 1):
+        if b >= floor:
+            modes.append(n)
+        if b > a:
+            if violation is None and n > k and b > a * (1.0 + tail_tol):
+                violation = n
+            flat = b - a <= tie_tol * b
+            if not flat:
+                top, up = n, True
+        else:
+            flat = a - b <= tie_tol * a
+            if not flat and up:
+                peaks.append(top)
+                up = False
+        if flat or tie < n - 1:  # otherwise the run of one entry ends here
+            new_lo, new_hi = min(lo, b), max(hi, b)
+            if new_hi - new_lo <= tie_tol * new_hi:
+                lo, hi = new_lo, new_hi
+                continue
+            if n - tie >= 3:
+                runs.append((tie, n - 1))
+        tie, lo, hi = n, b, b
+    if up:
+        peaks.append(top)
+    if len(v) - tie >= 3:
+        runs.append((tie, len(v) - 1))
+    return tuple(modes), peaks, runs, violation
 
 
 def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
@@ -73,10 +117,7 @@ def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> tuple[int, 
     Refuses tables whose tail is still rising at the cut, since the true
     maximum could then lie beyond it, and a ``tie_tol`` outside [0, 1).
     """
-    _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
-    _require_settled(table)
-    floor = (1.0 - tie_tol) * max(table.values)
-    return tuple(n for n, v in enumerate(table.values) if v >= floor)
+    return _walk(table, tie_tol, 0.0)[0]
 
 
 def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]:
@@ -85,25 +126,10 @@ def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]
     An index is a peak when its value is at least both neighbours'; index 0
     needs only the right condition.  Neighbouring values equal within tie_tol
     (|a - b| <= tie_tol * max(a, b), weights being non-negative) form one
-    plateau counted once, at its left endpoint.  A ``tie_tol`` outside
-    [0, 1) is refused.
+    plateau counted once, at its left endpoint.  Refuses tables that are not
+    past their last peak, and a ``tie_tol`` outside [0, 1).
     """
-    _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
-    _require_settled(table)
-    v = table.values
-    peaks: list[int] = []
-    start = 0  # left end of the current plateau
-    for m, (a, b) in enumerate(zip(v, v[1:])):
-        if b > a:
-            if b - a > tie_tol * b:  # a rise ends the plateau, not a peak
-                start = m + 1
-        elif a - b > tie_tol * a:  # a fall ends the plateau
-            if start == 0 or v[start] > v[start - 1]:
-                peaks.append(start)
-            start = m + 1
-    if start == 0 or v[start] > v[start - 1]:
-        peaks.append(start)
-    return peaks
+    return _walk(table, tie_tol, 0.0)[1]
 
 
 def check_initial_increase(table: PmfTable) -> bool:
@@ -132,11 +158,7 @@ def check_monotone_tail(table: PmfTable, tol: float = 1e-12) -> Optional[int]:
     k = table.params.k
     if table.n_max < k:
         raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
-    v = table.values
-    for n in range(k, table.n_max):
-        if v[n + 1] > v[n] * (1.0 + tol):
-            return n + 1
-    return None
+    return _walk(table, 0.0, tol, settled=False)[3]
 
 
 def audit_mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, bool]:
@@ -190,27 +212,7 @@ def find_triple_ties(
     --k-max 50 --lambda-rule tail-bound``).  A ``tie_tol`` outside [0, 1)
     is refused.
     """
-    _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
-    v = table.values
-    runs: list[tuple[int, int]] = []
-    start = 0
-    lo = hi = v[0]
-    for n in range(1, len(v)):
-        x = v[n]
-        # cheaper than min()/max() calls, and equal to them for non-NaN values
-        new_lo = x if x < lo else lo
-        new_hi = x if x > hi else hi
-        # pairwise closeness of positive values == spread within tolerance
-        if new_hi - new_lo <= tie_tol * new_hi:
-            lo, hi = new_lo, new_hi
-            continue
-        if n - start >= 3:
-            runs.append((start, n - 1))
-        start = n
-        lo = hi = x
-    if len(v) - start >= 3:
-        runs.append((start, len(v) - 1))
-    return runs
+    return _walk(table, tie_tol, 0.0, settled=False)[2]
 
 
 def _decided(values, tie_tol: float, tail_tol: float) -> bool:
@@ -222,8 +224,7 @@ def _decided(values, tie_tol: float, tail_tol: float) -> bool:
     (1 + m)/(1 - tie_tol)] (a near-flat pair) or within relative m of
     1 + tail_tol, or when an entry other than the peak lies within m * peak
     of (1 - tie_tol) * peak.  That suffices: with no near-flat pair every tie
-    run and plateau has one entry, so each comparison in ``find_modes``,
-    ``local_maxima``, ``find_triple_ties``, ``check_monotone_tail``,
+    run and plateau has one entry, so each comparison of ``_walk``,
     ``check_initial_increase`` and the block check is decided by one
     consecutive pair or by the entry-to-peak test, the same way on the
     loop's table.  The peak itself is a mode on both tables once no other
@@ -243,9 +244,7 @@ def _decided(values, tie_tol: float, tail_tol: float) -> bool:
 
 
 def build_report(
-    table: PmfTable,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    tail_tol: float = 1e-12,
+    table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL, tail_tol: float = 1e-12
 ) -> StructureReport:
     """Full shape summary for one table (see StructureReport fields).
 
@@ -254,15 +253,14 @@ def build_report(
     is zero or the table is too short to span the block.
     """
     params = table.params
-    modes = find_modes(table, tie_tol)
-    violation = check_monotone_tail(table, tail_tol)
+    modes, peaks, runs, violation = _walk(table, tie_tol, tail_tol)
     bounds_ok, floor_ok = audit_mode_bounds(params, modes)
     block: Optional[bool] = None
     if modes[0] >= params.k and modes[0] + params.k <= table.n_max:
         block = check_block_assumption(table, modes[0])
     return StructureReport(
         modes=modes,
-        local_maxima=tuple(local_maxima(table, tie_tol)),
+        local_maxima=tuple(peaks),
         initial_increase=check_initial_increase(table),
         monotone_tail_from_k=violation is None,
         first_tail_violation=violation,
@@ -271,5 +269,5 @@ def build_report(
         mode_bounds_ok=bounds_ok,
         mode_floor_ok=floor_ok,
         block_nonincreasing=block,
-        triple_ties=bool(find_triple_ties(table, tie_tol)),
+        triple_ties=bool(runs),
     )

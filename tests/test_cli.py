@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import poisson_order_k
-from poisson_order_k import checks, cli, pmf
+from poisson_order_k import checks, cli, pmf, roots
 from poisson_order_k.cli import _emit, main
 from poisson_order_k.pmf import Params, build_table_km
 
@@ -230,30 +230,43 @@ class TestScanDecisions:
         capsys.readouterr()
 
     def test_pool_never_outnumbers_the_points(self, capsys, monkeypatch):
-        import concurrent.futures
-
         started = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        fake_pool(monkeypatch, started)
         argv = ["scan", "--k-min", "2", "--k-max", "2", "--lambda", "0.5", "--jobs", "3"]
         assert run(capsys, *argv)[0] == 0
         assert started == []  # one point runs in this process
         argv[4] = "3"
         assert run(capsys, *argv)[0] == 0
         assert started == [2]
+
+    def test_rule_rates_are_solved_in_the_workers(self, capsys, monkeypatch):
+        events = []
+        fake_pool(monkeypatch, events)  # logs its worker count when it starts
+        solve = roots.shoulder_lambda
+        monkeypatch.setattr(roots, "shoulder_lambda", lambda k: events.append(k) or solve(k))
+        argv = "scan --k-min 2 --k-max 4 --lambda-rule shoulder --jobs 2".split()
+        assert run(capsys, *argv)[0] == 0
+        assert events == [2, 2, 3, 4]
+
+
+def fake_pool(monkeypatch, log):
+    """Replace the process pool by an in-process one that logs its worker count."""
+    import concurrent.futures
+
+    class Pool:
+        def __init__(self, max_workers):
+            log.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
 
 
 class TestVerifyCommand:
@@ -527,6 +540,25 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_tail_bound_rate_below_the_floats_is_one(self, capsys, jobs):
+        # from k = 443 on the rule's rate k!/(2k)^k underflows to 0.0; each
+        # point solves its own rate, in a worker with --jobs 2
+        argv = "scan --k-min 442 --k-max 443 --lambda-rule tail-bound --jobs".split()
+        code, out, err = run(capsys, *argv, jobs)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: rate lam")
+
+    def test_failed_rule_solve_is_two(self, capsys, monkeypatch):
+        def fails(k):
+            raise RuntimeError(f"no bracket at k={k}")
+
+        monkeypatch.setattr(roots, "shoulder_lambda", fails)
+        code, out, err = run(capsys, *"scan --k-min 2 --k-max 3 --lambda-rule shoulder".split())
+        assert (code, out) == (2, "")
+        assert err == "computation failed: no bracket at k=2\n"
 
     def test_underflowing_weights_are_two(self, capsys):
         code, out, err = run(capsys, "pmf", "--k", "2", "--lambda", "1e-200")

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_adaptive_table, build_table
+from poisson_order_k.roots import monotone_tail_bound
 from poisson_order_k.structure import (
+    StructureReport,
     _decided,
     audit_mode_bounds,
     build_report,
@@ -64,41 +66,132 @@ def triple_ties_reference(v, tie_tol):
     return runs
 
 
+def modes_reference(v, tie_tol):
+    floor = (1.0 - tie_tol) * max(v)
+    return tuple(n for n, x in enumerate(v) if x >= floor)
+
+
+def tail_reference(v, k, tol):
+    """First index past k that rises by more than relative tol, pair by pair."""
+    for n in range(k, len(v) - 1):
+        if v[n + 1] > v[n] * (1.0 + tol):
+            return n + 1
+    return None
+
+
+def report_reference(t, tie_tol, tail_tol):
+    """``build_report`` composed from one scan per fact, the references above."""
+    p, v = t.params, t.values
+    modes = modes_reference(v, tie_tol)
+    violation = tail_reference(v, p.k, tail_tol)
+    block = None
+    if modes[0] >= p.k and modes[0] + p.k <= t.n_max:
+        block = check_block_assumption(t, modes[0])
+    return StructureReport(
+        modes,
+        tuple(local_maxima_reference(v, tie_tol)),
+        check_initial_increase(t),
+        violation is None,
+        violation,
+        p.mean,
+        mean_mode_gap(p, modes),
+        *audit_mode_bounds(p, modes),
+        block,
+        bool(triple_ties_reference(v, tie_tol)),
+    )
+
+
 # a power-of-two tolerance makes exact ties at the tolerance representable:
 # 1 - 2**-30 and 1 + 2**-30 sit exactly on its edge next to 1
 TIE = 2.0**-30
 SHAPE_VALUES = st.sampled_from(
     [0.0, 5e-324, 1e-300, 0.5, 1.0 - TIE, 1.0, 1.0 + TIE, 1.0 + 2 * TIE, 1.0 + 3 * TIE, 2.0]
 )
+TIE_TOLS = [0.0, TIE, 1e-9, 1e-4, 0.25]
+TAIL_TOLS = [0.0, TIE, 1e-12]
 
 
-@given(st.lists(SHAPE_VALUES | st.floats(0.0, 4.0), min_size=1, max_size=30))
-@example([0.5, 1.0 - TIE, 1.0, 0.5])  # a rise exactly at the tolerance
-@example([0.5, 1.0, 1.0 - TIE, 0.5])  # a fall exactly at the tolerance
-@example([1.0 - TIE, 1.0, 1.0 + TIE, 0.5])  # a triple at the tolerance
+def assert_walk_matches_references(t):
+    """The report and each view of the one walk equal the scan-per-fact forms."""
+    v = t.values
+    for tie_tol in TIE_TOLS:
+        assert find_modes(t, tie_tol) == modes_reference(v, tie_tol)
+        assert local_maxima(t, tie_tol) == local_maxima_reference(v, tie_tol)
+        assert find_triple_ties(t, tie_tol) == triple_ties_reference(v, tie_tol)
+        for tail_tol in TAIL_TOLS:
+            assert build_report(t, tie_tol, tail_tol) == report_reference(t, tie_tol, tail_tol)
+    for tail_tol in TAIL_TOLS:
+        assert check_monotone_tail(t, tail_tol) == tail_reference(v, t.params.k, tail_tol)
+
+
+@given(
+    st.lists(SHAPE_VALUES | st.floats(0.0, 4.0), min_size=1, max_size=30),
+    st.integers(1, 3),
+    st.sampled_from([8.0, 0.25]),
+)
+@example([0.5, 1.0 - TIE, 1.0, 0.5], 1, 8.0)  # a rise exactly at the tolerance
+@example([0.5, 1.0, 1.0 - TIE, 0.5], 1, 8.0)  # a fall exactly at the tolerance
+@example([1.0 - TIE, 1.0, 1.0 + TIE, 0.5], 1, 8.0)  # a triple at the tolerance
+@example([1.0 - TIE, 0.5, 1.0, 0.5], 2, 0.25)  # an entry exactly on the mode floor
+@example([1.0, 0.5, 0.5 * (1.0 + TIE), 0.5], 1, 0.25)  # a tail rise on the tolerance
 @settings(max_examples=300, deadline=None)
-def test_shape_scans_match_references(values):
-    # a strictly decreasing end keeps the table past its last peak
-    t = dataclasses.replace(table(1, 0.5), values=(*values, 8.0, 4.0))
-    assert local_maxima(t, TIE) == local_maxima_reference(t.values, TIE)
-    assert find_triple_ties(t, TIE) == triple_ties_reference(t.values, TIE)
+def test_shape_scans_match_references(values, k, top):
+    # a strictly decreasing end keeps the table past its last peak; a low end
+    # leaves the peak among the drawn values
+    end = tuple(top / 2**i for i in range(k + 1))
+    assert_walk_matches_references(PmfTable(Params(k, 0.5), (*values, *end), 1.0))
 
 
 def test_shape_scans_match_references_on_scan_tables():
-    # the mean-k rates and a geometric grid, as the scan command builds them
+    # the mean-k rates, a geometric grid and the tail-bound rates, as the scan
+    # command builds them
     points = [(k, 2.0 / (k + 1)) for k in range(2, 61)]
     points += [(k, 0.05 * 60.0 ** (i / 19)) for k in range(2, 21) for i in range(20)]
+    points += [(k, monotone_tail_bound(k)) for k in range(2, 51)]
     for k, lam in points:
-        t = table(k, lam)
-        assert local_maxima(t) == local_maxima_reference(t.values, 1e-9)
-        assert find_triple_ties(t) == triple_ties_reference(t.values, 1e-9)
+        assert_walk_matches_references(table(k, lam))
 
 
-@pytest.mark.parametrize("scan", [find_modes, local_maxima, find_triple_ties])
+@pytest.mark.parametrize("scan", [find_modes, local_maxima, find_triple_ties, build_report])
 @pytest.mark.parametrize("tie_tol", [math.nan, -1.0, 1.0, 2.0])
 def test_every_tie_scan_refuses_a_tolerance_outside_unit_interval(scan, tie_tol):
     with pytest.raises(ValueError, match=r"^tie_tol must be in \[0, 1\), got "):
         scan(table(2, 4 / 3), tie_tol)
+
+
+@pytest.mark.parametrize("tail_tol", [math.inf, math.nan, -1.0])
+def test_build_report_refuses_a_tail_tolerance_that_is_negative_or_not_finite(tail_tol):
+    with pytest.raises(ValueError, match=r"^tol must be >= 0 and finite, got "):
+        build_report(table(2, 4 / 3), tail_tol=tail_tol)
+
+
+def test_build_report_checks_tie_tol_then_settledness_then_tail_tol():
+    cut = build_table(Params(2, 4 / 3), 2)  # still rising at the cut
+    with pytest.raises(ValueError, match="^tie_tol must"):
+        build_report(cut, math.nan, math.nan)
+    with pytest.raises(ValueError, match="past its last peak"):
+        build_report(cut, 1e-9, math.nan)
+    with pytest.raises(ValueError, match="^tol must"):
+        build_report(table(2, 4 / 3), 1e-9, math.nan)
+
+
+@pytest.mark.parametrize("scan", [find_modes, local_maxima, build_report])
+@pytest.mark.parametrize("values", [(1.0, 0.5, 0.25), (4.0, 2.0, 1.0, 1.0)])
+def test_settled_means_k_plus_one_strictly_decreasing_final_weights(scan, values):
+    # at k = 3: three weights are too few, and an equal final pair is no fall
+    with pytest.raises(ValueError, match="past its last peak"):
+        scan(PmfTable(Params(3, 0.5), values, 1.0))
+
+
+def test_only_modes_and_maxima_need_a_settled_table():
+    cut = build_table(Params(2, 4 / 3), 2)
+    for scan in (find_modes, local_maxima):
+        with pytest.raises(ValueError, match="past its last peak"):
+            scan(cut)
+    assert find_triple_ties(cut) == []
+    assert check_monotone_tail(cut) is None
+    with pytest.raises(ValueError, match="ends at 2, need at least k=3"):
+        check_monotone_tail(build_table(Params(3, 1.0), 2))
 
 
 class TestDecided:
