@@ -321,6 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Poisson distribution of order k: tables, thresholds, audits.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    epsilon = 1e-10  # every adaptive table's mass tolerance; the library has none
+    root_tol = roots.DEFAULT_TOL
+    tie_tol, tail_tol = structure.DEFAULT_TIE_TOL, structure.DEFAULT_TAIL_TOL
 
     p = sub.add_parser("pmf", help="emit one weight/probability table")
     p.add_argument("--k", type=int, required=True, help="order (>= 1)")
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon",
         type=float,
-        default=1e-10,
+        default=epsilon,
         help="mass tolerance for adaptive length (when --n-max is omitted)",
     )
     _add_output_options(p)
@@ -339,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="order (>= 1)")
     p.add_argument("--n", type=int, required=True, help="weight index (>= 1)")
     p.add_argument("--c", type=float, required=True, help="level (> 0)")
-    p.add_argument("--tol", type=float, default=1e-13, help="relative tolerance")
+    p.add_argument("--tol", type=float, default=root_tol, help="relative tolerance")
     _add_output_options(p)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("bounds", help="threshold constants over a k range")
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-13, help="solver tolerance")
+    p.add_argument("--tol", type=float, default=root_tol, help="solver tolerance")
     p.add_argument(
         "--no-shoulder", action="store_true", help="skip the shoulder column"
     )
@@ -382,9 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-k rate rule: mean-k is 2/(k+1) (mean equals k), tail-bound "
         "the proved monotone-tail bound, shoulder the equal-pair rate",
     )
-    p.add_argument("--tie-tol", type=float, default=1e-9, help="mode tie tolerance")
-    p.add_argument("--tol", type=float, default=1e-12, help="tail comparison tolerance")
-    p.add_argument("--epsilon", type=float, default=1e-10, help="mass tolerance")
+    p.add_argument("--tie-tol", type=float, default=tie_tol, help="mode tie tolerance")
+    p.add_argument(
+        "--tol", type=float, default=tail_tol, help="tail comparison tolerance"
+    )
+    p.add_argument("--epsilon", type=float, default=epsilon, help="mass tolerance")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     _add_output_options(p)
     p.set_defaults(func=_cmd_scan)
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figs", help="emit the dataset for one reference figure")
     p.add_argument("figure", type=int, choices=(1, 2, 3, 4), help="figure id")
-    p.add_argument("--epsilon", type=float, default=1e-10, help="mass tolerance")
+    p.add_argument("--epsilon", type=float, default=epsilon, help="mass tolerance")
     _add_output_options(p)
     p.set_defaults(func=_cmd_figs)
 

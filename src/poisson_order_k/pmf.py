@@ -18,11 +18,11 @@ The k-term loop costs min(n, k) multiply-adds for w_n and is the reference:
 every table a caller prints comes from it.  ``scan`` needs only decisions
 (``n_max``, modes, maxima, flags), so ``build_adaptive_table(decided=...)``
 first grows the table on running sums of the last k weights, at O(1) per
-step.  Those sums are recomputed from the stored weights whenever their
-rounding-error bound passes ``_RESYNC`` (and every k steps), so each entry
-stays within a tenth of ``_MARGIN`` of the loop's.  A decision that does not
-clear ``_MARGIN`` is left to the loop, which then builds the table inside
-the same call.
+step.  Those sums are recomputed by the loop's own step, ``_extend_kp``
+(the one k-term window sum), whenever their rounding-error bound passes
+``_RESYNC`` (and every k steps), so each entry stays within a tenth of
+``_MARGIN`` of the loop's.  A decision that does not clear ``_MARGIN`` is
+left to the loop, which then builds the table inside the same call.
 """
 
 from __future__ import annotations
@@ -152,10 +152,13 @@ class WeightUnderflowError(ArithmeticError):
     """
 
 
+_ENVELOPE = "the float table is only usable for roughly k*lam <= 300"
+
+
 def _overflow(n: int, params: Params) -> OverflowError:
     return OverflowError(
         f"weight overflowed at index n={n} for k={params.k}, lam={params.lam}; "
-        f"the float table is only usable for roughly k*lam <= 300"
+        + _ENVELOPE
     )
 
 
@@ -166,14 +169,16 @@ def _finish(params: Params, values: list[float]) -> PmfTable:
     except OverflowError:
         raise OverflowError(
             f"weights sum overflowed for k={params.k}, lam={params.lam}, "
-            f"n_max={len(values) - 1} although every entry is finite; "
-            f"the float table is only usable for roughly k*lam <= 300"
+            f"n_max={len(values) - 1} although every entry is finite; " + _ENVELOPE
         ) from None
     return PmfTable(params=params, values=tuple(values), mass_captured=scale * total)
 
 
 def _extend_kp(w: list[float], k: int, lam: float, n: int) -> float:
-    """Append w_n to a k-term-recurrence table of length n; return it.
+    """Append w_n = lam S_n / n to a k-term table of length n; return S_n.
+
+    S_n = sum_{j=1..k} j w_{n-j} is the package's one k-term window sum (the
+    running sums of ``_running_weights`` are recomputed here); read w_n as w[-1].
 
     The sum runs over j = 1..min(n, k) in that order, s += j * w[n - j], with
     j an exact float.  Walking the reversed window of the last min(n, k)
@@ -194,7 +199,7 @@ def _extend_kp(w: list[float], k: int, lam: float, n: int) -> float:
     if x == math.inf:
         x = s / n * lam
     w.append(x)
-    return x
+    return s
 
 
 def _kterm_weights(k: int, lam: float, n_max: int) -> list[float]:
@@ -205,7 +210,8 @@ def _kterm_weights(k: int, lam: float, n_max: int) -> list[float]:
     """
     w = [1.0]
     for n in range(1, n_max + 1):
-        if _extend_kp(w, k, lam, n) == math.inf:
+        _extend_kp(w, k, lam, n)
+        if w[-1] == math.inf:
             w.extend([math.inf] * (n_max - n))
             break
     return w
@@ -306,16 +312,17 @@ def _running_weights(
     so each step costs O(1).  The subtractions cancel where the table falls
     fast (Gautschi 1967), so a bound on the rounding error of S, with the
     error of U carried into it, grows with every step.  Both sums are
-    recomputed from the stored weights in O(k), in the loop's order, once
-    that bound passes ``_RESYNC`` relative and at the latest k steps after
-    the last recomputation; the next entry is then the loop's entry on the
-    same history.  The second rule costs one multiply-add per step on
-    average and keeps small orders, where the bound allows many steps, from
-    drifting: an entry's gap to the loop is the sum of the drifts of all
-    earlier steps.  Every stop decision must clear ``_MARGIN``: a
+    recomputed once that bound passes ``_RESYNC`` relative and at the latest
+    k steps after the last recomputation.  Such a step is the loop's own:
+    ``_extend_kp`` appends the loop's entry on the same history and returns
+    S, and U is the builtin ``sum`` of the same window (U needs accuracy,
+    not the loop's bits).  The second rule costs one multiply-add per step
+    on average and keeps small orders, where the bound allows many steps,
+    from drifting: an entry's gap to the loop is the sum of the drifts of
+    all earlier steps.  Every stop decision must clear ``_MARGIN``: a
     near-tie between consecutive entries, or a stop that other conditions
-    allow but the mass or the last value cannot settle, returns None, and so
-    does an entry that is zero or not finite, or one past the cap.
+    allow but the mass or the last value cannot settle, returns None, and
+    so does an entry that is zero or not finite, or one past the cap.
     """
     m = _MARGIN
     falls, rises = 1.0 - m, 1.0 + m
@@ -334,15 +341,14 @@ def _running_weights(
     due = k + 1
     for n in range(1, _ADAPTIVE_CAP + 1):
         if n == due or err_s > _RESYNC * s:
-            s = u = 0.0
-            j = 1.0
-            for y in reversed(w[-k:]):
-                s += j * y
-                u += y
-                j += 1.0
+            s = _extend_kp(w, k, lam, n)
+            u = sum(w[-k - 1 : -1])
+            x = w[-1]
             err_s = err_u = 0.0
             due = n + k
-        x = lam * s / n
+        else:
+            x = lam * s / n
+            w.append(x)
         if not 0.0 < x < math.inf:
             return None
         if x < prev * falls:
@@ -352,7 +358,6 @@ def _running_weights(
         else:
             return None
         mass += scale * x
-        w.append(x)
         if dec_run >= k and mass >= mass_low and x <= last_high:
             if mass >= mass_high and x <= last_low:
                 return w[k:], mass
@@ -431,7 +436,8 @@ def build_adaptive_table(
                 f"the float table cannot settle at this rate"
             )
         n += 1
-        x = _extend_kp(w, k, lam, n)
+        _extend_kp(w, k, lam, n)
+        x = w[-1]
         if not math.isfinite(x):
             raise _overflow(n, params)
         mass += scale * x

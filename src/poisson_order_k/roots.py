@@ -42,6 +42,7 @@ __all__ = [
 SQRT5_MINUS_1 = math.sqrt(5.0) - 1.0
 
 _MAX_ITER = 200
+DEFAULT_TOL = 1e-13  # relative solver tolerance of every level crossing
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,9 @@ def _illinois(f, lo, flo, hi, fhi, is_done) -> tuple[float, int]:
     )
 
 
-def solve_weight_equals(k: int, n: int, c: float, tol: float = 1e-13) -> RootResult:
+def solve_weight_equals(
+    k: int, n: int, c: float, tol: float = DEFAULT_TOL
+) -> RootResult:
     """The unique positive rate at which the weight at index n equals c.
 
     The initial bracket is (0, root_upper_bound(k, n, c)]; the upper end is
@@ -268,7 +271,7 @@ def _gap_factor(k: int, lam: float) -> float:
     return k * lam / 6.0 * s - 0.5
 
 
-def shoulder_lambda(k: int, tol: float = 1e-13) -> float:
+def shoulder_lambda(k: int, tol: float = DEFAULT_TOL) -> float:
     """Rate at which the weights at k+1 and k+2 are equal (the shoulder).
 
     The gap g(lam) = w(k+2) - w(k+1) is negative for small rates (the
@@ -322,7 +325,7 @@ def shoulder_lambda(k: int, tol: float = 1e-13) -> float:
 
 
 def bounds_record(
-    k: int, tol: float = 1e-13, with_shoulder: bool = True
+    k: int, tol: float = DEFAULT_TOL, with_shoulder: bool = True
 ) -> BoundsRecord:
     """All threshold constants for one order, with their closed-form bounds."""
     _check_int("order k", k, 1)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_TIE_TOL = 1e-9
+DEFAULT_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,15 @@ def check_initial_increase(table: PmfTable) -> bool:
     return all(v[n] < v[n + 1] for n in range(1, k))
 
 
-def check_monotone_tail(table: PmfTable, tol: float = 1e-12) -> Optional[int]:
+def check_monotone_tail(
+    table: PmfTable, tol: float = DEFAULT_TAIL_TOL
+) -> Optional[int]:
     """First violation of a nonincreasing tail from k, or None when there is none.
 
     A violation is an index whose value exceeds its predecessor's by more
     than relative ``tol``, so ties within tolerance pass.  A negative or
     non-finite ``tol`` is refused.
     """
-    _check_real("tol", tol, 0.0, inclusive=True)
     k = table.params.k
     if table.n_max < k:
         raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
@@ -244,7 +246,9 @@ def _decided(values, tie_tol: float, tail_tol: float) -> bool:
 
 
 def build_report(
-    table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL, tail_tol: float = 1e-12
+    table: PmfTable,
+    tie_tol: float = DEFAULT_TIE_TOL,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> StructureReport:
     """Full shape summary for one table (see StructureReport fields).
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import poisson_order_k
-from poisson_order_k import checks, cli, pmf, roots
+from poisson_order_k import checks, cli, oracle, pmf, roots, structure
 from poisson_order_k.cli import _emit, main
 from poisson_order_k.pmf import Params, build_table_km
 
@@ -457,6 +458,65 @@ class TestPinnedOutput:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[argv]
+
+
+def signature_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+class TestParserDefaults:
+    """Each default the parser gives is the library's, stated once there."""
+
+    def defaults(self, *argv):
+        return vars(cli.build_parser().parse_args(list(argv)))
+
+    def test_scan_tolerances(self):
+        args = self.defaults("scan", "--k-min", "2", "--k-max", "3", "--lambda", "1")
+        for func in (
+            structure.find_modes,
+            structure.local_maxima,
+            structure.find_triple_ties,
+            structure.build_report,
+        ):
+            assert args["tie_tol"] == signature_default(func, "tie_tol")
+        assert args["tol"] == signature_default(structure.build_report, "tail_tol")
+        assert args["tol"] == signature_default(structure.check_monotone_tail, "tol")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("roots", "--k", "2", "--n", "2", "--c", "1"), ("bounds", "--k-max", "3")],
+    )
+    def test_solver_tolerance(self, argv):
+        tol = self.defaults(*argv)["tol"]
+        for func in (
+            roots.solve_weight_equals,
+            roots.shoulder_lambda,
+            roots.bounds_record,
+        ):
+            assert tol == signature_default(func, "tol")
+
+    def test_one_mass_tolerance(self):
+        # build_adaptive_table has no default; pmf, scan and figs share one
+        argvs = [
+            ("pmf", "--k", "2", "--lambda", "1"),
+            ("scan", "--k-min", "2", "--k-max", "3", "--lambda", "1"),
+            ("figs", "2"),
+        ]
+        assert {self.defaults(*argv)["epsilon"] for argv in argvs} == {1e-10}
+
+
+class TestPackageExports:
+    MODULES = (pmf, oracle, roots, structure)
+
+    def test_all_is_the_modules_lists_in_order(self):
+        want = [name for module in self.MODULES for name in module.__all__]
+        assert poisson_order_k.__all__ == want
+        assert len(set(want)) == len(want)
+
+    def test_each_name_is_its_modules_object(self):
+        for module in self.MODULES:
+            for name in module.__all__:
+                assert getattr(poisson_order_k, name) is getattr(module, name)
 
 
 class TestExitCodes:

@@ -423,6 +423,28 @@ class TestRunningSums:
         with pytest.raises(RuntimeError, match="cap of 5"):
             build_adaptive_table(Params(2, 4 / 3), 1e-10, decided=always)
 
+    def test_recomputing_every_step_gives_the_loops_table(self, monkeypatch):
+        # with _RESYNC = 0 every step after the first recomputes its sums,
+        # so each entry comes from the loop's own step on the loop's history
+        monkeypatch.setattr(pmf, "_RESYNC", 0.0)
+        points = [(k, 2.0 / (k + 1)) for k in range(2, 201, 7)]
+        points += [
+            (k, lam)
+            for k in (1, 2, 3, 5, 8, 13, 40)
+            for lam in (0.05, 0.3, 1.0, 3.0, 20.0 / k)
+        ]
+        on_sums = 0
+        for k, lam in points:
+            running = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10)
+            if running is None:  # a close call of the stop rule
+                continue
+            loop = build_adaptive_table(Params(k, lam), 1e-10)
+            assert tuple(running[0]) == loop.values
+            assert running[1] == loop.mass_captured
+            on_sums += 1
+        assert len(points) == 64
+        assert on_sums >= 40
+
 
 class TestDifferenceIdentities:
     def test_forward_small_case(self):
