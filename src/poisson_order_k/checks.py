@@ -11,8 +11,6 @@ imported from ``pmf``), so a caller that rebinds a module attribute, such as
 a tracer, sees every call made here.
 """
 
-from __future__ import annotations
-
 import sys
 from fractions import Fraction
 

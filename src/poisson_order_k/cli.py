@@ -14,17 +14,13 @@ there.  Diagnostics and scan summaries go to stderr.  Exit codes:
 failure.  A reader that closes stdout early is not a failure: exit 0.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
-import dataclasses
 import itertools
-import json
 import os
 import sys
 
-from . import checks, roots, structure
+from . import roots, structure
 from .pmf import (
     Params,
     _check_int,
@@ -43,11 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _columns(record_type) -> list[str]:
-    """Output columns of a result record: its field names, in order."""
-    return [f.name for f in dataclasses.fields(record_type)]
 
 
 def _joined(indices: tuple) -> str:
@@ -89,6 +80,8 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
             for row in rows:
                 writer.writerow([_fmt(row[h]) for h in header])
         else:
+            import json  # here: only --format json needs it
+
             payload = [{h: _json_value(row[h]) for h in header} for row in rows]
             # write in slices of the encoder's chunks: one joined string holds
             # the whole document, and one write per chunk is one system call
@@ -130,7 +123,7 @@ def _cmd_pmf(args) -> int:
 
 def _cmd_roots(args) -> int:
     result = roots.solve_weight_equals(args.k, args.n, args.c, tol=args.tol)
-    _emit([vars(result)], _columns(roots.RootResult), args)
+    _emit([result._asdict()], list(roots.RootResult._fields), args)
     return 0
 
 
@@ -146,10 +139,10 @@ def _check_k_range(args) -> None:
 def _cmd_bounds(args) -> int:
     _check_k_range(args)
     rows = [
-        vars(roots.bounds_record(k, tol=args.tol, with_shoulder=not args.no_shoulder))
+        roots.bounds_record(k, args.tol, not args.no_shoulder)._asdict()
         for k in range(args.k_min, args.k_max + 1)
     ]
-    _emit(rows, _columns(roots.BoundsRecord), args)
+    _emit(rows, list(roots.BoundsRecord._fields), args)
     return 0
 
 
@@ -157,7 +150,7 @@ def _cmd_bounds(args) -> int:
 # scan
 
 
-_SCAN_HEADER = ["k", "lambda", "n_max", *_columns(structure.StructureReport), "error"]
+_SCAN_HEADER = ["k", "lambda", "n_max", *structure.StructureReport._fields, "error"]
 
 
 def _rule_rate(rule: str, k: int) -> float:
@@ -190,7 +183,7 @@ def _scan_point(task: tuple) -> dict:
         row["error"] = str(exc)
         return row
     row["n_max"] = table.n_max
-    row.update(vars(rep))
+    row.update(rep._asdict())
     return row
 
 
@@ -267,6 +260,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: checks loads oracle and fractions, which only verify uses
+    from . import checks
+
     failed = False
     for name, run in checks.SUITES:
         ok, detail = run()

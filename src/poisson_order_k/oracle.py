@@ -14,9 +14,7 @@ coefficient costs one rational division rather than one Fraction addition
 per tuple.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .pmf import _check_int, _check_real
@@ -78,17 +76,14 @@ def enumerate_tuples(k: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class WeightPolynomial:
+class WeightPolynomial(namedtuple("WeightPolynomial", "k n coeffs")):
     """Exact coefficients of the weight at index n as a polynomial in the rate.
 
     ``coeffs`` maps the power of the rate to its Fraction coefficient; powers
     with zero coefficient are absent.  Treat instances as read-only.
     """
 
-    k: int
-    n: int
-    coeffs: dict[int, Fraction]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

@@ -25,13 +25,10 @@ step.  Those sums are recomputed by the loop's own step, ``_extend_kp``
 left to the loop, which then builds the table inside the same call.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import deque, namedtuple
+from collections.abc import Callable
 
 __all__ = [
     "Params",
@@ -46,18 +43,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
-    """Order ``k >= 1`` and rate ``lam > 0`` of the distribution."""
+class Params(namedtuple("Params", "k lam")):
+    """Order ``k >= 1`` and rate ``lam > 0``, checked on every construction path."""
 
-    k: int
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_int("order k", self.k, 1)
-        lam = float(self.lam)
+    def __new__(cls, k: int, lam: float):
+        _check_int("order k", k, 1)
+        lam = float(lam)
         _check_real("rate lam", lam, 0.0)
-        object.__setattr__(self, "lam", lam)
+        return super().__new__(cls, k, lam)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
     @property
     def kappa(self) -> int:
@@ -69,8 +69,7 @@ class Params:
         return self.kappa * self.lam
 
 
-@dataclass(frozen=True)
-class PmfTable:
+class PmfTable(namedtuple("PmfTable", "params values mass_captured")):
     """Weights w_0..w_n_max at fixed (k, lam).
 
     ``values[n]`` is the unnormalized pmf value at n (``values[0]`` is exactly
@@ -79,9 +78,7 @@ class PmfTable:
     across threads.
     """
 
-    params: Params
-    values: tuple[float, ...]
-    mass_captured: float
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:
@@ -96,8 +93,7 @@ class PmfTable:
         return self.values[n]
 
 
-@dataclass(frozen=True)
-class DiffIdentityReport:
+class DiffIdentityReport(namedtuple("DiffIdentityReport", "n lhs rhs abs_gap")):
     """One consecutive difference computed two ways.
 
     ``lhs`` is the difference by direct subtraction of table entries, ``rhs``
@@ -105,10 +101,7 @@ class DiffIdentityReport:
     discrepancy.
     """
 
-    n: int
-    lhs: float
-    rhs: float
-    abs_gap: float
+    __slots__ = ()
 
 
 def _check_int(
@@ -301,7 +294,7 @@ _ULP = sys.float_info.epsilon / 2  # unit roundoff: one rounding errs by at most
 
 def _running_weights(
     k: int, lam: float, scale: float, epsilon: float
-) -> Optional[tuple[list[float], float]]:
+) -> tuple[list[float], float] | None:
     """(w_0..w_n_max, mass) by running sums, or None where the loop must decide.
 
     Carries S_n = sum_{j=1..k} j w_{n-j} and U_n = sum_{j=1..k} w_{n-j}
@@ -376,7 +369,7 @@ def _running_weights(
 
 
 def build_adaptive_table(
-    params: Params, epsilon: float, *, decided: Optional[Callable] = None
+    params: Params, epsilon: float, *, decided: Callable | None = None
 ) -> PmfTable:
     """Grow a table until truncation can no longer distort shape analysis.
 

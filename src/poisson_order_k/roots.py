@@ -19,10 +19,8 @@ factorial term, the closed-form rise threshold, and the shoulder rate at
 which the two weights just past k are equal.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .pmf import Params, _check_int, _check_real, _kterm_weights
 
@@ -45,22 +43,18 @@ _MAX_ITER = 200
 DEFAULT_TOL = 1e-13  # relative solver tolerance of every level crossing
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(
+    namedtuple("RootResult", "k n c root bracket_low bracket_high tol iterations")
+):
     """A solved crossing w(n; root) = c with its bracket and effort."""
 
-    k: int
-    n: int
-    c: float
-    root: float
-    bracket_low: float
-    bracket_high: float
-    tol: float
-    iterations: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
+class BoundsRecord(
+    namedtuple("BoundsRecord", """k root1 root1_upper root2 root2_upper
+               rise_threshold tail_bound shoulder status""")
+):
     """Threshold constants for one order k, each with its closed-form bound.
 
     root1 / root2 are the rates where the weight at index k reaches 1 / 2;
@@ -70,40 +64,51 @@ class BoundsRecord:
     (``status`` still audits that it is at most root2); shoulder is the
     rate at which the weights at k+1 and k+2 are equal.  Fields that are only
     defined for k >= 2 are None at k = 1.  ``status`` is derived from the
-    others: "ok", or the ``;``-joined names of the bounds that fail.
+    others: "ok", or the ``;``-joined names of the bounds that fail.  It is
+    not an argument: every construction path derives it, ``_replace`` and
+    unpickling included, and ``_replace`` refuses a ``status``.
     """
 
-    k: int
-    root1: float
-    root1_upper: float
-    root2: float
-    root2_upper: float
-    rise_threshold: float | None
-    tail_bound: float | None
-    shoulder: float | None
-    status: str = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "status", _bounds_status(self))
-
-
-def _bounds_status(rec: BoundsRecord) -> str:
-    bad = []
-    slack = 1e-9
-    if rec.k > 2:
-        if not rec.root1 < rec.root1_upper:
+    def __new__(
+        cls, k, root1, root1_upper, root2, root2_upper, rise_threshold, tail_bound,
+        shoulder,
+    ):
+        bad = []
+        slack = 1e-9
+        if k > 2:
+            if not root1 < root1_upper:
+                bad.append("root1_bound")
+        elif abs(root1 - root1_upper) > slack:
             bad.append("root1_bound")
-    elif abs(rec.root1 - rec.root1_upper) > slack:
-        bad.append("root1_bound")
-    if rec.root2 > rec.root2_upper * (1.0 + slack):
-        bad.append("root2_bound")
-    if rec.rise_threshold is not None:
-        lo, hi = SQRT5_MINUS_1, (math.sqrt(33.0) - 3.0) / 2.0
-        if not lo < rec.rise_threshold <= hi * (1.0 + slack):
-            bad.append("rise_range")
-    if rec.tail_bound is not None and rec.tail_bound > rec.root2 * (1.0 + slack):
-        bad.append("tail_bound")
-    return "ok" if not bad else ";".join(bad)
+        if root2 > root2_upper * (1.0 + slack):
+            bad.append("root2_bound")
+        if rise_threshold is not None:
+            lo, hi = SQRT5_MINUS_1, (math.sqrt(33.0) - 3.0) / 2.0
+            if not lo < rise_threshold <= hi * (1.0 + slack):
+                bad.append("rise_range")
+        if tail_bound is not None and tail_bound > root2 * (1.0 + slack):
+            bad.append("tail_bound")
+        status = "ok" if not bad else ";".join(bad)
+        return super().__new__(
+            cls, k, root1, root1_upper, root2, root2_upper, rise_threshold,
+            tail_bound, shoulder, status,
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, would keep a stale status
+        return cls(*tuple(iterable)[:-1])
+
+    def _replace(self, **changes):
+        if "status" in changes:
+            raise ValueError("status is derived from the other fields")
+        return super()._replace(**changes)
+
+    def __getnewargs__(self) -> tuple:
+        # unpickling calls __new__, which takes every field but status
+        return tuple(self)[:-1]
 
 
 def weight_value(k: int, n: int, lam: float) -> float:

@@ -11,11 +11,8 @@ sharper floor; conjecture violations are reported, never raised, because a
 conjecture under test is not an invariant.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .pmf import _MARGIN, Params, PmfTable, _check_real
 
@@ -36,8 +33,11 @@ DEFAULT_TIE_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(
+    namedtuple("StructureReport", """modes local_maxima initial_increase
+               monotone_tail_from_k first_tail_violation mean mean_mode_gap
+               mode_bounds_ok mode_floor_ok block_nonincreasing triple_ties""")
+):
     """Shape summary and bound audits for one (k, lam) point.
 
     The fields are the columns of a ``scan`` row, in order.  ``modes`` and
@@ -46,17 +46,7 @@ class StructureReport:
     when the block check does not apply (see ``build_report``).
     """
 
-    modes: tuple[int, ...]
-    local_maxima: tuple[int, ...]
-    initial_increase: bool
-    monotone_tail_from_k: bool
-    first_tail_violation: Optional[int]
-    mean: float
-    mean_mode_gap: float
-    mode_bounds_ok: bool
-    mode_floor_ok: bool
-    block_nonincreasing: Optional[bool]
-    triple_ties: bool
+    __slots__ = ()
 
 
 def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True):
@@ -136,8 +126,10 @@ def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]
 def check_initial_increase(table: PmfTable) -> bool:
     """True iff the weights at 1..k increase strictly and the first equals lam.
 
-    Vacuously true at k = 1.  This always holds for k >= 2 and any positive
-    rate; a False here means a broken table, not an interesting rate.
+    Vacuously true at k = 1.  It holds for k >= 2 and any positive rate in
+    exact arithmetic, but a False need not mean a broken table: at a rate
+    near the float epsilon, neighbours round to equal floats (w_1 == w_2 at
+    the ``tail-bound`` rates of k >= 23, 1.5e-16 at k = 23).
     """
     k, lam = table.params.k, table.params.lam
     if table.n_max < k:
@@ -150,7 +142,7 @@ def check_initial_increase(table: PmfTable) -> bool:
 
 def check_monotone_tail(
     table: PmfTable, tol: float = DEFAULT_TAIL_TOL
-) -> Optional[int]:
+) -> int | None:
     """First violation of a nonincreasing tail from k, or None when there is none.
 
     A violation is an index whose value exceeds its predecessor's by more
@@ -259,7 +251,7 @@ def build_report(
     params = table.params
     modes, peaks, runs, violation = _walk(table, tie_tol, tail_tol)
     bounds_ok, floor_ok = audit_mode_bounds(params, modes)
-    block: Optional[bool] = None
+    block: bool | None = None
     if modes[0] >= params.k and modes[0] + params.k <= table.n_max:
         block = check_block_assumption(table, modes[0])
     return StructureReport(

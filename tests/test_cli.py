@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from decimal import Decimal
@@ -375,22 +376,43 @@ class TestOutputContract:
         ] * 500
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
-    def test_import_leaves_the_process_pool_unloaded(self):
-        # only scan --jobs N > 1 needs multiprocessing; everything else
-        # should not pay for importing it
+    @pytest.mark.parametrize(
+        "statement, unloaded",
+        [
+            # only scan --jobs N > 1 needs the process pool, only verify the
+            # oracle and fractions, only --format json the json module; no
+            # command needs dataclasses, which pulls in inspect
+            (
+                "import poisson_order_k.cli",
+                ["multiprocessing", "concurrent.futures", "dataclasses", "inspect",
+                 "fractions", "json", "poisson_order_k.oracle",
+                 "poisson_order_k.checks"],
+            ),
+            (
+                "import poisson_order_k",
+                [f"poisson_order_k.{m.name}"
+                 for m in pkgutil.iter_modules(poisson_order_k.__path__)],
+            ),
+            # oracle's names are looked up last
+            (
+                "import poisson_order_k; poisson_order_k.build_table",
+                ["fractions", "poisson_order_k.oracle"],
+            ),
+        ],
+        ids=["cli", "package", "pmf-name"],
+    )
+    def test_import_floor(self, statement, unloaded):
         src = str(Path(poisson_order_k.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = (
-            "import sys, poisson_order_k.cli; "
-            "pool = {'multiprocessing', 'concurrent.futures'}; "
-            "print(sorted(pool & set(sys.modules)))"
-        )
+        probe = f"import sys\n{statement}\nprint(*sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        loaded = set(done.stdout.split())
+        assert "poisson_order_k" in loaded
+        assert sorted(set(unloaded) & loaded) == []
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "figs", "1")
@@ -517,6 +539,18 @@ class TestPackageExports:
         for module in self.MODULES:
             for name in module.__all__:
                 assert getattr(poisson_order_k, name) is getattr(module, name)
+
+    def test_star_import_dir_and_unknown_names(self):
+        namespace = {}
+        exec("from poisson_order_k import *", namespace)
+        del namespace["__builtins__"]
+        assert list(namespace) == poisson_order_k.__all__
+        for module in self.MODULES:
+            for name in module.__all__:
+                assert namespace[name] is getattr(module, name)
+        assert set(poisson_order_k.__all__) <= set(dir(poisson_order_k))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            poisson_order_k.no_such_name
 
 
 class TestExitCodes:

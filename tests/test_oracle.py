@@ -1,6 +1,7 @@
 """Tests for the exact enumeration oracle."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,13 @@ class TestWeightPolynomial:
 
     def test_order_one_is_pure_power(self):
         assert weight_polynomial(1, 4).coeffs == {4: Fraction(1, 24)}
+
+    def test_pickles_and_refuses_assignment(self):
+        poly = weight_polynomial(3, 3)
+        back = pickle.loads(pickle.dumps(poly))
+        assert type(back) is type(poly) and back == poly
+        with pytest.raises(AttributeError):
+            poly.coeffs = {}
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_equals_the_fraction_sum(self, k):

@@ -1,6 +1,7 @@
 """Tests for the recurrence tables, normalization, and difference identities."""
 
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -81,6 +82,19 @@ class TestParams:
     def test_rejects_bad_parameters(self, k, lam):
         with pytest.raises(ValueError):
             Params(k, lam)
+
+    def test_every_construction_path_validates(self):
+        p = Params(2, 1)
+        assert type(p.lam) is float
+        assert p._replace(lam=3) == Params(2, 3.0)
+        with pytest.raises(ValueError):
+            p._replace(lam=-1.0)
+        with pytest.raises(ValueError):
+            Params._make((0, 1.0))
+        back = pickle.loads(pickle.dumps(p))
+        assert type(back) is Params and back == p
+        with pytest.raises(AttributeError):
+            p.lam = 2.0
 
 
 class TestCheckReal:
@@ -465,6 +479,13 @@ class TestDifferenceIdentities:
         t = build_table(Params(2, 1.0), 4)
         assert diff_km(t, 2).abs_gap <= 1e-13
 
+    def test_reports_pickle_and_refuse_assignment(self):
+        rep = diff_km(build_table(Params(2, 1.0), 4), 2)
+        back = pickle.loads(pickle.dumps(rep))
+        assert type(back) is type(rep) and back == rep
+        with pytest.raises(AttributeError):
+            rep.abs_gap = 0.0
+
     def test_km_with_zeroed_negative_indices(self):
         t = build_table(Params(2, 0.5), 5)
         assert diff_km(t, 3).abs_gap <= 1e-13
@@ -508,3 +529,8 @@ class TestPmfTable:
         with pytest.raises(AttributeError):
             t.values = (1.0,)
         assert isinstance(t.values, tuple)
+
+    def test_tables_survive_a_pickle_round_trip(self):
+        t = build_table(Params(2, 1.0), 3)
+        back = pickle.loads(pickle.dumps(t))
+        assert type(back) is PmfTable and type(back.params) is Params and back == t

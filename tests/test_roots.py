@@ -1,7 +1,7 @@
 """Tests for level-crossing solves and the closed-form threshold constants."""
 
-import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -174,6 +174,13 @@ class TestSolveWeightEquals:
         assert abs(weight_value(4, 7, r.root) - 3.5) <= r.tol * max(1.0, 3.5)
         assert r.root <= (3.5 * math.factorial(7)) ** (1 / 7) * (1 + 1e-9)
         assert r.iterations >= 1
+
+    def test_result_pickles_and_refuses_assignment(self):
+        r = solve_weight_equals(3, 3, 1.0)
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back) is type(r) and back == r
+        with pytest.raises(AttributeError):
+            r.root = 0.5
 
     def test_divisible_index_bound_holds(self):
         r = solve_weight_equals(3, 6, 2.0)
@@ -426,15 +433,30 @@ class TestBoundsRecord:
     def test_status_is_ok_and_the_last_field(self, k):
         rec = bounds_record(k, with_shoulder=False)
         assert rec.status == "ok"
-        assert [f.name for f in dataclasses.fields(rec)][-1] == "status"
+        assert rec._fields[-1] == "status"
 
     def test_status_names_each_failing_bound(self):
         rec = bounds_record(3, with_shoulder=False)
-        bad = dataclasses.replace(
-            rec, root1=rec.root1_upper, root2=2 * rec.root2_upper, rise_threshold=1.0
+        bad = rec._replace(
+            root1=rec.root1_upper, root2=2 * rec.root2_upper, rise_threshold=1.0
         )
         assert bad.status == "root1_bound;root2_bound;rise_range"
-        assert dataclasses.replace(rec, tail_bound=2 * rec.root2).status == "tail_bound"
+        assert rec._replace(tail_bound=2 * rec.root2).status == "tail_bound"
+        restored = bad._replace(
+            root1=rec.root1, root2=rec.root2, rise_threshold=rec.rise_threshold
+        )
+        assert restored.status == "ok" and restored == rec
+        assert type(rec)._make([*rec[:-1], "stale"]) == rec
+        with pytest.raises(ValueError, match="status is derived"):
+            rec._replace(status="ok")
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_record_pickles_and_refuses_assignment(self, k):
+        rec = bounds_record(k, with_shoulder=False)
+        back = pickle.loads(pickle.dumps(rec))
+        assert type(back) is type(rec) and back == rec
+        with pytest.raises(AttributeError):
+            rec.status = "ok"
 
     @pytest.mark.parametrize("k", [3, 7, 25])
     def test_strict_bound_above_order_two(self, k):

@@ -1,7 +1,7 @@
 """Tests for mode finding, local maxima, and the shape audits."""
 
-import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +29,7 @@ def table(k, lam, eps=1e-10):
 
 
 def scaled(t, factor):
-    return dataclasses.replace(t, values=tuple(v * factor for v in t.values))
+    return t._replace(values=tuple(v * factor for v in t.values))
 
 
 def local_maxima_reference(v, tie_tol):
@@ -412,9 +412,7 @@ class TestTripleTies:
 
     def test_synthetic_run_is_detected(self):
         t = table(1, 0.5)
-        forged = dataclasses.replace(
-            t, values=(1.0, 0.5, 0.5 * (1 + 1e-12), 0.5, 0.2, 0.1)
-        )
+        forged = t._replace(values=(1.0, 0.5, 0.5 * (1 + 1e-12), 0.5, 0.2, 0.1))
         assert find_triple_ties(forged, tie_tol=1e-9) == [(1, 3)]
 
 
@@ -436,6 +434,13 @@ class TestBuildReport:
         rep = build_report(table(3, 0.05))
         assert rep.modes == (0,)
         assert rep.block_nonincreasing is None
+
+    def test_report_pickles_and_refuses_assignment(self):
+        rep = build_report(table(2, 4 / 3))
+        back = pickle.loads(pickle.dumps(rep))
+        assert type(back) is type(rep) and back == rep
+        with pytest.raises(AttributeError):
+            rep.modes = (0,)
 
     def test_shoulder_case_is_clean(self):
         rep = build_report(table(4, 0.6026076))
