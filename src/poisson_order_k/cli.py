@@ -15,7 +15,6 @@ failure.  A reader that closes stdout early is not a failure: exit 0.
 """
 
 import argparse
-import csv
 import itertools
 import os
 import sys
@@ -75,6 +74,8 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
         close = True
     try:
         if args.format == "csv":
+            import csv  # here: verify and --format json never use it
+
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
@@ -169,15 +170,19 @@ def _scan_point(task: tuple) -> dict:
         lam = _rule_rate(rule, k)
     row = dict.fromkeys(_SCAN_HEADER)
     row["k"], row["lambda"], row["error"] = k, lam, ""
+    rep = None
+
+    def decided(table) -> bool:
+        # the report of a running-sum table whose comparisons all clear the
+        # margin is kept; otherwise the loop builds the table inside the call
+        nonlocal rep
+        rep = structure.decided_report(table, tie_tol, tail_tol)
+        return rep is not None
+
     try:
-        # the running sums decide where the audits' comparisons clear the
-        # margin; otherwise the loop builds the table inside the same call
-        table = build_adaptive_table(
-            Params(k, lam),
-            epsilon,
-            decided=lambda v: structure._decided(v, tie_tol, tail_tol),
-        )
-        rep = structure.build_report(table, tie_tol=tie_tol, tail_tol=tail_tol)
+        table = build_adaptive_table(Params(k, lam), epsilon, decided=decided)
+        if rep is None:
+            rep = structure.build_report(table, tie_tol=tie_tol, tail_tol=tail_tol)
     except (RuntimeError, ArithmeticError) as exc:
         # invalid parameters (ValueError) abort the scan with exit code 1
         row["error"] = str(exc)

@@ -176,7 +176,10 @@ def _extend_kp(w: list[float], k: int, lam: float, n: int) -> float:
     The sum runs over j = 1..min(n, k) in that order, s += j * w[n - j], with
     j an exact float.  Walking the reversed window of the last min(n, k)
     entries performs exactly those float operations with less interpreter
-    work, so the weights are bit-identical to the indexed loop.  Faster forms
+    work, so the weights are bit-identical to the indexed loop; a table of
+    at most k entries is walked in place, without copying the window (the
+    running builder's ``w`` carries k leading zeros, so the test is on its
+    length, not on n).  Faster forms
     round differently: ``sum`` compensates float sums from Python 3.12 on,
     ``math.fsum`` and ``math.sumprod`` round in another way, and a numpy dot
     reorders the sum (and its import adds ~14 MB and ~0.09 s per process).
@@ -185,7 +188,7 @@ def _extend_kp(w: list[float], k: int, lam: float, n: int) -> float:
     """
     s = 0.0
     j = 1.0
-    for x in reversed(w[-k:]):
+    for x in reversed(w if len(w) <= k else w[-k:]):
         s += j * x
         j += 1.0
     x = lam * s / n
@@ -388,16 +391,16 @@ def build_adaptive_table(
 
     By default each weight comes from the k-term loop (``_extend_kp``), the
     reference every other table is compared with.  With ``decided``, a
-    predicate over the weights, the table is first grown on running sums at
-    O(1) per step (``_running_weights``).  Its entries stayed within
-    ``_MARGIN / 10`` of the loop's in every table measured (see
+    predicate over the candidate ``PmfTable``, the table is first grown on
+    running sums at O(1) per step (``_running_weights``).  Its entries stayed
+    within ``_MARGIN / 10`` of the loop's in every table measured (see
     ``_MARGIN``), so every stop decision that clears ``_MARGIN`` is the
-    loop's, and so is ``n_max``.  The running-sum table
-    is returned when its build settled every stop decision outside the
-    margin and ``decided`` accepts its weights; otherwise the loop builds
-    the table, once, inside this call, and decides.  ``decided`` states
-    whether the caller's comparisons on these weights clear the margin too
-    (``scan`` passes the shape audits' predicate).
+    loop's, and so is ``n_max``.  The running-sum table is returned when its
+    build settled every stop decision outside the margin and ``decided``
+    accepts it; otherwise the loop builds the table, once, inside this call,
+    and decides.  ``decided`` states whether the caller's comparisons on
+    the candidate clear the margin too, and may keep what it computed on it
+    (``scan`` keeps the report of ``structure.decided_report``).
     """
     _check_real("epsilon", epsilon, 0.0, 1.0)
     k, lam = params.k, params.lam
@@ -409,9 +412,11 @@ def build_adaptive_table(
         )
     if decided is not None:
         running = _running_weights(k, lam, scale, epsilon)
-        if running is not None and decided(running[0]):
+        if running is not None:
             w, mass = running
-            return PmfTable(params=params, values=tuple(w), mass_captured=mass)
+            table = PmfTable(params=params, values=tuple(w), mass_captured=mass)
+            if decided(table):
+                return table
     w = [1.0]
     mass = scale
     dec_run = 0

@@ -1,9 +1,10 @@
 """Shape analysis of weight tables: modes, local maxima, monotone stretches.
 
 All analyses are pure functions of an immutable table.  One walk over
-neighbouring pairs decides modes, maxima, tie runs and the tail: ``build_report``
-makes it once, and ``find_modes``, ``local_maxima``, ``find_triple_ties`` and
-``check_monotone_tail`` are views of it.  Mode finding refuses
+neighbouring pairs decides modes, maxima, tie runs and the tail, and checks
+each of those comparisons against ``_MARGIN`` as it makes it: ``build_report``
+and ``decided_report`` make it once, and ``find_modes``, ``local_maxima``,
+``find_triple_ties`` and ``check_monotone_tail`` are views of it.  Mode finding refuses
 tables that are not past their last peak (see ``build_adaptive_table``), so a
 reported mode can never be an artifact of truncation.  The audits compare the
 observed shape against the proved mode bounds and against the conjectured
@@ -27,6 +28,7 @@ __all__ = [
     "mean_mode_gap",
     "find_triple_ties",
     "build_report",
+    "decided_report",
 ]
 
 DEFAULT_TIE_TOL = 1e-9
@@ -50,13 +52,27 @@ class StructureReport(
 
 
 def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True):
-    """(modes, local maxima, triple-tie runs, first tail violation) in one pass.
+    """(modes, local maxima, triple-tie runs, first tail violation, clear) in one pass.
 
     Checks ``tie_tol``, settledness (when ``settled``), then ``tail_tol``.  For
     neighbours (a, b), b at n: a rise or fall beyond tie_tol * max(a, b) ends
     the plateau; a tie run of one entry ends exactly there, a longer one when
     its spread passes tie_tol * hi; a tail violation (n > k) needs b > a, the
     weights being non-negative.
+
+    ``clear`` states whether each comparison cleared ``_MARGIN`` as it was
+    made, so that a table within ``_MARGIN / 10`` of this one, entry by entry,
+    decides every one the same way.  With m = ``_MARGIN``, a comparison fails
+    to clear when the ratio it tests lies within relative m of its edge: the
+    smaller of a pair, or of a tie run's spread, over the larger near
+    1 - tie_tol or near 1 (the sign of b - a), b/a near 1 + tail_tol past k,
+    or an entry within m * peak of the mode floor (the peak itself excepted
+    when it is the only one there).  The sign of every pair decides the
+    comparisons of ``check_initial_increase`` and the block check as well.
+    A pair outside the tie band widened by the margin is decided without the
+    exact tests: its rounding stays far inside the margin, except where
+    1 - tie_tol is near the rounding error over the margin, so from
+    tie_tol = 0.99 on every pair takes the exact tests.
     """
     _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     v, k = table.values, table.params.k
@@ -68,38 +84,68 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True
             f"decreasing; build with build_adaptive_table"
         )
     _check_real("tol", tail_tol, 0.0, inclusive=True)
-    floor = (1.0 - tie_tol) * max(v)
+    m = _MARGIN
+    peak = max(v)
+    floor = (1.0 - tie_tol) * peak
+    floor_low, floor_high = (1.0 - tie_tol - m) * peak, (1.0 - tie_tol + m) * peak
+    # the smaller of two values over the larger: flat from 1 - tie_tol up
+    edge_low, edge_high = (1.0 - tie_tol) * (1.0 - m), (1.0 - tie_tol) * (1.0 + m)
+    fast = edge_low if tie_tol < 0.99 else 0.0
+    equal = 1.0 - m  # a pair nearer than this leaves the sign of b - a open
+    tail = 1.0 + tail_tol
+    tail_low, tail_high = tail * (1.0 - m), tail * (1.0 + m)
     modes = [0] if v[0] >= floor else []
-    peaks, runs, violation = [], [], None
+    near = int(floor_low <= v[0] <= floor_high)  # entries near the floor
+    peaks, runs, violation, clear = [], [], None, True
     top, up = 0, True  # left end of the plateau; whether it began with a rise
-    tie, lo, hi = 0, v[0], v[0]  # first index and spread of the tie run
+    tie = lo = hi = 0  # first index of the tie run; its spread once it has two
     for n, (a, b) in enumerate(zip(v, v[1:]), 1):
-        if b >= floor:
-            modes.append(n)
-        if b > a:
-            if violation is None and n > k and b > a * (1.0 + tail_tol):
-                violation = n
-            flat = b - a <= tie_tol * b
-            if not flat:
-                top, up = n, True
-        else:
-            flat = a - b <= tie_tol * a
-            if not flat and up:
+        if b >= floor_low:
+            if b >= floor:
+                modes.append(n)
+            if b <= floor_high:
+                near += 1
+        if b < a * fast:  # a fall clearly past the tie band
+            if up:
                 peaks.append(top)
                 up = False
-        if flat or tie < n - 1:  # otherwise the run of one entry ends here
-            new_lo, new_hi = min(lo, b), max(hi, b)
-            if new_hi - new_lo <= tie_tol * new_hi:
-                lo, hi = new_lo, new_hi
-                continue
-            if n - tie >= 3:
-                runs.append((tie, n - 1))
-        tie, lo, hi = n, b, b
+        else:
+            if n > k and violation is None and b >= a * tail_low:
+                if b > a * tail:
+                    violation = n
+                if b <= a * tail_high:
+                    clear = False
+            if a < b * fast:  # a rise clearly past the tie band
+                top, up = n, True
+            else:  # inside the widened band: each exact test against its margin
+                small, big = (a, b) if a < b else (b, a)
+                if big * edge_low <= small <= big * edge_high or small >= big * equal:
+                    clear = False
+                flat = big - small <= tie_tol * big
+                if not flat:
+                    if b > a:
+                        top, up = n, True
+                    elif up:
+                        peaks.append(top)
+                        up = False
+                if flat or tie < n - 1:  # otherwise the run of one entry ends here
+                    if tie == n - 1:
+                        lo = hi = a
+                    new_lo, new_hi = min(lo, b), max(hi, b)
+                    if new_hi * edge_low <= new_lo <= new_hi * edge_high:
+                        clear = False
+                    if new_hi - new_lo <= tie_tol * new_hi:
+                        lo, hi = new_lo, new_hi
+                        continue
+        if n - tie >= 3:
+            runs.append((tie, n - 1))
+        tie = n
     if up:
         peaks.append(top)
     if len(v) - tie >= 3:
         runs.append((tie, len(v) - 1))
-    return tuple(modes), peaks, runs, violation
+    clear = clear and (near == 0 or near == 1 and peak <= floor_high)
+    return tuple(modes), peaks, runs, violation, clear
 
 
 def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
@@ -209,32 +255,30 @@ def find_triple_ties(
     return _walk(table, tie_tol, 0.0, settled=False)[2]
 
 
-def _decided(values, tie_tol: float, tail_tol: float) -> bool:
-    """Whether every comparison of ``build_report`` clears the margin on ``values``.
-
-    ``values`` agree with the loop's table entry by entry to within
-    ``_MARGIN / 10`` (see ``build_adaptive_table``).  With m = ``_MARGIN``,
-    False when a consecutive ratio b/a lies in [(1 - tie_tol)(1 - m),
-    (1 + m)/(1 - tie_tol)] (a near-flat pair) or within relative m of
-    1 + tail_tol, or when an entry other than the peak lies within m * peak
-    of (1 - tie_tol) * peak.  That suffices: with no near-flat pair every tie
-    run and plateau has one entry, so each comparison of ``_walk``,
-    ``check_initial_increase`` and the block check is decided by one
-    consecutive pair or by the entry-to-peak test, the same way on the
-    loop's table.  The peak itself is a mode on both tables once no other
-    entry comes near it.
-    """
-    m = _MARGIN
-    flat_low = (1.0 - tie_tol) * (1.0 - m)
-    flat_high = (1.0 + m) / (1.0 - tie_tol)
-    tail_low, tail_high = (1.0 + tail_tol) * (1.0 - m), (1.0 + tail_tol) * (1.0 + m)
-    for a, b in zip(values, values[1:]):
-        if a * flat_low <= b <= a * flat_high or a * tail_low <= b <= a * tail_high:
-            return False
-    top = max(values)
-    low, high = (1.0 - tie_tol - m) * top, (1.0 - tie_tol + m) * top
-    near = [v for v in values if low <= v <= high]
-    return not near or near == [top]
+def _audit(
+    table: PmfTable, tie_tol: float, tail_tol: float
+) -> tuple[StructureReport, bool]:
+    """(``build_report``'s report, whether its comparisons all clear ``_MARGIN``)."""
+    params = table.params
+    modes, peaks, runs, violation, clear = _walk(table, tie_tol, tail_tol)
+    bounds_ok, floor_ok = audit_mode_bounds(params, modes)
+    block: bool | None = None
+    if modes[0] >= params.k and modes[0] + params.k <= table.n_max:
+        block = check_block_assumption(table, modes[0])
+    report = StructureReport(
+        modes=modes,
+        local_maxima=tuple(peaks),
+        initial_increase=check_initial_increase(table),
+        monotone_tail_from_k=violation is None,
+        first_tail_violation=violation,
+        mean=params.mean,
+        mean_mode_gap=mean_mode_gap(params, modes),
+        mode_bounds_ok=bounds_ok,
+        mode_floor_ok=floor_ok,
+        block_nonincreasing=block,
+        triple_ties=bool(runs),
+    )
+    return report, clear
 
 
 def build_report(
@@ -248,22 +292,20 @@ def build_report(
     mean-gap derivation selects for multi-mode sets; it is None when the mode
     is zero or the table is too short to span the block.
     """
-    params = table.params
-    modes, peaks, runs, violation = _walk(table, tie_tol, tail_tol)
-    bounds_ok, floor_ok = audit_mode_bounds(params, modes)
-    block: bool | None = None
-    if modes[0] >= params.k and modes[0] + params.k <= table.n_max:
-        block = check_block_assumption(table, modes[0])
-    return StructureReport(
-        modes=modes,
-        local_maxima=tuple(peaks),
-        initial_increase=check_initial_increase(table),
-        monotone_tail_from_k=violation is None,
-        first_tail_violation=violation,
-        mean=params.mean,
-        mean_mode_gap=mean_mode_gap(params, modes),
-        mode_bounds_ok=bounds_ok,
-        mode_floor_ok=floor_ok,
-        block_nonincreasing=block,
-        triple_ties=bool(runs),
-    )
+    return _audit(table, tie_tol, tail_tol)[0]
+
+
+def decided_report(
+    table: PmfTable, tie_tol: float, tail_tol: float
+) -> StructureReport | None:
+    """``build_report``'s report when every comparison in it clears ``_MARGIN``.
+
+    Then every table within ``_MARGIN / 10`` of this one, entry by entry and
+    with the same w_1, gets the same report; otherwise this returns None.
+    ``scan`` decides on a running-sum table this way, whose entries stay
+    that close to the loop's (see ``build_adaptive_table``) and whose w_1 is
+    the rate exactly, as the loop's is.  The comparisons are made once, by
+    the one walk that also makes the report (see ``_walk``).
+    """
+    report, clear = _audit(table, tie_tol, tail_tol)
+    return report if clear else None

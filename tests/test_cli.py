@@ -231,6 +231,34 @@ class TestScanDecisions:
         assert len(builds) < len(rows) / 4
         capsys.readouterr()
 
+    def test_loose_tie_tolerance_rebuilds_only_close_calls(self, capsys, monkeypatch):
+        # a pair clearly inside the tie band decides on running sums; the loop
+        # rebuilds the stop rule's close calls and k = 2, whose w_1 / w_2 is
+        # 3/4 exactly, on the edge of the band
+        refused, builds = [], []
+        running, step = pmf._running_weights, pmf._extend_kp
+
+        def counted_running(k, *args):
+            got = running(k, *args)
+            if got is None:
+                refused.append(k)
+            return got
+
+        def counted_step(w, k, lam, n):
+            if n == 1:
+                builds.append(k)
+            return step(w, k, lam, n)
+
+        argv = "--k-min 2 --k-max 60 --lambda-rule mean-k --tie-tol 0.25".split()
+        with monkeypatch.context() as m:
+            m.setattr(pmf, "_running_weights", counted_running)
+            m.setattr(pmf, "_extend_kp", counted_step)
+            rows = scan_rows(monkeypatch, argv)
+        assert refused != [] and 2 not in refused
+        assert builds == [2, *refused]
+        assert rows == scan_rows(monkeypatch, argv, loop=True)
+        capsys.readouterr()
+
     def test_pool_never_outnumbers_the_points(self, capsys, monkeypatch):
         started = []
         fake_pool(monkeypatch, started)
@@ -380,12 +408,13 @@ class TestOutputContract:
         "statement, unloaded",
         [
             # only scan --jobs N > 1 needs the process pool, only verify the
-            # oracle and fractions, only --format json the json module; no
-            # command needs dataclasses, which pulls in inspect
+            # oracle and fractions, only --format json the json module, only
+            # CSV output the csv module; no command needs dataclasses, which
+            # pulls in inspect
             (
                 "import poisson_order_k.cli",
                 ["multiprocessing", "concurrent.futures", "dataclasses", "inspect",
-                 "fractions", "json", "poisson_order_k.oracle",
+                 "fractions", "json", "csv", "poisson_order_k.oracle",
                  "poisson_order_k.checks"],
             ),
             (

@@ -331,7 +331,7 @@ class TestAdaptiveTruncation:
         assert w[n] == 0.0 < w[n - 1]
 
 
-def always(values) -> bool:
+def always(table) -> bool:
     return True
 
 
@@ -415,15 +415,18 @@ class TestRunningSums:
         p = Params(50, 2.0 / 51)
         seen = []
 
-        def refuse(values):
-            seen.append(len(values))
+        def refuse(candidate):
+            seen.append(candidate)
             return False
 
         builds = count_loop_builds(monkeypatch)
         t = build_adaptive_table(p, 1e-10, decided=refuse)
         assert builds == [1]
-        assert seen == [t.n_max + 1]
         assert t == build_adaptive_table(p, 1e-10)
+        # the candidate was the running-sum table the loop replaced
+        (candidate,) = seen
+        assert candidate.params == p and candidate.n_max == t.n_max
+        assert candidate == build_adaptive_table(p, 1e-10, decided=always)
 
     @pytest.mark.parametrize("k, lam", [(2, 1e-200), (300, 1.1e-219), (1, 740.0), (3, 400.0)])
     def test_failures_are_the_loops(self, k, lam):

@@ -11,12 +11,12 @@ from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_adaptive_table,
 from poisson_order_k.roots import monotone_tail_bound
 from poisson_order_k.structure import (
     StructureReport,
-    _decided,
     audit_mode_bounds,
     build_report,
     check_block_assumption,
     check_initial_increase,
     check_monotone_tail,
+    decided_report,
     find_modes,
     find_triple_ties,
     local_maxima,
@@ -107,7 +107,8 @@ TIE = 2.0**-30
 SHAPE_VALUES = st.sampled_from(
     [0.0, 5e-324, 1e-300, 0.5, 1.0 - TIE, 1.0, 1.0 + TIE, 1.0 + 2 * TIE, 1.0 + 3 * TIE, 2.0]
 )
-TIE_TOLS = [0.0, TIE, 1e-9, 1e-4, 0.25]
+# from 0.99 on every pair takes the walk's exact tests (see structure._walk)
+TIE_TOLS = [0.0, TIE, 1e-9, 1e-4, 0.25, 0.999]
 TAIL_TOLS = [0.0, TIE, 1e-12]
 
 
@@ -119,7 +120,9 @@ def assert_walk_matches_references(t):
         assert local_maxima(t, tie_tol) == local_maxima_reference(v, tie_tol)
         assert find_triple_ties(t, tie_tol) == triple_ties_reference(v, tie_tol)
         for tail_tol in TAIL_TOLS:
-            assert build_report(t, tie_tol, tail_tol) == report_reference(t, tie_tol, tail_tol)
+            want = report_reference(t, tie_tol, tail_tol)
+            assert build_report(t, tie_tol, tail_tol) == want
+            assert decided_report(t, tie_tol, tail_tol) in (None, want)
     for tail_tol in TAIL_TOLS:
         assert check_monotone_tail(t, tail_tol) == tail_reference(v, t.params.k, tail_tol)
 
@@ -134,6 +137,12 @@ def assert_walk_matches_references(t):
 @example([1.0 - TIE, 1.0, 1.0 + TIE, 0.5], 1, 8.0)  # a triple at the tolerance
 @example([1.0 - TIE, 0.5, 1.0, 0.5], 2, 0.25)  # an entry exactly on the mode floor
 @example([1.0, 0.5, 0.5 * (1.0 + TIE), 0.5], 1, 0.25)  # a tail rise on the tolerance
+# a pair flat at tie_tol 0.999 that a test on the band widened by the margin
+# would take for a clear rise: rounding outgrows the margin there
+@example([0.5622218610160049, 562.2218610160888, 1e-6], 1, 1e-7)
+# subnormal neighbours, where rounding is absolute: 4 and 6 times the
+# smallest float are flat at tie_tol 0.25 (0.25 * 6 rounds up to 2)
+@example([1.0, 4 * 5e-324, 6 * 5e-324, 5e-324], 1, 1e-7)
 @settings(max_examples=300, deadline=None)
 def test_shape_scans_match_references(values, k, top):
     # a strictly decreasing end keeps the table past its last peak; a low end
@@ -194,34 +203,64 @@ def test_only_modes_and_maxima_need_a_settled_table():
         check_monotone_tail(build_table(Params(3, 1.0), 2))
 
 
+def decided(values, tie_tol, tail_tol, k=1):
+    """Whether ``decided_report`` keeps its report on ``values``, w_1 the rate."""
+    t = PmfTable(Params(k, values[1]), tuple(values), 1.0)
+    return decided_report(t, tie_tol, tail_tol) is not None
+
+
 class TestDecided:
-    """The margin predicate that lets scan decide on running-sum tables."""
+    """The margin verdict of the one walk, which lets scan decide on running sums."""
 
     def test_scan_tables_clear_the_margin(self):
         for k, lam in [(4, 0.6026076), (2, 4 / 3), (50, 2 / 51), (3, 0.05)]:
-            assert _decided(table(k, lam).values, 1e-9, 1e-12)
+            t = table(k, lam)
+            assert decided_report(t, 1e-9, 1e-12) == build_report(t, 1e-9, 1e-12)
 
     def test_near_flat_pair_is_refused(self):
         v = (1.0, 0.5, 0.5 * (1 + 1e-14), 0.2)
-        assert not _decided(v, 0.0, 1.0)
-        # a pair at the edge of a loose tie tolerance is near-flat as well
-        assert not _decided((1.0, 0.75, 0.1), 0.25, 1.0)
-        assert _decided((1.0, 0.7, 0.1), 0.25, 1.0)
+        assert not decided(v, 0.0, 1.0)
+        # a pair at the edge of a loose tie tolerance is near-flat as well,
+        # on either side of it
+        assert not decided((1.0, 0.75, 0.1), 0.25, 1.0)
+        assert not decided((2.0, 0.4, 0.3 * (1 - 1e-14), 0.1), 0.25, 1.0)
+        assert decided((2.0, 0.4, 0.29, 0.1), 0.25, 1.0)
+        assert decided((1.0, 0.7, 0.1), 0.25, 1.0)
+
+    def test_pair_clearly_inside_the_tie_band_clears(self):
+        # only the edge of the band is a close call, not the band itself
+        assert decided((1.0, 0.8, 0.1), 0.25, 1.0)
+        assert decided((1.0, 0.8 * (1 + 1e-14), 0.1), 0.25, 1.0)
+        # a pair near equality is refused at any tolerance: its sign decides
+        # the initial increase and the block check
+        assert not decided((1.0, 1.0 - 1e-14, 0.1), 0.25, 1.0)
+
+    def test_tie_run_spread_near_the_edge_is_refused(self):
+        # each pair is clearly flat; the run's spread 1.0 - 0.75 is on the edge
+        assert not decided((1.0, 0.9, 0.75, 0.1), 0.25, 1.0)
+        v = (1.0, 0.9, 0.8, 0.1)
+        assert decided(v, 0.25, 1.0)
+        assert decided_report(PmfTable(Params(1, 0.9), v, 1.0), 0.25, 1.0).triple_ties
 
     def test_ratio_near_the_tail_tolerance_is_refused(self):
         v = (1.0, 0.5, 0.5 * (1 + 1e-12), 0.2)
-        assert not _decided(v, 0.0, 1e-12)
-        assert _decided(v, 0.0, 1e-10)
+        assert not decided(v, 0.0, 1e-12)
+        assert decided(v, 0.0, 1e-10)
+        # the tail is checked only past k, and only up to its first violation
+        assert decided((*v, 0.1), 0.0, 1e-12, k=2)
+        assert decided((1.0, 0.1, *v[1:]), 0.0, 1e-12)
 
     def test_entry_near_the_mode_floor_is_refused(self):
         # consecutive ratios are far from 1, so only the floor test speaks
         v = (1.0, 0.1, 3.0, 0.1, 4.0, 0.5, 0.1)
-        assert not _decided(v, 0.25, 1.0)
-        assert _decided(v[:2] + (2.9,) + v[3:], 0.25, 1.0)
+        assert not decided(v, 0.25, 1.0)
+        assert decided(v[:2] + (2.9,) + v[3:], 0.25, 1.0)
 
     def test_a_lone_peak_is_a_mode_at_zero_tolerance(self):
-        assert _decided((1.0, 3.0, 0.5), 0.0, 1.0)
-        assert not _decided((1.0, 3.0, 0.5, 3.0 * (1 - 1e-14)), 0.0, 1.0)
+        assert decided((1.0, 3.0, 0.5), 0.0, 1.0)
+        assert not decided((1.0, 3.0, 0.5, 3.0 * (1 - 1e-14), 0.1), 0.0, 1.0)
+        # two entries equal to the peak are both near the floor
+        assert not decided((1.0, 3.0, 0.5, 3.0, 0.1), 0.0, 1.0)
 
 
 NEAR = _MARGIN / 10
@@ -230,7 +269,9 @@ NEAR = _MARGIN / 10
 @given(
     st.lists(
         st.sampled_from([0.5, 1.0 - TIE, 1.0, 1.0 + TIE, 2.0, 2.0 * (1.0 - TIE)])
-        | st.floats(0.25, 4.0),
+        | st.floats(0.25, 4.0)
+        # runs flat at tie_tol = 0.25, which clear the margin inside its band
+        | st.floats(0.8, 1.0),
         min_size=2,
         max_size=20,
     ),
@@ -244,6 +285,9 @@ NEAR = _MARGIN / 10
          [0.0, 0.0, NEAR, 0.0, -NEAR] + [0.0] * 19)
 @example([0.5, 0.6, 1.0 - TIE, 1.0 - TIE / 2, 1.0, 0.3, 3.0], 1, TIE, 0.0,
          [0.0, 0.0, -NEAR, 0.0, NEAR] + [0.0] * 19)
+# a flat run at a loose tolerance, its spread clearly inside the band
+@example([0.5, 0.6, 1.0, 0.9, 0.85, 0.3, 3.0], 1, 0.25, 0.0,
+         [0.0, 0.0, NEAR, -NEAR, NEAR] + [0.0] * 19)
 @settings(max_examples=300, deadline=None)
 def test_decided_tables_report_the_same_within_a_tenth_of_the_margin(
     values, k, tie_tol, tail_tol, shifts
@@ -252,12 +296,11 @@ def test_decided_tables_report_the_same_within_a_tenth_of_the_margin(
     # w_1 is the rate exactly in every table the builders make
     v = [*values, *(0.2 / 2**i for i in range(k + 1))]
     moved = [x if n == 1 else x * (1 + d) for n, (x, d) in enumerate(zip(v, shifts))]
-    if _decided(v, tie_tol, tail_tol):
-        reports = [
-            build_report(PmfTable(Params(k, v[1]), tuple(w), 1.0), tie_tol, tail_tol)
-            for w in (v, moved)
-        ]
-        assert reports[0] == reports[1]
+    tables = [PmfTable(Params(k, v[1]), tuple(w), 1.0) for w in (v, moved)]
+    report = decided_report(tables[0], tie_tol, tail_tol)
+    if report is not None:
+        assert report == build_report(tables[0], tie_tol, tail_tol)
+        assert build_report(tables[1], tie_tol, tail_tol) == report
 
 
 class TestFindModes:
