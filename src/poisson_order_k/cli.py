@@ -6,10 +6,10 @@ parameter grid), ``verify`` (the certification checks of :mod:`.checks`),
 ``figs`` (datasets for the four reference figures).
 
 Output is CSV (default) or JSON with the same fields, written to stdout or
-``--out``; all floats are printed with 12 significant digits so identical
-configurations produce byte-identical output.  The ``roots``, ``bounds`` and
-``scan`` columns are the fields of the library's result records, named only
-there.  Diagnostics and scan summaries go to stderr.  Exit codes:
+``--out`` by :mod:`.output` as the rows are computed; all floats are printed
+with 12 significant digits so identical configurations produce
+byte-identical output.  The ``roots``, ``bounds`` and ``scan`` columns are
+the fields of the library's result records, named only there.  Diagnostics and scan summaries go to stderr.  Exit codes:
 0 success, 1 invalid parameters, 2 computation failure, 3 verification-suite
 failure.  A reader that closes stdout early is not a failure: exit 0.
 """
@@ -20,6 +20,7 @@ import os
 import sys
 
 from . import roots, structure
+from .output import _emit, _Rows
 from .pmf import (
     Params,
     _check_int,
@@ -40,62 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _joined(indices: tuple) -> str:
-    # a tuple of indices is one cell, "0;2", in CSV and JSON alike
-    return ";".join(map(str, indices))
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".12g")
-    if isinstance(x, tuple):
-        return _joined(x)
-    return str(x)
-
-
-def _json_value(x):
-    if isinstance(x, float):
-        # reparse the 12-digit form so JSON and CSV carry identical values
-        return float(format(x, ".12g"))
-    if isinstance(x, tuple):
-        return _joined(x)
-    return x
-
-
-def _emit(rows: list[dict], header: list[str], args) -> None:
-    out = sys.stdout
-    close = False
-    if args.out is not None:
-        out = open(args.out, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        if args.format == "csv":
-            import csv  # here: verify and --format json never use it
-
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row[h]) for h in header])
-        else:
-            import json  # here: only --format json needs it
-
-            payload = [{h: _json_value(row[h]) for h in header} for row in rows]
-            # write in slices of the encoder's chunks: one joined string holds
-            # the whole document, and one write per chunk is one system call
-            # when stdout is unbuffered (python -u, PYTHONUNBUFFERED)
-            chunks = json.JSONEncoder(indent=2).iterencode(payload)
-            while text := "".join(itertools.islice(chunks, 4096)):
-                out.write(text)
-            out.write("\n")
-    finally:
-        if close:
-            out.close()
-
-
 # ---------------------------------------------------------------------------
 # pmf
 
@@ -107,14 +52,14 @@ def _cmd_pmf(args) -> int:
     else:
         table = build_adaptive_table(params, args.epsilon)
     probs = normalize(table)
-    rows = []
-    cum = 0.0
-    for n, (w, f) in enumerate(zip(table.values, probs)):
-        cum += f
-        rows.append(
-            {"n": n, "unnormalized": w, "probability": f, "cumulative": cum}
+    rows = (
+        {"n": n, "unnormalized": w, "probability": f, "cumulative": cum}
+        for n, (w, f, cum) in enumerate(
+            zip(table.values, probs, itertools.accumulate(probs))
         )
-    _emit(rows, ["n", "unnormalized", "probability", "cumulative"], args)
+    )
+    header = ["n", "unnormalized", "probability", "cumulative"]
+    _emit(_Rows(len(probs), rows), header, args)
     return 0
 
 
@@ -139,11 +84,9 @@ def _check_k_range(args) -> None:
 
 def _cmd_bounds(args) -> int:
     _check_k_range(args)
-    rows = [
-        roots.bounds_record(k, args.tol, not args.no_shoulder)._asdict()
-        for k in range(args.k_min, args.k_max + 1)
-    ]
-    _emit(rows, list(roots.BoundsRecord._fields), args)
+    ks = range(args.k_min, args.k_max + 1)
+    rows = (roots.bounds_record(k, args.tol, not args.no_shoulder)._asdict() for k in ks)
+    _emit(_Rows(len(ks), rows), list(roots.BoundsRecord._fields), args)
     return 0
 
 
@@ -154,20 +97,22 @@ def _cmd_bounds(args) -> int:
 _SCAN_HEADER = ["k", "lambda", "n_max", *structure.StructureReport._fields, "error"]
 
 
-def _rule_rate(rule: str, k: int) -> float:
-    if rule == "mean-k":
-        return 2.0 / (k + 1)
-    if rule == "tail-bound":
-        return roots.monotone_tail_bound(k)
-    return roots.shoulder_lambda(k)
+def _rule_rate(rule: str, k: int) -> float | None:
+    """The closed-form rules' rate at order k, checked; None for the shoulder,
+    which the point solves, in the worker that runs it."""
+    if rule == "shoulder":
+        return None
+    lam = 2.0 / (k + 1) if rule == "mean-k" else roots.monotone_tail_bound(k)
+    Params(k, lam)  # refuses the tail-bound rate, 0.0 from k = 443 on
+    return lam
 
 
 def _scan_point(task: tuple) -> dict:
-    k, lam, rule, tie_tol, tail_tol, epsilon = task
-    if rule is not None:
+    k, lam, tie_tol, tail_tol, epsilon = task
+    if lam is None:
         # outside the try: a failed solve ends the whole scan (exit 2 for a
         # RuntimeError), it does not become this row's error
-        lam = _rule_rate(rule, k)
+        lam = roots.shoulder_lambda(k)
     row = dict.fromkeys(_SCAN_HEADER)
     row["k"], row["lambda"], row["error"] = k, lam, ""
     rep = None
@@ -211,6 +156,20 @@ def _lambda_grid(args) -> list[float]:
     return [start * ratio**i for i in range(n)]
 
 
+def _tallied(rows, summary: dict):
+    """Pass the rows on, adding each to the scan summary's counts."""
+    for row in rows:
+        summary["points"] += 1
+        if row["error"]:
+            summary["errors"] += 1
+        else:
+            summary["mode_bounds_violations"] += row["mode_bounds_ok"] is False
+            summary["mode_floor_violations"] += row["mode_floor_ok"] is False
+            summary["triple_ties"] += bool(row["triple_ties"])
+            summary["tail_violations"] += row["monotone_tail_from_k"] is False
+        yield row
+
+
 def _cmd_scan(args) -> int:
     _check_int("--k-min", args.k_min, 1)
     _check_k_range(args)
@@ -218,41 +177,47 @@ def _cmd_scan(args) -> int:
     _check_int("--jobs", args.jobs, 1)
     if args.lambda_rule is not None and args.k_min < 2:
         raise ValueError(f"--lambda-rule {args.lambda_rule} needs k >= 2")
-    # the same checks as build_report's, made here because a point whose
-    # table build fails never reaches it
+    # every argument a point would refuse is refused here, before the first
+    # row: build_report's tolerances (a point whose table build fails never
+    # reaches it), build_adaptive_table's epsilon and every rate
     _check_real("tie_tol", args.tie_tol, 0.0, 1.0, inclusive=True)
     _check_real("tol", args.tol, 0.0, inclusive=True)
-    # a rule's rate is solved by each point, in the worker that runs it
-    rates = [None] if args.lambda_rule is not None else _lambda_grid(args)
-    tasks = [
-        (k, lam, args.lambda_rule, args.tie_tol, args.tol, args.epsilon)
-        for k in range(args.k_min, args.k_max + 1, args.k_step)
-        for lam in rates
-    ]
-    workers = min(args.jobs, len(tasks))
+    _check_real("epsilon", args.epsilon, 0.0, 1.0)
+    ks = range(args.k_min, args.k_max + 1, args.k_step)
+    tols = (args.tie_tol, args.tol, args.epsilon)
+    if args.lambda_rule is None:
+        grid = _lambda_grid(args)
+        for lam in grid:
+            Params(args.k_min, lam)
+        tasks = ((k, lam, *tols) for k in ks for lam in grid)
+        count = len(ks) * len(grid)
+    else:
+        rates = [_rule_rate(args.lambda_rule, k) for k in ks]
+        tasks = ((k, lam, *tols) for k, lam in zip(ks, rates))
+        count = len(ks)
+    summary = dict.fromkeys(
+        ("points", "errors", "mode_bounds_violations", "mode_floor_violations",
+         "triple_ties", "tail_violations"),
+        0,
+    )
+    workers = min(args.jobs, count)
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, pickle, socket
         # and logging, which every other run would pay for at startup
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, tasks, chunksize=8))
+            rows = pool.map(_scan_point, tasks, chunksize=8)  # in task order
+            try:
+                _emit(_Rows(count, _tallied(rows, summary)), _SCAN_HEADER, args)
+            except BaseException:
+                # a closed pipe or a failed point: the points not yet started
+                # are dropped, not waited for
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
-        rows = [_scan_point(t) for t in tasks]
-    _emit(rows, _SCAN_HEADER, args)
-
-    failures = sum(1 for r in rows if r["error"])
-    clean = [r for r in rows if not r["error"]]
-    summary = {
-        "points": len(rows),
-        "errors": failures,
-        "mode_bounds_violations": sum(1 for r in clean if r["mode_bounds_ok"] is False),
-        "mode_floor_violations": sum(1 for r in clean if r["mode_floor_ok"] is False),
-        "triple_ties": sum(1 for r in clean if r["triple_ties"]),
-        "tail_violations": sum(
-            1 for r in clean if r["monotone_tail_from_k"] is False
-        ),
-    }
+        rows = map(_scan_point, tasks)
+        _emit(_Rows(count, _tallied(rows, summary)), _SCAN_HEADER, args)
     print(
         "scan summary: " + " ".join(f"{k}={v}" for k, v in summary.items()),
         file=sys.stderr,
@@ -288,20 +253,21 @@ _FIG_PARAMS = {2: (4, 0.6026076), 3: (2, 4.0 / 3.0), 4: (2, 4.02373 / 3.0)}
 
 def _cmd_figs(args) -> int:
     if args.figure == 1:
-        rows = [
+        ks = range(2, 101)
+        rows = (
             {
                 "k": k,
                 "rise_threshold": roots.rise_threshold(k),
                 "asymptote": roots.SQRT5_MINUS_1,
             }
-            for k in range(2, 101)
-        ]
-        _emit(rows, ["k", "rise_threshold", "asymptote"], args)
+            for k in ks
+        )
+        _emit(_Rows(len(ks), rows), ["k", "rise_threshold", "asymptote"], args)
     else:
         k, lam = _FIG_PARAMS[args.figure]
         table = build_adaptive_table(Params(k, lam), args.epsilon)
-        rows = [{"n": n, "unnormalized": w} for n, w in enumerate(table.values)]
-        _emit(rows, ["n", "unnormalized"], args)
+        rows = ({"n": n, "unnormalized": w} for n, w in enumerate(table.values))
+        _emit(_Rows(len(table.values), rows), ["n", "unnormalized"], args)
     return 0
 
 

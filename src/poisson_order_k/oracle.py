@@ -46,11 +46,12 @@ def count_tuples(k: int, n: int) -> int:
     return counts[n]
 
 
-def enumerate_tuples(k: int, n: int) -> list[tuple[int, ...]]:
-    """Every multiplicity tuple exactly once, in a fixed deterministic order.
+def _each_tuple(k: int, n: int, visit) -> None:
+    """Call ``visit(counts)`` on every multiplicity tuple exactly once, in a
+    fixed deterministic order; ``counts`` is one list, changed between calls.
 
     Recursive descent on part sizes from k down to 1, taking the multiplicity
-    of each part from high to low.  n = 0 yields the single all-zero tuple.
+    of each part from high to low.  n = 0 visits the single all-zero tuple.
     Refuses (RuntimeError) when the solution count exceeds ``_TUPLE_BUDGET``.
     """
     total = count_tuples(k, n)
@@ -58,13 +59,12 @@ def enumerate_tuples(k: int, n: int) -> list[tuple[int, ...]]:
         raise RuntimeError(
             f"{total} tuples for k={k}, n={n} exceeds the budget of {_TUPLE_BUDGET}"
         )
-    out: list[tuple[int, ...]] = []
     counts = [0] * k
 
     def descend(part: int, rem: int) -> None:
         if part == 1:
             counts[0] = rem
-            out.append(tuple(counts))
+            visit(counts)
             counts[0] = 0
             return
         for c in range(rem // part, -1, -1):
@@ -73,6 +73,17 @@ def enumerate_tuples(k: int, n: int) -> list[tuple[int, ...]]:
         counts[part - 1] = 0
 
     descend(k, n)
+
+
+def enumerate_tuples(k: int, n: int) -> list[tuple[int, ...]]:
+    """Every multiplicity tuple exactly once, in the fixed order of the
+    descent that ``weight_polynomial`` sums over.
+
+    n = 0 gives the single all-zero tuple.  Refuses (RuntimeError) when the
+    solution count exceeds ``_TUPLE_BUDGET``.
+    """
+    out: list[tuple[int, ...]] = []
+    _each_tuple(k, n, lambda counts: out.append(tuple(counts)))
     return out
 
 
@@ -101,19 +112,23 @@ def weight_polynomial(k: int, n: int) -> WeightPolynomial:
 
     Over a common denominator that sum is S_d / d!, where S_d adds up the
     integer multinomials d!/(n_1! ... n_k!).  The tuples are summed in plain
-    integers and each coefficient is reduced once, as Fraction(S_d, d!);
-    powers appear in ``coeffs`` in the order the tuples first reach them.
+    integers as the descent reaches them, so no list of them is built, and
+    each coefficient is reduced once, as Fraction(S_d, d!); powers appear in
+    ``coeffs`` in the order the tuples first reach them.
     """
     fact = [1]
     for i in range(1, n + 1):
         fact.append(fact[-1] * i)
     sums: dict[int, int] = {}
-    for t in enumerate_tuples(k, n):
+
+    def add(t: list[int]) -> None:
         d = sum(t)
         denom = 1
         for c in t:
             denom *= fact[c]
         sums[d] = sums.get(d, 0) + fact[d] // denom
+
+    _each_tuple(k, n, add)
     coeffs = {d: Fraction(s, fact[d]) for d, s in sums.items()}
     return WeightPolynomial(k=k, n=n, coeffs=coeffs)
 

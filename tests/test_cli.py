@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import inspect
@@ -13,11 +14,14 @@ import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import poisson_order_k
-from poisson_order_k import checks, cli, oracle, pmf, roots, structure
+from poisson_order_k import checks, cli, oracle, output, pmf, roots, structure
 from poisson_order_k.cli import _emit, main
 from poisson_order_k.pmf import Params, build_table_km
 
@@ -296,7 +300,104 @@ def fake_pool(monkeypatch, log):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            log.append(("shutdown", cancel_futures))
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+
+
+class TestStreaming:
+    """scan writes each row as its point completes, so its memory does not
+    grow with the grid, and a failure leaves exactly the rows before it."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_row_is_out_before_the_next_point(self, capsys, monkeypatch, fmt):
+        stdout, seen = io.StringIO(), []
+        point = cli._scan_point
+
+        def spied(task):
+            seen.append(stdout.getvalue())
+            return point(task)
+
+        monkeypatch.setattr(output, "_BATCH", 1)
+        monkeypatch.setattr(cli, "_scan_point", spied)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = "scan --k-min 2 --k-max 4 --lambda-grid 0.5 2 2 --format".split()
+        assert main([*argv, fmt]) == 0
+        whole = stdout.getvalue()
+        assert len(seen) == 6 and seen[0] == ""
+        for done, before in enumerate(seen[1:], start=1):
+            assert whole.startswith(before)
+            if fmt == "csv":
+                assert before.count("\n") == done + 1  # the header and the rows
+            else:
+                assert before.count("\n  }") == done and before.endswith("\n  }")
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_first_point_failure_writes_nothing(self, capsys, monkeypatch, tmp_path, fmt):
+        def fails(k):
+            raise RuntimeError(f"no bracket at k={k}")
+
+        monkeypatch.setattr(roots, "shoulder_lambda", fails)
+        argv = f"scan --k-min 2 --k-max 3 --lambda-rule shoulder --format {fmt}".split()
+        kept, fresh = tmp_path / "kept.out", tmp_path / "fresh.out"
+        kept.write_text("an earlier scan\n")
+        for path in (kept, fresh):
+            code, out, err = run(capsys, *argv, "--out", str(path))
+            assert (code, out, err) == (2, "", "computation failed: no bracket at k=2\n")
+        assert kept.read_text() == "an earlier scan\n"
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failure_leaves_the_rows_before_it(self, capsys, monkeypatch, fmt):
+        argv = f"scan --k-min 2 --k-max 3 --lambda-rule shoulder --format {fmt}".split()
+        argv[4] = "2"
+        _, first, _ = run(capsys, *argv)  # the k = 2 scan alone
+        argv[4] = "3"
+        solve = roots.shoulder_lambda
+
+        def fails_at_three(k):
+            if k == 3:
+                raise RuntimeError("no bracket at k=3")
+            return solve(k)
+
+        monkeypatch.setattr(roots, "shoulder_lambda", fails_at_three)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, "computation failed: no bracket at k=3\n")
+        if fmt == "csv":
+            assert len(rows_of(out)) == 1 and out == first  # the header and k = 2
+        else:
+            assert out == first.removesuffix("\n]\n")  # the document is incomplete
+
+    def test_failed_point_drops_the_pools_unstarted_points(self, capsys, monkeypatch):
+        log = []
+        fake_pool(monkeypatch, log)
+
+        def fails(k):
+            raise RuntimeError(f"no bracket at k={k}")
+
+        monkeypatch.setattr(roots, "shoulder_lambda", fails)
+        argv = "scan --k-min 2 --k-max 9 --lambda-rule shoulder --jobs 2".split()
+        assert run(capsys, *argv)[:2] == (2, "")
+        assert log == [2, ("shutdown", True)]
+
+    def test_closed_pipe_ends_a_parallel_scan_quietly(self):
+        # more than one batch of rows, so the reader's leaving is seen mid-scan
+        src = str(Path(poisson_order_k.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = "scan --k-min 2 --k-max 30 --lambda-grid 0.05 3 40 --jobs 2".split()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "poisson_order_k", *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestVerifyCommand:
@@ -351,6 +452,28 @@ class TestFigsCommand:
         assert "invalid choice" in err
 
 
+# every kind of cell a row carries: floats at any precision (printed at 12
+# digits), index tuples, and strings that JSON must escape
+CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**15), 10**15),
+    st.floats(),
+    st.lists(st.integers(0, 10**4), max_size=4).map(tuple),
+    st.text(st.sampled_from('ab;,"\\\n\t\x00é€𝄞'), max_size=8),
+    st.text(max_size=8),
+)
+
+
+def json_cell(x):
+    """A cell as the JSON rows should carry it, written out independently."""
+    if isinstance(x, float):
+        return float(format(x, ".12g"))
+    if isinstance(x, tuple):
+        return ";".join(str(i) for i in x)
+    return x
+
+
 class TestOutputContract:
     def test_byte_identical_reruns(self, capsys):
         args = ("bounds", "--k-min", "2", "--k-max", "5")
@@ -394,7 +517,7 @@ class TestOutputContract:
             {"k": 3, "lambda": 0.5, "modes": "0;1", "triple_ties": False,
              "error": 'bad "rate"'},
         ]
-        # enough rows that the encoder's chunks span several written slices
+        # enough rows (about 100 KB) to span two batched writes
         _emit(rows * 500, header, argparse.Namespace(format="json", out=None))
         payload = [
             {"k": 2, "lambda": 0.333333333333, "modes": None, "triple_ties": True,
@@ -403,6 +526,39 @@ class TestOutputContract:
              "error": 'bad "rate"'},
         ] * 500
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    @given(
+        rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
+        batch=st.integers(1, 300),
+    )
+    @example(rows=[], batch=1)
+    @example(
+        rows=[[None, True, 12], [1 / 3, (0, 2), 'a "b" \\ c\nd é 𝄞'], [False, (), ""]],
+        batch=1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_json_writer_matches_json_dumps(self, rows, batch):
+        header = ["a", "b", "c"]
+        got = io.StringIO()
+        with mock.patch.object(output, "_BATCH", batch), contextlib.redirect_stdout(got):
+            _emit([dict(zip(header, row)) for row in rows], header,
+                  argparse.Namespace(format="json", out=None))
+        payload = [{h: json_cell(x) for h, x in zip(header, row)} for row in rows]
+        assert got.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    @given(rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
+           batch=st.integers(1, 300))
+    @settings(max_examples=50, deadline=None)
+    def test_csv_is_the_same_in_any_batch(self, rows, batch):
+        header = ["a", "b", "c"]
+        outs = []
+        for size in (batch, output._BATCH):
+            got = io.StringIO()
+            with mock.patch.object(output, "_BATCH", size), contextlib.redirect_stdout(got):
+                _emit([dict(zip(header, row)) for row in rows], header,
+                      argparse.Namespace(format="csv", out=None))
+            outs.append(got.getvalue())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
         "statement, unloaded",

@@ -106,6 +106,19 @@ class TestWeightPolynomial:
     def test_order_one_is_pure_power(self):
         assert weight_polynomial(1, 4).coeffs == {4: Fraction(1, 24)}
 
+    def test_builds_no_tuple_list(self, monkeypatch):
+        # the tuples are summed as the descent reaches them
+        def refuse(k, n):
+            raise AssertionError("weight_polynomial listed its tuples")
+
+        monkeypatch.setattr(oracle, "enumerate_tuples", refuse)
+        assert weight_polynomial(3, 3).coeffs == {1: 1, 2: 1, 3: Fraction(1, 6)}
+
+    def test_budget_guard_refuses(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_TUPLE_BUDGET", 10)
+        with pytest.raises(RuntimeError, match="budget of 10"):
+            weight_polynomial(3, 12)
+
     def test_pickles_and_refuses_assignment(self):
         poly = weight_polynomial(3, 3)
         back = pickle.loads(pickle.dumps(poly))
