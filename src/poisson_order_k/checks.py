@@ -33,13 +33,14 @@ def oracle_equivalence() -> tuple[bool, str]:
         polys = [oracle.weight_polynomial(k, n) for n in range(16)]
         for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
             table = pmf.build_table(pmf.Params(k, float(lam)), 15)
-            for n in range(16):
-                exact = float(polys[n].evaluate(lam))
-                rel = abs(table.values[n] - exact) / exact
-                worst = max(worst, rel)
+            for n, (got, poly) in enumerate(zip(table.values, polys, strict=True)):
+                exact = float(poly.evaluate(lam))
+                rel = abs(got - exact) / exact
+                if rel > worst:
+                    worst = rel
                 if rel > 1e-12:
                     return False, (
-                        f"k={k} n={n} lam={lam}: got {table.values[n]!r}, "
+                        f"k={k} n={n} lam={lam}: got {got!r}, "
                         f"want {exact!r} (rel {rel:.3e})"
                     )
     return True, f"k<=5, n<=15, worst rel {worst:.3e}"
@@ -53,15 +54,16 @@ def recurrence_cross_check() -> tuple[bool, str]:
         for lam in (0.1, 0.6026076, 4.0 / 3.0, 3.0):
             a = pmf.build_table(pmf.Params(k, lam), 200)
             b = pmf.build_table_km(pmf.Params(k, lam), 200)
-            for n in range(201):
-                x, y = a.values[n], b.values[n]
-                if max(x, y) < fmin:
+            for n, (x, y) in enumerate(zip(a.values, b.values, strict=True)):
+                top = x if x > y else y
+                if top < fmin:
                     # below the normal range floats hold no relative precision
                     if abs(x - y) >= fmin:
                         return False, f"k={k} n={n} lam={lam}: subnormal mismatch"
                     continue
-                rel = abs(x - y) / max(x, y)
-                worst = max(worst, rel)
+                rel = abs(x - y) / top
+                if rel > worst:
+                    worst = rel
                 if rel > 1e-10:
                     return False, f"k={k} n={n} lam={lam}: rel gap {rel:.3e}"
     return True, f"k<=10, n<=200, worst rel {worst:.3e}"

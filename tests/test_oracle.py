@@ -2,14 +2,16 @@
 
 import math
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_order_k import oracle
+from poisson_order_k import checks, oracle
 from poisson_order_k.oracle import (
+    WeightPolynomial,
     count_tuples,
     enumerate_tuples,
     lambda2_coefficient,
@@ -86,6 +88,17 @@ class TestEnumerateTuples:
         with pytest.raises(RuntimeError, match="budget of 10"):
             enumerate_tuples(3, 12)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_capped_walk_is_the_filtered_enumeration(self, k):
+        # same tuples, same order; the budget guard counts exactly these
+        for n in range(21):
+            every = enumerate_tuples(k, n)
+            for parts in range(5):
+                seen = []
+                oracle._each_tuple(k, n, lambda t: seen.append(tuple(t)), parts)
+                assert seen == [t for t in every if sum(t) <= parts], (n, parts)
+                assert oracle._count(k, n, parts) == len(seen), (n, parts)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             enumerate_tuples(0, 3)
@@ -156,6 +169,50 @@ class TestWeightPolynomial:
             assert poly.coeffs[low] == Fraction(1, math.factorial(n // k))
 
 
+def term_by_term(poly: WeightPolynomial, lam: Fraction) -> Fraction:
+    return sum((Fraction(c) * lam**d for d, c in poly.coeffs.items()), Fraction(0))
+
+
+class TestEvaluate:
+    @given(
+        st.dictionaries(
+            st.integers(0, 12),
+            st.fractions(min_value=-5, max_value=5, max_denominator=10**6)
+            | st.integers(-10**6, 10**6),
+            max_size=8,
+        ),
+        st.fractions(min_value=-4, max_value=4, max_denominator=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_term_by_term_sum(self, coeffs, lam):
+        poly = WeightPolynomial(k=2, n=0, coeffs=coeffs)
+        got = poly.evaluate(lam)
+        assert type(got) is Fraction and got == term_by_term(poly, lam)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {1: Fraction(1, 3)},
+            {0: Fraction(2, 7), 3: Fraction(5, 11)},
+            {0: 4},
+            {2: 3, 1: Fraction(1, 2)},
+            {},
+        ],
+    )
+    @pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(-7, 3), 2, 0.1])
+    def test_hand_built_polynomials(self, coeffs, lam):
+        # denominators that do not divide degree!, int coefficients, degree 0
+        poly = WeightPolynomial(k=3, n=3, coeffs=coeffs)
+        assert poly.evaluate(lam) == term_by_term(poly, Fraction(lam))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_oracle_polynomials(self, k):
+        for n in range(16):
+            poly = weight_polynomial(k, n)
+            for lam in (Fraction(1, 4), Fraction(3, 2), 0.6026076):
+                assert poly.evaluate(lam) == term_by_term(poly, Fraction(lam))
+
+
 class TestWeightExact:
     def test_level_three_halves(self):
         assert weight_exact(2, 2, Fraction(1)) == Fraction(3, 2)
@@ -189,7 +246,45 @@ class TestLambda2Coefficient:
         assert lambda2_coefficient(k, j) == expected
 
     def test_matches_full_polynomial(self):
-        assert lambda2_coefficient(2, 1) == weight_polynomial(2, 3).coeffs[2]
+        # over the verify grid: the walk capped at two parts reads the same
+        # coefficient as the whole polynomial
+        for k in range(2, 13):
+            for j in range(1, k + 1):
+                want = weight_polynomial(k, k + j).coeffs.get(2, 0)
+                assert lambda2_coefficient(k, j) == want, (k, j)
+
+    def test_verify_suite_walks_only_the_two_part_tuples(self, monkeypatch):
+        walked = []
+        each_tuple = oracle._each_tuple
+
+        def counting(k, n, visit, parts=None):
+            def count(t):
+                walked.append(parts)
+                visit(t)
+
+            each_tuple(k, n, count, parts)
+
+        monkeypatch.setattr(oracle, "_each_tuple", counting)
+        assert checks.lambda2_coefficients()[0]
+        # the whole polynomials of w_{k+j}, k = 2..12, have 15,411 tuples
+        assert walked == [2] * 202
+
+    def test_large_orders_are_cheap(self):
+        # w_120 at k = 60 has 1,838,676,678 tuples; w_61..w_120 have at most
+        # 30 tuples of at most two parts
+        start = time.perf_counter()
+        for j in (1, 30, 60):
+            assert lambda2_coefficient(60, j) == Fraction(61 - j, 2)
+        assert lambda2_coefficient(40, 40) == Fraction(1, 2)
+        assert time.perf_counter() - start < 0.5
+
+    def test_budget_guard_counts_the_capped_walk(self, monkeypatch):
+        # w_13 at k = 12 has 100 tuples, 6 of them of at most two parts
+        monkeypatch.setattr(oracle, "_TUPLE_BUDGET", 6)
+        assert lambda2_coefficient(12, 1) == 6
+        monkeypatch.setattr(oracle, "_TUPLE_BUDGET", 5)
+        with pytest.raises(RuntimeError, match="6 tuples for k=12, n=13 exceeds the budget of 5"):
+            lambda2_coefficient(12, 1)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_linear_drop_identity(self, k):
