@@ -124,6 +124,7 @@ def _scan_point(task: tuple) -> dict:
         rep = structure.decided_report(table, tie_tol, tail_tol)
         return rep is not None
 
+    decided.fast = structure._fast(tie_tol, tail_tol)  # the runs' band edge
     try:
         table = build_adaptive_table(Params(k, lam), epsilon, decided=decided)
         if rep is None:

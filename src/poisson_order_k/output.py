@@ -29,6 +29,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _csv_cell(text: str) -> str:
+    # quoted where csv.writer quotes, and also around a lone \r, which
+    # csv.writer(lineterminator="\n") leaves bare and csv.reader then refuses
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _json_value(x):
     if isinstance(x, float):
         # reparse the 12-digit form so JSON and CSV carry identical values
@@ -46,7 +54,7 @@ _BATCH = 1 << 16
 
 class _Batched:
     """A text sink that passes what it is given on in writes of about ``_BATCH``
-    characters (``csv.writer`` writes to it as to a file)."""
+    characters; the rows are written to it as to a file."""
 
     __slots__ = ("_out", "_parts", "_size")
 
@@ -89,25 +97,25 @@ def _emit(rows, header: list[str], args) -> None:
     Nothing is written, and ``--out`` is neither created nor truncated,
     before the first row arrives (or the rows turn out to be none), so a
     command that fails before it leaves no output.  A failure after it
-    leaves the rows that arrived first: an incomplete document.
+    leaves the rows that arrived first: an incomplete document.  An
+    ``--out`` that cannot be opened is a ``ValueError`` naming it.
     """
     rows = iter(rows)
     first = next(rows, None)
     out = sys.stdout
     if args.out is not None:
-        out = open(args.out, "w", encoding="utf-8", newline="")
+        try:
+            out = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:  # an invalid parameter: exit 1, not a traceback
+            raise ValueError(f"--out {args.out}: {exc.strerror or exc}") from exc
     sink = _Batched(out)
     try:
         if args.format == "csv":
-            import csv  # here: verify and --format json never use it
-
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(header)
+            sink.write(",".join(map(_csv_cell, header)) + "\n")
             if first is not None:
-                writer.writerows(
-                    [_fmt(row[h]) for h in header]
-                    for row in itertools.chain((first,), rows)
-                )
+                for row in itertools.chain((first,), rows):
+                    cells = [_csv_cell(_fmt(row[h])) for h in header]
+                    sink.write(",".join(cells) + "\n")
         elif first is None:
             sink.write("[]\n")
         else:

@@ -22,7 +22,8 @@ step.  Those sums are recomputed by the loop's own step, ``_extend_kp``
 (the one k-term window sum), whenever their rounding-error bound passes
 ``_RESYNC`` (and every k steps), so each entry stays within a tenth of
 ``_MARGIN`` of the loop's.  A decision that does not clear ``_MARGIN`` is
-left to the loop, which then builds the table inside the same call.
+left to the loop, which then builds the table inside the same call.  The
+build also records the table's runs, which ``structure`` decides it from.
 """
 
 import math
@@ -296,9 +297,9 @@ _ULP = sys.float_info.epsilon / 2  # unit roundoff: one rounding errs by at most
 
 
 def _running_weights(
-    k: int, lam: float, scale: float, epsilon: float
-) -> tuple[list[float], float] | None:
-    """(w_0..w_n_max, mass) by running sums, or None where the loop must decide.
+    k: int, lam: float, scale: float, epsilon: float, fast: float = 0.0
+) -> tuple[list[float], float, list[int]] | None:
+    """(w_0..w_n_max, mass, runs) by running sums, or None where the loop must decide.
 
     Carries S_n = sum_{j=1..k} j w_{n-j} and U_n = sum_{j=1..k} w_{n-j}
     (negative indices zero) with
@@ -319,6 +320,9 @@ def _running_weights(
     near-tie between consecutive entries, or a stop that other conditions
     allow but the mass or the last value cannot settle, returns None, and
     so does an entry that is zero or not finite, or one past the cap.
+    Each entry is compared with the previous one against the shape walk's
+    band edge ``fast``, at most (1 - m)/(1 + m) with m = ``_MARGIN``, first,
+    and ``runs`` are the runs so found, as ``structure._runs`` finds them.
     """
     m = _MARGIN
     falls, rises = 1.0 - m, 1.0 + m
@@ -335,8 +339,11 @@ def _running_weights(
     prev = 1.0
     dec_run = 0
     due = k + 1
+    runs = []
+    kind = 0  # the last pair: 1 a clear rise, -1 a clear fall, 0 in the band
+    inf, resync = math.inf, _RESYNC  # locals: the loop reads them at every step
     for n in range(1, _ADAPTIVE_CAP + 1):
-        if n == due or err_s > _RESYNC * s:
+        if n == due or err_s > resync * s:
             s = _extend_kp(w, k, lam, n)
             u = sum(w[-k - 1 : -1])
             x = w[-1]
@@ -345,18 +352,31 @@ def _running_weights(
         else:
             x = lam * s / n
             w.append(x)
-        if not 0.0 < x < math.inf:
+        if not 0.0 < x < inf:
             return None
-        if x < prev * falls:
+        if x < prev * fast:  # a clear fall, so x < prev * falls
             dec_run += 1
-        elif x > prev * rises:
+            if kind >= 0:
+                runs.append(n)
+                kind = -1
+        elif prev < x * fast:  # a clear rise, so x > prev * rises
             dec_run = 0
+            if kind <= 0:
+                runs.append(n)
+                kind = 1
         else:
-            return None
+            if x < prev * falls:
+                dec_run += 1
+            elif x > prev * rises:
+                dec_run = 0
+            else:
+                return None
+            runs.append(n)
+            kind = 0
         mass += scale * x
         if dec_run >= k and mass >= mass_low and x <= last_high:
             if mass >= mass_high and x <= last_low:
-                return w[k:], mass
+                return w[k:], mass, runs
             return None
         old = w[n]  # w_{n-k}
         a = u + x
@@ -369,6 +389,10 @@ def _running_weights(
         err_s += err_u + u3 * t
         prev = x
     return None
+
+
+class _Running(PmfTable):
+    """A candidate of ``decided``: its ``runs`` and ``fast`` are not fields."""
 
 
 def build_adaptive_table(
@@ -400,7 +424,10 @@ def build_adaptive_table(
     accepts it; otherwise the loop builds the table, once, inside this call,
     and decides.  ``decided`` states whether the caller's comparisons on
     the candidate clear the margin too, and may keep what it computed on it
-    (``scan`` keeps the report of ``structure.decided_report``).
+    (``scan`` keeps the report of ``structure.decided_report``).  The band
+    edge of the caller's shape walk reaches the build as the attribute
+    ``fast`` of ``decided``, and the runs found at it come back as the
+    candidate's ``runs`` and ``fast``, for the walk to replay.
     """
     _check_real("epsilon", epsilon, 0.0, 1.0)
     k, lam = params.k, params.lam
@@ -411,12 +438,15 @@ def build_adaptive_table(
             f"normalized-mass truncation is unusable at this scale"
         )
     if decided is not None:
-        running = _running_weights(k, lam, scale, epsilon)
+        # a clear step must clear the near-tie test of the build by the margin
+        fast = min(getattr(decided, "fast", 0.0), (1.0 - _MARGIN) / (1.0 + _MARGIN))
+        running = _running_weights(k, lam, scale, epsilon, fast)
         if running is not None:
-            w, mass = running
-            table = PmfTable(params=params, values=tuple(w), mass_captured=mass)
+            w, mass, runs = running
+            table = _Running(params=params, values=tuple(w), mass_captured=mass)
+            table.fast, table.runs = fast, runs
             if decided(table):
-                return table
+                return PmfTable(*table)
     w = [1.0]
     mass = scale
     dec_run = 0

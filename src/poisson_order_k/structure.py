@@ -1,10 +1,13 @@
 """Shape analysis of weight tables: modes, local maxima, monotone stretches.
 
-All analyses are pure functions of an immutable table.  One walk over
-neighbouring pairs decides modes, maxima, tie runs and the tail, and checks
-each of those comparisons against ``_MARGIN`` as it makes it: ``build_report``
-and ``decided_report`` make it once, and ``find_modes``, ``local_maxima``,
-``find_triple_ties`` and ``check_monotone_tail`` are views of it.  Mode finding refuses
+All analyses are pure functions of an immutable table.  One walk over the
+table's runs (``_runs``: stretches of clear rises or of clear falls, or one
+pair inside the tie band; a scan table has a few) decides modes, maxima, tie
+runs and the tail, and checks each of those comparisons against ``_MARGIN``
+as it makes it: ``build_report`` and ``decided_report`` make it once, and
+``find_modes``, ``local_maxima``, ``find_triple_ties`` and
+``check_monotone_tail`` are views of it; ``check_initial_increase`` and the
+block check read their signs off the runs.  Mode finding refuses
 tables that are not past their last peak (see ``build_adaptive_table``), so a
 reported mode can never be an artifact of truncation.  The audits compare the
 observed shape against the proved mode bounds and against the conjectured
@@ -12,7 +15,9 @@ sharper floor; conjecture violations are reported, never raised, because a
 conjecture under test is not an invariant.
 """
 
+import bisect
 import math
+import operator
 from collections import namedtuple
 
 from .pmf import _MARGIN, Params, PmfTable, _check_real
@@ -51,8 +56,39 @@ class StructureReport(
     __slots__ = ()
 
 
+def _fast(tie_tol: float, tail_tol: float) -> float:
+    """The walk's band edge: (1 - tie_tol)(1 - ``_MARGIN``), 0.0 from tie_tol
+    = 0.99 on (see ``_walk``), lowered where needed so that a rise past it
+    clears the tail band, 1 + tail_tol, by the margin as well."""
+    m = _MARGIN
+    fast = (1.0 - tie_tol) * (1.0 - m) if tie_tol < 0.99 else 0.0
+    tail_high = (1.0 + tail_tol) * (1.0 + m)
+    return (1.0 - m) / tail_high if fast * tail_high > 1.0 - m else fast
+
+
+def _runs(v, fast: float) -> list[int]:
+    """The first pair n, (v[n - 1], v[n]), of each maximal stretch of clear
+    rises (a < b * fast) or of clear falls (b < a * fast), and of each pair
+    between: the runs that ``pmf._running_weights`` records as it builds."""
+    runs, kind = [], 0
+    for n, (a, b) in enumerate(zip(v, v[1:]), 1):
+        step = -1 if b < a * fast else 1 if a < b * fast else 0
+        if step != kind or not step:
+            runs.append(n)
+        kind = step
+    return runs
+
+
+def _every(v, runs: list[int], lo: int, hi: int, holds) -> bool:
+    """Whether the order ``holds(v[n - 1], v[n])`` for every pair n in lo..hi:
+    the pairs of a run longer than one all rise, or all fall, so one pair
+    answers for its run."""
+    first = bisect.bisect_right(runs, lo) - 1
+    return lo > hi or all(holds(v[s - 1], v[s]) for s in runs[first:] if s <= hi)
+
+
 def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True):
-    """(modes, local maxima, triple-tie runs, first tail violation, clear) in one pass.
+    """(modes, local maxima, triple-tie runs, first tail violation, clear, runs).
 
     Checks ``tie_tol``, settledness (when ``settled``), then ``tail_tol``.  For
     neighbours (a, b), b at n: a rise or fall beyond tie_tol * max(a, b) ends
@@ -69,15 +105,22 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True
     or an entry within m * peak of the mode floor (the peak itself excepted
     when it is the only one there).  The sign of every pair decides the
     comparisons of ``check_initial_increase`` and the block check as well.
-    A pair outside the tie band widened by the margin is decided without the
-    exact tests: its rounding stays far inside the margin, except where
-    1 - tie_tol is near the rounding error over the margin, so from
-    tie_tol = 0.99 on every pair takes the exact tests.
+
+    The walk replays the runs at ``_fast`` that the running-sum build
+    recorded, or that one pass finds.  A run of clear steps is decided whole,
+    its rounding far inside the margin, except where 1 - tie_tol nears the
+    rounding error over the margin, so from tie_tol = 0.99 on every pair is a
+    run.  Its entries are monotone: the peak is a run end, the entries near
+    the floor sit at its top, it ends the tie run, and past k its first pair
+    is the tail violation.  A run of one pair takes the exact tests.
     """
     _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     v, k = table.values, table.params.k
-    end = v[-(k + 1):]
-    if settled and (len(end) < k + 1 or any(b >= a for a, b in zip(end, end[1:]))):
+    last = len(v) - 1
+    fast = _fast(tie_tol, tail_tol)
+    # a running-sum table carries the runs its builder recorded at its edge
+    runs = table.runs if getattr(table, "fast", None) == fast else _runs(v, fast)
+    if settled and not (last >= k and _every(v, runs, last - k + 1, last, operator.gt)):
         raise ValueError(
             f"table (k={k}, lam={table.params.lam}, n_max={table.n_max}) is not "
             f"past its last peak: the final {k + 1} weights are not strictly "
@@ -85,67 +128,75 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True
         )
     _check_real("tol", tail_tol, 0.0, inclusive=True)
     m = _MARGIN
-    peak = max(v)
+    ends = [*runs, last + 1]
+    peak = max([v[s - 1] for s in ends])
     floor = (1.0 - tie_tol) * peak
     floor_low, floor_high = (1.0 - tie_tol - m) * peak, (1.0 - tie_tol + m) * peak
     # the smaller of two values over the larger: flat from 1 - tie_tol up
     edge_low, edge_high = (1.0 - tie_tol) * (1.0 - m), (1.0 - tie_tol) * (1.0 + m)
-    fast = edge_low if tie_tol < 0.99 else 0.0
     equal = 1.0 - m  # a pair nearer than this leaves the sign of b - a open
     tail = 1.0 + tail_tol
     tail_low, tail_high = tail * (1.0 - m), tail * (1.0 + m)
-    modes = [0] if v[0] >= floor else []
-    near = int(floor_low <= v[0] <= floor_high)  # entries near the floor
-    peaks, runs, violation, clear = [], [], None, True
+    top_entries = set()  # the entries from floor_low up
+    peaks, ties, violation, clear = [], [], None, True
     top, up = 0, True  # left end of the plateau; whether it began with a rise
     tie = lo = hi = 0  # first index of the tie run; its spread once it has two
-    for n, (a, b) in enumerate(zip(v, v[1:]), 1):
-        if b >= floor_low:
-            if b >= floor:
-                modes.append(n)
-            if b <= floor_high:
-                near += 1
-        if b < a * fast:  # a fall clearly past the tie band
-            if up:
+    for n, end in zip(ends, ends[1:]):
+        e = end - 1  # the run's last pair, and its last entry
+        if e > n:  # clear rises or clear falls, entries n - 1..e
+            rise = v[n] > v[n - 1]
+            j, step = (e, -1) if rise else (n - 1, 1)
+            while n - 1 <= j <= e and v[j] >= floor_low:
+                top_entries.add(j)
+                j += step
+            if rise:
+                top, up = e, True
+                if violation is None and e > k:
+                    violation = max(n, k + 1)
+            elif up:
                 peaks.append(top)
                 up = False
-        else:
-            if n > k and violation is None and b >= a * tail_low:
-                if b > a * tail:
-                    violation = n
-                if b <= a * tail_high:
-                    clear = False
-            if a < b * fast:  # a rise clearly past the tie band
+            if n - tie >= 3:
+                ties.append((tie, n - 1))
+            tie = e
+            continue
+        a, b = v[n - 1], v[n]  # one pair: each exact test against its margin
+        top_entries.update(j for j in (n - 1, n) if v[j] >= floor_low)
+        if n > k and violation is None and b >= a * tail_low:
+            if b > a * tail:
+                violation = n
+            if b <= a * tail_high:
+                clear = False
+        small, big = (a, b) if a < b else (b, a)
+        if big * edge_low <= small <= big * edge_high or small >= big * equal:
+            clear = False
+        flat = big - small <= tie_tol * big
+        if not flat:
+            if b > a:
                 top, up = n, True
-            else:  # inside the widened band: each exact test against its margin
-                small, big = (a, b) if a < b else (b, a)
-                if big * edge_low <= small <= big * edge_high or small >= big * equal:
-                    clear = False
-                flat = big - small <= tie_tol * big
-                if not flat:
-                    if b > a:
-                        top, up = n, True
-                    elif up:
-                        peaks.append(top)
-                        up = False
-                if flat or tie < n - 1:  # otherwise the run of one entry ends here
-                    if tie == n - 1:
-                        lo = hi = a
-                    new_lo, new_hi = min(lo, b), max(hi, b)
-                    if new_hi * edge_low <= new_lo <= new_hi * edge_high:
-                        clear = False
-                    if new_hi - new_lo <= tie_tol * new_hi:
-                        lo, hi = new_lo, new_hi
-                        continue
+            elif up:
+                peaks.append(top)
+                up = False
+        if flat or tie < n - 1:  # otherwise the run of one entry ends here
+            if tie == n - 1:
+                lo = hi = a
+            new_lo, new_hi = min(lo, b), max(hi, b)
+            if new_hi * edge_low <= new_lo <= new_hi * edge_high:
+                clear = False
+            if new_hi - new_lo <= tie_tol * new_hi:
+                lo, hi = new_lo, new_hi
+                continue
         if n - tie >= 3:
-            runs.append((tie, n - 1))
+            ties.append((tie, n - 1))
         tie = n
     if up:
         peaks.append(top)
     if len(v) - tie >= 3:
-        runs.append((tie, len(v) - 1))
+        ties.append((tie, last))
+    modes = tuple(sorted(j for j in top_entries if v[j] >= floor))
+    near = sum(v[j] <= floor_high for j in top_entries)  # entries near the floor
     clear = clear and (near == 0 or near == 1 and peak <= floor_high)
-    return tuple(modes), peaks, runs, violation, clear
+    return modes, peaks, ties, violation, clear, runs
 
 
 def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
@@ -180,10 +231,15 @@ def check_initial_increase(table: PmfTable) -> bool:
     k, lam = table.params.k, table.params.lam
     if table.n_max < k:
         raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
-    v = table.values
-    if not math.isclose(v[1], lam, rel_tol=1e-12, abs_tol=0.0):
-        return False
-    return all(v[n] < v[n + 1] for n in range(1, k))
+    head = table.values[: k + 1]
+    # the pairs of a run share their sign at any band edge
+    return _increases(head, _runs(head, _fast(0.0, 0.0)), k, lam)
+
+
+def _increases(v, runs: list[int], k: int, lam: float) -> bool:
+    # check_initial_increase, read off the runs of v
+    close = math.isclose(v[1], lam, rel_tol=1e-12, abs_tol=0.0)
+    return close and _every(v, runs, 2, k, operator.lt)
 
 
 def check_monotone_tail(
@@ -233,7 +289,7 @@ def check_block_assumption(table: PmfTable, mode_index: int) -> bool:
             f"table ends at {table.n_max}, need index {m + k} for the block check"
         )
     seg = table.values[m : m + k + 1]
-    return all(seg[i] >= seg[i + 1] for i in range(k))
+    return _every(seg, _runs(seg, _fast(0.0, 0.0)), 1, k, operator.ge)
 
 
 def mean_mode_gap(params: Params, modes: tuple[int, ...]) -> float:
@@ -259,16 +315,17 @@ def _audit(
     table: PmfTable, tie_tol: float, tail_tol: float
 ) -> tuple[StructureReport, bool]:
     """(``build_report``'s report, whether its comparisons all clear ``_MARGIN``)."""
-    params = table.params
-    modes, peaks, runs, violation, clear = _walk(table, tie_tol, tail_tol)
+    params, k, v = table.params, table.params.k, table.values
+    modes, peaks, ties, violation, clear, runs = _walk(table, tie_tol, tail_tol)
     bounds_ok, floor_ok = audit_mode_bounds(params, modes)
     block: bool | None = None
-    if modes[0] >= params.k and modes[0] + params.k <= table.n_max:
-        block = check_block_assumption(table, modes[0])
+    if k <= modes[0] <= table.n_max - k:
+        # check_block_assumption at the lowest mode
+        block = _every(v, runs, modes[0] + 1, modes[0] + k, operator.ge)
     report = StructureReport(
         modes=modes,
         local_maxima=tuple(peaks),
-        initial_increase=check_initial_increase(table),
+        initial_increase=_increases(v, runs, k, params.lam),
         monotone_tail_from_k=violation is None,
         first_tail_violation=violation,
         mean=params.mean,
@@ -276,7 +333,7 @@ def _audit(
         mode_bounds_ok=bounds_ok,
         mode_floor_ok=floor_ok,
         block_nonincreasing=block,
-        triple_ties=bool(runs),
+        triple_ties=bool(ties),
     )
     return report, clear
 

@@ -560,12 +560,49 @@ class TestOutputContract:
             outs.append(got.getvalue())
         assert outs[0] == outs[1]
 
+    @given(
+        rows=st.lists(st.lists(st.text(max_size=8), min_size=2, max_size=3), max_size=6),
+        batch=st.integers(1, 300),
+    )
+    @example(rows=[["\r", "a\rb"], ["\r\n", '"\r"']], batch=1)
+    @settings(max_examples=150, deadline=None)
+    def test_csv_reader_reads_back_the_cells(self, rows, batch):
+        # any text, lone carriage returns included (NUL only from Python 3.11
+        # on, where csv.reader accepts it)
+        if sys.version_info < (3, 11):
+            rows = [[c.replace("\x00", "") for c in row] for row in rows]
+        for row in rows:
+            header = [f"c{i}" for i in range(len(row))]
+            got = io.StringIO()
+            with mock.patch.object(output, "_BATCH", batch), contextlib.redirect_stdout(got):
+                _emit([dict(zip(header, row))], header, argparse.Namespace(format="csv", out=None))
+            assert list(csv.reader(io.StringIO(got.getvalue(), newline=""))) == [header, row]
+
+    @given(st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_csv_bytes_are_csv_writers_without_a_carriage_return(self, rows):
+        # csv.writer(lineterminator="\n") wrote the CSV until it left lone \r
+        # bare; every other cell is written as it wrote it
+        drop = "\r" if sys.version_info >= (3, 11) else "\r\x00"
+        rows = [[c.translate(dict.fromkeys(map(ord, drop))) if isinstance(c, str) else c
+                 for c in row] for row in rows]
+        header = ["a", "b", "c"]
+        got = io.StringIO()
+        with contextlib.redirect_stdout(got):
+            _emit([dict(zip(header, row)) for row in rows], header,
+                  argparse.Namespace(format="csv", out=None))
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [header, *([output._fmt(c) for c in row] for row in rows)]
+        )
+        assert got.getvalue() == want.getvalue()
+
     @pytest.mark.parametrize(
         "statement, unloaded",
         [
             # only scan --jobs N > 1 needs the process pool, only verify the
-            # oracle and fractions, only --format json the json module, only
-            # CSV output the csv module; no command needs dataclasses, which
+            # oracle and fractions, only --format json the json module, and
+            # no command the csv module; no command needs dataclasses, which
             # pulls in inspect
             (
                 "import poisson_order_k.cli",
@@ -819,6 +856,14 @@ class TestExitCodes:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unopenable_out_is_one(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, "pmf", "--k", "2", "--lambda", "1", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --out {path}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_tail_bound_rate_below_the_floats_is_one(self, capsys, jobs):

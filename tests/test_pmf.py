@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_order_k import pmf
+from poisson_order_k import pmf, structure
 from poisson_order_k.oracle import weight_exact
 from poisson_order_k.roots import monotone_tail_bound, shoulder_lambda
 from poisson_order_k.pmf import (
@@ -427,6 +427,33 @@ class TestRunningSums:
         (candidate,) = seen
         assert candidate.params == p and candidate.n_max == t.n_max
         assert candidate == build_adaptive_table(p, 1e-10, decided=always)
+
+    def test_candidate_carries_the_runs_of_its_build(self):
+        seen = []
+
+        def decided(candidate):
+            seen.append(candidate)
+            return True
+
+        p = Params(50, 2.0 / 51)
+        decided.fast = structure._fast(1e-9, 1e-12)
+        t = build_adaptive_table(p, 1e-10, decided=decided)
+        (candidate,) = seen
+        assert candidate.fast == decided.fast
+        assert candidate.runs == structure._runs(candidate.values, decided.fast)
+        assert len(candidate.runs) <= 3  # a clear rise, then a clear fall
+        # what the caller gets is a plain table
+        assert type(t) is PmfTable and t == candidate
+        # an edge past (1 - m)/(1 + m) is lowered to it: a clear step must
+        # clear the build's own near-tie test, whatever the caller asks
+        m = pmf._MARGIN
+        decided.fast = 1.0 - m
+        assert build_adaptive_table(p, 1e-10, decided=decided) == t
+        assert seen[1].fast == (1.0 - m) / (1.0 + m)
+        assert seen[1].runs == structure._runs(t.values, seen[1].fast)
+        # a predicate without an edge gets every pair as a run of its own
+        build_adaptive_table(p, 1e-10, decided=seen.append)
+        assert seen[2].runs == list(range(1, len(t.values)))
 
     @pytest.mark.parametrize("k, lam", [(2, 1e-200), (300, 1.1e-219), (1, 740.0), (3, 400.0)])
     def test_failures_are_the_loops(self, k, lam):

@@ -4,11 +4,12 @@ import math
 import pickle
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from poisson_order_k import pmf, structure
 from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_adaptive_table, build_table
-from poisson_order_k.roots import monotone_tail_bound
+from poisson_order_k.roots import monotone_tail_bound, shoulder_lambda
 from poisson_order_k.structure import (
     StructureReport,
     audit_mode_bounds,
@@ -101,6 +102,102 @@ def report_reference(t, tie_tol, tail_tol):
     )
 
 
+def walk_reference(table, tie_tol, tail_tol):
+    """The shape walk pair by pair, as ``structure._walk`` made it before it
+    replayed runs: (modes, local maxima, triple-tie runs, first tail
+    violation, clear) of a settled table."""
+    v, k = table.values, table.params.k
+    m = _MARGIN
+    peak = max(v)
+    floor = (1.0 - tie_tol) * peak
+    floor_low, floor_high = (1.0 - tie_tol - m) * peak, (1.0 - tie_tol + m) * peak
+    edge_low, edge_high = (1.0 - tie_tol) * (1.0 - m), (1.0 - tie_tol) * (1.0 + m)
+    fast = edge_low if tie_tol < 0.99 else 0.0
+    equal = 1.0 - m
+    tail = 1.0 + tail_tol
+    tail_low, tail_high = tail * (1.0 - m), tail * (1.0 + m)
+    modes = [0] if v[0] >= floor else []
+    near = int(floor_low <= v[0] <= floor_high)
+    peaks, runs, violation, clear = [], [], None, True
+    top, up = 0, True
+    tie = lo = hi = 0
+    for n, (a, b) in enumerate(zip(v, v[1:]), 1):
+        if b >= floor_low:
+            if b >= floor:
+                modes.append(n)
+            if b <= floor_high:
+                near += 1
+        if b < a * fast:
+            if up:
+                peaks.append(top)
+                up = False
+        else:
+            if n > k and violation is None and b >= a * tail_low:
+                if b > a * tail:
+                    violation = n
+                if b <= a * tail_high:
+                    clear = False
+            if a < b * fast:
+                top, up = n, True
+            else:
+                small, big = (a, b) if a < b else (b, a)
+                if big * edge_low <= small <= big * edge_high or small >= big * equal:
+                    clear = False
+                flat = big - small <= tie_tol * big
+                if not flat:
+                    if b > a:
+                        top, up = n, True
+                    elif up:
+                        peaks.append(top)
+                        up = False
+                if flat or tie < n - 1:
+                    if tie == n - 1:
+                        lo = hi = a
+                    new_lo, new_hi = min(lo, b), max(hi, b)
+                    if new_hi * edge_low <= new_lo <= new_hi * edge_high:
+                        clear = False
+                    if new_hi - new_lo <= tie_tol * new_hi:
+                        lo, hi = new_lo, new_hi
+                        continue
+        if n - tie >= 3:
+            runs.append((tie, n - 1))
+        tie = n
+    if up:
+        peaks.append(top)
+    if len(v) - tie >= 3:
+        runs.append((tie, len(v) - 1))
+    clear = clear and (near == 0 or near == 1 and peak <= floor_high)
+    return tuple(modes), peaks, runs, violation, clear
+
+
+def increase_reference(t):
+    """``check_initial_increase`` pair by pair."""
+    v, k = t.values, t.params.k
+    close = math.isclose(v[1], t.params.lam, rel_tol=1e-12, abs_tol=0.0)
+    return close and all(v[n] < v[n + 1] for n in range(1, k))
+
+
+def block_reference(t, mode):
+    """``check_block_assumption`` pair by pair."""
+    seg = t.values[mode : mode + t.params.k + 1]
+    return all(a >= b for a, b in zip(seg, seg[1:]))
+
+
+def assert_replay_is_the_pair_walk(t, tie_tol, tail_tol):
+    """The walk over runs decides what the walk over pairs decided."""
+    want = walk_reference(t, tie_tol, tail_tol)
+    assert structure._walk(t, tie_tol, tail_tol)[:5] == want
+    report, clear = structure._audit(t, tie_tol, tail_tol)  # decided_report's
+    assert clear == want[4]
+    modes, k = want[0], t.params.k
+    block = None
+    if modes[0] >= k and modes[0] + k <= t.n_max:
+        block = block_reference(t, modes[0])
+        assert check_block_assumption(t, modes[0]) == block
+    assert report.block_nonincreasing == block
+    assert report.initial_increase == increase_reference(t) == check_initial_increase(t)
+
+
 # a power-of-two tolerance makes exact ties at the tolerance representable:
 # 1 - 2**-30 and 1 + 2**-30 sit exactly on its edge next to 1
 TIE = 2.0**-30
@@ -123,6 +220,7 @@ def assert_walk_matches_references(t):
             want = report_reference(t, tie_tol, tail_tol)
             assert build_report(t, tie_tol, tail_tol) == want
             assert decided_report(t, tie_tol, tail_tol) in (None, want)
+            assert_replay_is_the_pair_walk(t, tie_tol, tail_tol)
     for tail_tol in TAIL_TOLS:
         assert check_monotone_tail(t, tail_tol) == tail_reference(v, t.params.k, tail_tol)
 
@@ -159,6 +257,101 @@ def test_shape_scans_match_references_on_scan_tables():
     points += [(k, monotone_tail_bound(k)) for k in range(2, 51)]
     for k, lam in points:
         assert_walk_matches_references(table(k, lam))
+
+
+def scan_points(name):
+    """The (k, rate) points of the scans the runs are checked on."""
+    if name == "grid":  # scan --k-min 2 --k-max 50 --lambda-grid 0.05 3 20
+        ratio = (3.0 / 0.05) ** (1.0 / 19)
+        return [(k, 0.05 * ratio**i) for k in range(2, 51) for i in range(20)]
+    if name == "mean-k":
+        return [(k, 2.0 / (k + 1)) for k in range(2, 201)]
+    if name == "tail-bound":
+        return [(k, monotone_tail_bound(k)) for k in range(2, 51)]
+    return [(k, shoulder_lambda(k)) for k in range(2, 41)]
+
+
+@pytest.mark.parametrize("name", ["grid", "mean-k", "tail-bound", "shoulder"])
+def test_builder_runs_replay_to_the_pair_walk_on_scan_tables(name):
+    # each table a scan decides on: the running-sum table with the runs its
+    # build recorded, or the loop's table where the build refuses
+    tail_tol = 1e-12
+    for k, lam in scan_points(name):
+        scale = math.exp(-k * lam)
+        # at edge 0.0 no pair is clear, so the build decides as it did before
+        # it recorded runs: the edge must not change what it returns or refuses
+        plain = pmf._running_weights(k, lam, scale, 1e-10)
+        loop = table(k, lam) if plain is None else None
+        for tie_tol in (0.0, 1e-9, 0.25, 0.995):
+            fast = structure._fast(tie_tol, tail_tol)
+            running = pmf._running_weights(k, lam, scale, 1e-10, fast)
+            assert (running is None) == (plain is None)
+            if running is None:
+                t = loop
+            else:
+                w, mass, runs = running
+                assert (w, mass) == plain[:2]
+                assert runs == structure._runs(w, fast)
+                t = pmf._Running(Params(k, lam), tuple(w), mass)
+                t.fast, t.runs = fast, runs
+            assert_replay_is_the_pair_walk(t, tie_tol, tail_tol)
+
+
+@given(
+    st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308]),
+    st.sampled_from([1.0, 1.0 + TIE, 1.0 - TIE, 1.0 + 2e-13, 1.0 - 2e-13, 1.0 + _MARGIN]),
+    st.integers(-4, 4),
+    st.sampled_from([0.0, TIE, 1e-9, 0.25, 0.5, 0.995]),
+    st.sampled_from([0.0, TIE, 1e-12, 0.5, 1.0]),
+)
+@settings(max_examples=500, deadline=None)
+def test_a_clear_pair_is_no_close_call(a, ratio, ulps, tie_tol, tail_tol):
+    # the running build refuses a pair within the margin of equality, and the
+    # walk takes a clear rise past k for a clear tail violation; both hold at
+    # the ulp edge of the band, where a < b * fast can meet b <= a * (1 + m)
+    fast = structure._fast(tie_tol, tail_tol)
+    b = a * ratio / fast if fast else a * ratio
+    for _ in range(abs(ulps)):
+        b = math.nextafter(b, math.inf if ulps > 0 else 0.0)
+    for x, y in ((a, b), (b, a)):
+        if x < y * fast:  # a clear rise from x to y
+            assert y > x * (1.0 + _MARGIN)
+            assert y > x * ((1.0 + tail_tol) * (1.0 + _MARGIN))
+        if y < x * fast:  # a clear fall
+            assert y < x * (1.0 - _MARGIN)
+
+
+# the ratio of a pair to its predecessor: plateaus, pairs inside and on the
+# edge of the tie bands, rises just past the tail tolerances, clear steps
+RATIOS = st.sampled_from(
+    [1.0, 1.0 + TIE, 1.0 - TIE, 1.0 + 1e-12, 1.0 + 2e-12, 1.0 - 1e-10, 0.75, 0.8,
+     1.25, 0.99, 1.01, 0.5, 2.0, 1e-3]
+) | st.floats(0.1, 10.0)
+
+
+@given(
+    st.lists(RATIOS, min_size=1, max_size=40),
+    st.sampled_from([1.0, 1e-310, 1e-320]),
+    st.integers(1, 4),
+    st.sampled_from([0.0, TIE, 1e-9, 0.25, 0.995]),
+    st.sampled_from([0.0, TIE, 1e-12, 1.0]),
+)
+@example([1.0, 1.0, 1.0, 2.0, 0.5], 1.0, 1, 1e-9, 1e-12)  # a plateau, then a peak
+@example([2.0, 1.0 + TIE, 0.5, 1.0 + 1e-12], 1.0, 1, 0.0, 0.0)  # tail rises past k
+@example([1.25, 0.8, 0.8, 1.25], 1e-320, 2, 0.25, 0.0)  # subnormal pairs in the band
+@settings(max_examples=400, deadline=None)
+def test_runs_replay_to_the_pair_walk(ratios, start, k, tie_tol, tail_tol):
+    v = [start]
+    for r in ratios:
+        v.append(v[-1] * r)
+    # w_1 is the rate; a strictly decreasing end keeps the table settled
+    v += [v[-1] * 0.5**i for i in range(1, k + 2)]
+    assume(all(b < a for a, b in zip(v[-k - 1 :], v[-k:])))  # no underflow to 0
+    t = PmfTable(Params(k, v[1]), tuple(v), 1.0)
+    fast = structure._fast(tie_tol, tail_tol)
+    runs = structure._runs(v, fast)
+    assert runs == sorted(set(runs)) and runs[:1] == [1]
+    assert_replay_is_the_pair_walk(t, tie_tol, tail_tol)
 
 
 @pytest.mark.parametrize("scan", [find_modes, local_maxima, find_triple_ties, build_report])
