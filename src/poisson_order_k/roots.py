@@ -10,7 +10,10 @@ is an n-term closed form, evaluated in O(n); past k it is an entry of a
 k-term table.  The shoulder's bracket is the grid step across which the O(k)
 closed form of the gap w(k+2) - w(k+1) changes sign, confirmed once at each
 end on the k-term gap, and the root is solved on the k-term pair at k+1 and
-k+2.
+k+2.  Every order uses the same grid, and for n <= k the k-term window covers
+the whole prefix, so w_0..w_k at a grid rate do not depend on k: the bracket
+ends read one prefix per grid rate, kept here and extended by the kernel, and
+take their two window steps past k on a copy of it.
 
 From the n = k crossings at levels 1 and 2 this module derives the constants
 that delimit the distribution's shape regimes: the proved monotone-tail
@@ -22,7 +25,7 @@ which the two weights just past k are equal.
 import math
 from collections import namedtuple
 
-from .pmf import Params, _check_int, _check_real, _kterm_weights
+from .pmf import Params, _check_int, _check_real, _extend_kp, _kterm_weights
 
 __all__ = [
     "RootResult",
@@ -190,6 +193,11 @@ def solve_weight_equals(
     The initial bracket is (0, root_upper_bound(k, n, c)]; the upper end is
     nudged up by tiny factors in the (equality) cases where the bound is the
     root itself and float rounding puts the evaluated weight just below c.
+
+    The solve stops on the absolute residual ``tol * max(1, c)`` or a bracket
+    of 4 ulps of max(1, x), so for c < 1 the root can be far off: (3, 3,
+    1e-150) returns 5e-151, half the root.  A relative stop would mend it but
+    moves verify's closed-form-roots worst error (c = 0.5), a printed digit.
     """
     hi = root_upper_bound(k, n, c)  # validates k, n and c
     _check_real("tol", tol, 0.0)
@@ -276,6 +284,30 @@ def _gap_factor(k: int, lam: float) -> float:
     return k * lam / 6.0 * s - 0.5
 
 
+# w_0, w_1, ... at each shoulder grid rate, shared by every order
+_grid_prefix: dict[float, list[float]] = {}
+
+
+def _grid_weights(k: int, lam: float) -> list[float]:
+    """``_kterm_weights(k, lam, k + 2)`` at a shoulder grid rate, bit for bit.
+
+    Entries up to k are the rate's shared prefix: each is an ``_extend_kp``
+    step over the whole prefix before it, the same float operations at every
+    order, and after an overflow the prefix is inf as ``_kterm_weights``
+    fills it.  The two entries past k are window steps on a copy.
+    """
+    p = _grid_prefix.setdefault(lam, [1.0])
+    while len(p) <= k:
+        if p[-1] == math.inf:
+            p.extend([math.inf] * (k + 1 - len(p)))
+        else:
+            _extend_kp(p, k, lam, len(p))
+    w = p[: k + 1]
+    _extend_kp(w, k, lam, k + 1)
+    _extend_kp(w, k, lam, k + 2)
+    return w
+
+
 def shoulder_lambda(k: int, tol: float = DEFAULT_TOL) -> float:
     """Rate at which the weights at k+1 and k+2 are equal (the shoulder).
 
@@ -284,9 +316,11 @@ def shoulder_lambda(k: int, tol: float = DEFAULT_TOL) -> float:
     through zero once.  The bracket is the step of the grid 1e-3 * 1.5**i
     across which the O(k) closed form of g changes sign; the grid reaches
     below 1e-3 where g is not yet negative there (orders k >= 2258).  The
-    bracket is confirmed on the k-term gap, and the root is solved on the
-    k-term pair to ``|g| <= tol * w(k+1)``.  Raises RuntimeError if the
-    closed form and the k-term gap disagree on the bracket's signs.
+    bracket is confirmed on the k-term gap, read from the prefix that every
+    order shares at a grid rate (``_grid_weights``, bit-identical to a table
+    of its own), and the root is solved on k-term pairs to
+    ``|g| <= tol * w(k+1)``.  Raises RuntimeError if the closed form and the
+    k-term gap disagree on the bracket's signs.
     """
     _check_int("order k", k, 2)
     _check_real("tol", tol, 0.0)
@@ -313,7 +347,8 @@ def shoulder_lambda(k: int, tol: float = DEFAULT_TOL) -> float:
         lo, hi = lo / 1.5, lo
     while _gap_factor(k, hi) < 0.0:
         lo, hi = hi, hi * 1.5
-    flo, fhi = g(lo), g(hi)
+    wlo, whi = _grid_weights(k, lo), _grid_weights(k, hi)
+    flo, fhi = wlo[k + 2] - wlo[k + 1], whi[k + 2] - whi[k + 1]
     # the signs agree at every grid point for k <= 150 (a test checks it)
     if not flo < 0.0 <= fhi:
         raise RuntimeError(

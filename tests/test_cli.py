@@ -682,6 +682,9 @@ PINNED_SHA256 = {
         "7fac9f92895d0ed7641d603b247d1d794b3fd4347682c627d9a7f80bfe81c3af",
     ("bounds", "--k-max", "5", "--no-shoulder", "--format", "json"):
         "4cccd38a4cc3dcb99121e2b99ed8275ef4a436d15e44120baf038d037bbb5d5f",
+    # the benchmark's bounds workload: every shoulder reads the shared grid prefix
+    ("bounds", "--k-min", "2", "--k-max", "150"):
+        "6ddd4232eda061a818b30552a08f6bc0dbc8183628007abd00aaf8996465d69f",
     (*SCAN_ARGS, "--format", "json"):
         "bc8b5594229afb10e8a1bbdc88dcada2cab80af20d66c98ebcd971d6241c8f41",
     ("figs", "1"): "9cf841191ba335637be7924a8f9adcbd281822c3c633adb340ba8fc1fa714df9",

@@ -77,6 +77,17 @@ def shoulder_grid() -> list[float]:
 RATES = (1e-3, 0.1, 0.35, 0.6026076, 1.0, 1.5, 2.0)
 
 
+def bounds_grid_rates() -> tuple[float, ...]:
+    """The 13 grid rates 1e-3 * 1.5**i, i = 6..18, that bracket the shoulders of k = 2..150."""
+    grid = [1e-3]
+    for _ in range(18):
+        grid.append(grid[-1] * 1.5)
+    return tuple(grid[6:])
+
+
+BOUNDS_GRID_RATES = bounds_grid_rates()
+
+
 class TestKTermKernel:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 20, 75, 150])
     def test_weight_value_bit_identical_to_indexed_loop(self, k):
@@ -337,7 +348,8 @@ class TestShoulder:
     @pytest.mark.parametrize("tol", [1e-13, 1e-6])
     def test_identical_to_the_linear_walk_with_fewer_tables(self, tol, monkeypatch):
         # the closed form only locates the bracket; the walk's bracket and
-        # root are kept, and two k-term tables per order replace the walk
+        # root are kept, and the bracket ends read the shared grid prefix, so
+        # the Illinois iterates build the only k-term tables
         calls = 0
 
         def counted(*args):
@@ -350,8 +362,33 @@ class TestShoulder:
         for k in range(2, 151):
             ref, evals = shoulder_reference(k, tol)
             assert shoulder_lambda(k, tol) == ref, k
-            allowed += evals + 2
+            allowed += evals
         assert calls <= allowed
+
+    @pytest.mark.parametrize("lam", BOUNDS_GRID_RATES + (1e10,))
+    def test_grid_prefix_tables_are_the_kernels(self, lam, monkeypatch):
+        # 1e10 is no grid rate: its prefix overflows at index 35, so orders
+        # 33 and 34 overflow in a window step and orders from 35 on read the
+        # prefix's inf fill
+        monkeypatch.setattr(roots, "_grid_prefix", {})
+        for k in range(2, 151):
+            w = roots._grid_weights(k, lam)
+            assert w[: k + 1] == roots._grid_prefix[lam][: k + 1], k
+            assert w == _kterm_weights(k, lam, k + 2), k
+        assert (math.inf in roots._grid_prefix[lam]) == (lam == 1e10)
+
+    def test_cache_state_cannot_change_an_answer(self, monkeypatch):
+        monkeypatch.setattr(roots, "_grid_prefix", {})
+        orders = range(2, 151)
+        ascending = [shoulder_lambda(k) for k in orders]
+        assert sorted(roots._grid_prefix) == list(BOUNDS_GRID_RATES)
+        roots._grid_prefix.clear()
+        descending = [shoulder_lambda(k) for k in reversed(orders)][::-1]
+        cold = []
+        for k in orders:
+            roots._grid_prefix.clear()
+            cold.append(shoulder_lambda(k))
+        assert ascending == descending == cold
 
     @pytest.mark.parametrize("k", [200, 300, 400])
     def test_identical_to_the_linear_walk_at_large_orders(self, k):
