@@ -18,8 +18,9 @@ _LOOKUP = ("pmf", "roots", "structure", "oracle")
 
 
 def __getattr__(name: str):
-    # `from poisson_order_k import cli` asks here before importing the module
-    if name in (*_LOOKUP, "checks", "cli"):
+    # `from poisson_order_k import cli` asks here before importing the module;
+    # a submodule missing here would be looked up in every module first
+    if name in (*_LOOKUP, "checks", "cli", "output"):
         return importlib.import_module(f".{name}", __name__)
     if name == "__all__":
         order = ("pmf", "oracle", "roots", "structure")

@@ -19,9 +19,10 @@ import itertools
 import os
 import sys
 
-from . import roots, structure
-from .output import _emit, _Rows
+from . import roots
 from .pmf import (
+    DEFAULT_TAIL_TOL,
+    DEFAULT_TIE_TOL,
     Params,
     _check_int,
     _check_real,
@@ -39,6 +40,29 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _Rows:
+    """Rows made as they are read, with their number known up front:
+    ``perfbench/traced.py`` counts the emitted rows with ``len``."""
+
+    __slots__ = ("_n", "_rows")
+
+    def __init__(self, n: int, rows) -> None:
+        self._n, self._rows = n, rows
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return iter(self._rows)
+
+
+def _emit(rows, header: list[str], args) -> None:
+    """Write the rows: :func:`.output._emit`, imported here, as verify prints none."""
+    from . import output
+
+    output._emit(rows, header, args)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +118,11 @@ def _cmd_bounds(args) -> int:
 # scan
 
 
-_SCAN_HEADER = ["k", "lambda", "n_max", *structure.StructureReport._fields, "error"]
+def _scan_header() -> list[str]:
+    # imported here: of the commands only scan loads the shape audits
+    from . import structure
+
+    return ["k", "lambda", "n_max", *structure.StructureReport._fields, "error"]
 
 
 def _rule_rate(rule: str, k: int) -> float | None:
@@ -108,12 +136,14 @@ def _rule_rate(rule: str, k: int) -> float | None:
 
 
 def _scan_point(task: tuple) -> dict:
+    from . import structure  # here, so that a worker process loads it too
+
     k, lam, tie_tol, tail_tol, epsilon = task
     if lam is None:
         # outside the try: a failed solve ends the whole scan (exit 2 for a
         # RuntimeError), it does not become this row's error
         lam = roots.shoulder_lambda(k)
-    row = dict.fromkeys(_SCAN_HEADER)
+    row = dict.fromkeys(_scan_header())
     row["k"], row["lambda"], row["error"] = k, lam, ""
     rep = None
 
@@ -186,6 +216,7 @@ def _cmd_scan(args) -> int:
     _check_real("epsilon", args.epsilon, 0.0, 1.0)
     ks = range(args.k_min, args.k_max + 1, args.k_step)
     tols = (args.tie_tol, args.tol, args.epsilon)
+    header = _scan_header()
     if args.lambda_rule is None:
         grid = _lambda_grid(args)
         for lam in grid:
@@ -210,7 +241,7 @@ def _cmd_scan(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = pool.map(_scan_point, tasks, chunksize=8)  # in task order
             try:
-                _emit(_Rows(count, _tallied(rows, summary)), _SCAN_HEADER, args)
+                _emit(_Rows(count, _tallied(rows, summary)), header, args)
             except BaseException:
                 # a closed pipe or a failed point: the points not yet started
                 # are dropped, not waited for
@@ -218,7 +249,7 @@ def _cmd_scan(args) -> int:
                 raise
     else:
         rows = map(_scan_point, tasks)
-        _emit(_Rows(count, _tallied(rows, summary)), _SCAN_HEADER, args)
+        _emit(_Rows(count, _tallied(rows, summary)), header, args)
     print(
         "scan summary: " + " ".join(f"{k}={v}" for k, v in summary.items()),
         file=sys.stderr,
@@ -291,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     epsilon = 1e-10  # every adaptive table's mass tolerance; the library has none
     root_tol = roots.DEFAULT_TOL
-    tie_tol, tail_tol = structure.DEFAULT_TIE_TOL, structure.DEFAULT_TAIL_TOL
+    tie_tol, tail_tol = DEFAULT_TIE_TOL, DEFAULT_TAIL_TOL
 
     p = sub.add_parser("pmf", help="emit one weight/probability table")
     p.add_argument("--k", type=int, required=True, help="order (>= 1)")

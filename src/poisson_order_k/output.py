@@ -5,7 +5,8 @@ they are encoded as they arrive and written in batches.  A float is printed
 with 12 significant digits and a tuple of indices as one ``;``-joined cell,
 in CSV and JSON alike.  Kept apart from :mod:`.cli` so that each compiles
 small: run without bytecode caches, a command's peak memory is set by the
-largest module it compiles.
+largest module it compiles.  ``cli._emit`` loads it on its first call, so
+``verify``, which prints no rows, never does.
 """
 
 import itertools
@@ -73,22 +74,6 @@ class _Batched:
             self._parts.clear()
             self._size = 0
             self._out.write(text)
-
-
-class _Rows:
-    """Rows made as they are read, with their number known up front:
-    ``perfbench/traced.py`` counts the emitted rows with ``len``."""
-
-    __slots__ = ("_n", "_rows")
-
-    def __init__(self, n: int, rows) -> None:
-        self._n, self._rows = n, rows
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self):
-        return iter(self._rows)
 
 
 def _emit(rows, header: list[str], args) -> None:

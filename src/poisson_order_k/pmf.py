@@ -227,6 +227,24 @@ def build_table(params: Params, n_max: int) -> PmfTable:
     return _finish(params, w)
 
 
+def _quotient(x: int, f: int, s: int) -> float:
+    """x / (f << s) correctly rounded, for integers x >= 0, f >= 1 and s >= 0.
+
+    Rounded from the sticky short quotient described in ``build_table_km``;
+    past the top ``ldexp`` raises ``OverflowError`` as the true division
+    does.  A short x (t < 0), or a result near or below 2**-1022, where
+    ``ldexp`` would round a second time, takes the true division.
+    """
+    t = x.bit_length() - f.bit_length() - 56
+    if t < 0 or t - s < -1077:  # q >= 2**55, so the result is >= 2**(55 + t - s)
+        return x / (f << s)
+    y = x >> t
+    q, r = divmod(y, f)
+    if r or y << t != x:
+        q |= 1
+    return math.ldexp(float(q), t - s)
+
+
 def build_table_km(params: Params, n_max: int) -> PmfTable:
     """Weights by the four-term recurrence; independent cross-check of build_table.
 
@@ -249,6 +267,15 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
     Integer arithmetic needs no gcd normalisation.  Each entry is rounded to
     float once, as the correctly rounded quotient W_n / (n! * D**n), which
     keeps it an honest certification path for build_table at every index.
+    ``_quotient`` rounds it from a short quotient: W_n shifted right by t
+    bits so that its quotient q by n! alone has 56 or 57 bits, with q's low
+    bit set when the remainder or a shifted-off bit is non-zero.  That bit
+    lies below the half bit of a 53-bit float and records only that the
+    true quotient exceeds q, which is all that rounding to nearest (ties to
+    even) reads of the dropped tail; so float(q) is the true quotient
+    correctly rounded, and ``ldexp`` scales it by 2**(t - e*n) exactly while
+    the result is normal.  The entries are thus bit for bit those of the
+    full-width division, at a fraction of its cost.
     """
     _check_int("n_max", n_max, 0)
     k = params.k
@@ -269,7 +296,7 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
             x -= (m * math.perm(n - 1, k) * lag) << (e * k)
         fact *= n
         try:
-            fx = x / (fact << (e * n))
+            fx = _quotient(x, fact, e * n)
         except OverflowError:
             raise _overflow(n, params) from None
         window.append(x)
@@ -292,6 +319,11 @@ _RESYNC = 1e-14
 # tests/test_pmf.py keeps entries within a tenth of it.  A decision that
 # clears it is the loop's decision as well.
 _MARGIN = 1.5e-13
+
+# The shape audits' default tie and tail tolerances (``structure``), kept
+# here so that the CLI's parser reads them without loading the audits.
+DEFAULT_TIE_TOL = 1e-9
+DEFAULT_TAIL_TOL = 1e-12
 
 _ULP = sys.float_info.epsilon / 2  # unit roundoff: one rounding errs by at most this
 
@@ -489,15 +521,16 @@ def diff_forward(table: PmfTable, n: int) -> DiffIdentityReport:
     rhs = (lam/(n(n+1))) * sum_{j=0..k-1} (n-j) w_{n-j} - (k/n) lam w_{n-k},
     negative indices zero.  Valid for 1 <= n <= n_max - 1.
     """
-    k, lam = table.params.k, table.params.lam
-    if not 1 <= n <= table.n_max - 1:
-        raise IndexError(f"need 1 <= n <= {table.n_max - 1}, got {n}")
-    lhs = table.values[n + 1] - table.values[n]
+    v = table.values
+    if not 1 <= n < len(v) - 1:
+        raise IndexError(f"need 1 <= n <= {len(v) - 2}, got {n}")
+    k, lam = table.params
+    lhs = v[n + 1] - v[n]
     s = 0.0
     for j in range(min(n, k - 1) + 1):
-        s += (n - j) * table.values[n - j]
-    rhs = lam * s / (n * (n + 1)) - k / n * lam * table.at(n - k)
-    return DiffIdentityReport(n=n, lhs=lhs, rhs=rhs, abs_gap=abs(lhs - rhs))
+        s += (n - j) * v[n - j]
+    rhs = lam * s / (n * (n + 1)) - k / n * lam * (v[n - k] if n >= k else 0.0)
+    return DiffIdentityReport(n, lhs, rhs, abs(lhs - rhs))
 
 
 def diff_km(table: PmfTable, n: int) -> DiffIdentityReport:
@@ -507,15 +540,15 @@ def diff_km(table: PmfTable, n: int) -> DiffIdentityReport:
           - ((k+1)/n) lam w_{n-k-1} + (k/n) lam w_{n-k-2},
     negative indices zero.  Valid for 2 <= n <= n_max.
     """
-    k, lam = table.params.k, table.params.lam
-    if not 2 <= n <= table.n_max:
-        raise IndexError(f"need 2 <= n <= {table.n_max}, got {n}")
     v = table.values
+    if not 2 <= n < len(v):
+        raise IndexError(f"need 2 <= n <= {len(v) - 1}, got {n}")
+    k, lam = table.params
     lhs = v[n] - v[n - 1]
     rhs = (
         lam / n * v[n - 1]
         + (n - 2) / n * (v[n - 1] - v[n - 2])
-        - (k + 1) / n * lam * table.at(n - k - 1)
-        + k / n * lam * table.at(n - k - 2)
+        - (k + 1) / n * lam * (v[n - k - 1] if n > k else 0.0)
+        + k / n * lam * (v[n - k - 2] if n > k + 1 else 0.0)
     )
-    return DiffIdentityReport(n=n, lhs=lhs, rhs=rhs, abs_gap=abs(lhs - rhs))
+    return DiffIdentityReport(n, lhs, rhs, abs(lhs - rhs))

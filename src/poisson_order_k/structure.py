@@ -20,7 +20,14 @@ import math
 import operator
 from collections import namedtuple
 
-from .pmf import _MARGIN, Params, PmfTable, _check_real
+from .pmf import (
+    _MARGIN,
+    DEFAULT_TAIL_TOL,
+    DEFAULT_TIE_TOL,
+    Params,
+    PmfTable,
+    _check_real,
+)
 
 __all__ = [
     "StructureReport",
@@ -35,9 +42,6 @@ __all__ = [
     "build_report",
     "decided_report",
 ]
-
-DEFAULT_TIE_TOL = 1e-9
-DEFAULT_TAIL_TOL = 1e-12
 
 
 class StructureReport(

@@ -32,6 +32,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def quiet_main(*argv: str) -> str:
+    """Source that runs ``cli.main(argv)`` with stdout discarded, for a probe."""
+    return (
+        "import contextlib, os\n"
+        "from poisson_order_k import cli\n"
+        "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null):\n"
+        f"    assert cli.main({list(argv)!r}) == 0"
+    )
+
+
 def rows_of(out: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(out)))
 
@@ -154,6 +164,20 @@ class TestScanCommand:
             code2, out2, _ = run(capsys, *args, "--jobs", "2")
             assert code1 == code2 == 0
             assert out1 == out2
+
+    def test_a_spawned_worker_loads_the_audits_itself(self):
+        # cli imports structure only inside the scan path, so a worker that
+        # starts from a fresh interpreter must import it in _scan_point
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        tols = (pmf.DEFAULT_TIE_TOL, pmf.DEFAULT_TAIL_TOL, 1e-10)
+        tasks = [(2, 0.5, *tols), (40, 2.0 / 41, *tols), (3, None, *tols)]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            got = list(pool.map(cli._scan_point, tasks))
+        assert got == [cli._scan_point(task) for task in tasks]
+        assert [row["error"] for row in got] == ["", "", ""]
 
     def test_requires_a_rate_argument(self, capsys):
         code, _, err = run(capsys, "scan", "--k-min", "2", "--k-max", "3")
@@ -620,8 +644,21 @@ class TestOutputContract:
                 "import poisson_order_k; poisson_order_k.build_table",
                 ["fractions", "poisson_order_k.oracle"],
             ),
+            # only scan loads the shape audits, and only a command that
+            # prints rows the row writer
+            (
+                "from poisson_order_k import cli; cli.build_parser()",
+                ["poisson_order_k.structure", "poisson_order_k.output"],
+            ),
+            (quiet_main("verify"), ["poisson_order_k.structure", "poisson_order_k.output"]),
+            # the row writer is imported by name, so loading it looks up
+            # no name in the other modules
+            (
+                quiet_main("figs", "1"),
+                ["poisson_order_k.structure", "poisson_order_k.oracle", "fractions"],
+            ),
         ],
-        ids=["cli", "package", "pmf-name"],
+        ids=["cli", "package", "pmf-name", "parser", "verify", "figs"],
     )
     def test_import_floor(self, statement, unloaded):
         src = str(Path(poisson_order_k.__file__).resolve().parents[1])
@@ -690,6 +727,9 @@ PINNED_SHA256 = {
     ("figs", "1"): "9cf841191ba335637be7924a8f9adcbd281822c3c633adb340ba8fc1fa714df9",
     ("scan", "--k-min", "2", "--k-max", "50", "--lambda-rule", "tail-bound"):
         "e30b878f37cc6f54f41010c088a5ae74e5d83fae750e4d23675e41638be1c041",
+    # the benchmark's verify workload: every exact entry is rounded from a
+    # short quotient
+    ("verify",): "bfa2c142e5e7526ad79818b5151c2b449324972a69e3014b00a03d0e545a16d6",
 }
 
 

@@ -14,6 +14,7 @@ from poisson_order_k import pmf, structure
 from poisson_order_k.oracle import weight_exact
 from poisson_order_k.roots import monotone_tail_bound, shoulder_lambda
 from poisson_order_k.pmf import (
+    DiffIdentityReport,
     Params,
     PmfTable,
     WeightUnderflowError,
@@ -70,6 +71,36 @@ def km_fraction_reference(params: Params, n_max: int) -> tuple[tuple[float, ...]
         w.append(x)
     values = tuple(float(x) for x in w)
     return values, math.exp(-k * params.lam) * math.fsum(values)
+
+
+def diff_forward_reference(table: PmfTable, n: int) -> DiffIdentityReport:
+    """diff_forward as first written, through ``at`` and ``n_max``; the shipped
+    form indexes the values directly and must give the same report."""
+    k, lam = table.params.k, table.params.lam
+    if not 1 <= n <= table.n_max - 1:
+        raise IndexError(f"need 1 <= n <= {table.n_max - 1}, got {n}")
+    lhs = table.values[n + 1] - table.values[n]
+    s = 0.0
+    for j in range(min(n, k - 1) + 1):
+        s += (n - j) * table.values[n - j]
+    rhs = lam * s / (n * (n + 1)) - k / n * lam * table.at(n - k)
+    return DiffIdentityReport(n=n, lhs=lhs, rhs=rhs, abs_gap=abs(lhs - rhs))
+
+
+def diff_km_reference(table: PmfTable, n: int) -> DiffIdentityReport:
+    """diff_km as first written, through ``at`` and ``n_max``."""
+    k, lam = table.params.k, table.params.lam
+    if not 2 <= n <= table.n_max:
+        raise IndexError(f"need 2 <= n <= {table.n_max}, got {n}")
+    v = table.values
+    lhs = v[n] - v[n - 1]
+    rhs = (
+        lam / n * v[n - 1]
+        + (n - 2) / n * (v[n - 1] - v[n - 2])
+        - (k + 1) / n * lam * table.at(n - k - 1)
+        + k / n * lam * table.at(n - k - 2)
+    )
+    return DiffIdentityReport(n=n, lhs=lhs, rhs=rhs, abs_gap=abs(lhs - rhs))
 
 
 class TestParams:
@@ -264,6 +295,107 @@ class TestBuildTableKm:
         a = build_table(Params(k, lam), 40).values
         b = build_table_km(Params(k, lam), 40).values
         assert all(rel_gap(x, y) <= 1e-10 for x, y in zip(a, b))
+
+
+def quotients(draw_x, f: int, s: int):
+    """(x / (f << s), pmf._quotient(x, f, s)) as float hex strings, or the
+    exception type that each raised."""
+    out = []
+    for divide in (lambda: draw_x / (f << s), lambda: pmf._quotient(draw_x, f, s)):
+        try:
+            out.append(divide().hex())
+        except OverflowError:
+            out.append(OverflowError)
+    return out
+
+
+# the binary exponent of a quotient: the whole float range, past both ends
+EXPONENTS = st.integers(-1100, 1030)
+# ... and close around the smallest normal, 2**-1022, where ldexp would round
+# again: about 1 in 40 of these quotients comes out wrong if the short path
+# takes quotients from 2**-1023 on
+NEAR_SUBNORMAL = st.integers(-1024, -1020)
+
+
+class TestQuotient:
+    """build_table_km rounds W_n / (n! << (e*n)) from a short quotient; it
+    must be CPython's correctly rounded true division, bit for bit."""
+
+    @staticmethod
+    def operands(data, exponent):
+        # x of bx bits over f of bf bits, shifted so that the quotient lies
+        # in (2**(exponent - 1), 2**(exponent + 1))
+        # (with every bit below the leading one random: hypothesis's own
+        # integers favour round values, which round exactly)
+        bx = data.draw(st.integers(1, 3000))
+        bf = data.draw(st.integers(1, 1500))
+        rng = data.draw(st.randoms(use_true_random=False))
+        x = rng.getrandbits(bx) | 1 << (bx - 1)
+        f = rng.getrandbits(bf) | 1 << (bf - 1)
+        shift = bx - bf - exponent
+        if shift < 0:
+            x <<= -shift
+            shift = 0
+        return x, f, shift
+
+    @given(st.data(), EXPONENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_random_sizes(self, data, exponent):
+        want, got = quotients(*self.operands(data, exponent))
+        assert got == want
+
+    @given(st.data(), NEAR_SUBNORMAL)
+    @settings(max_examples=400, deadline=None)
+    def test_both_sides_of_the_smallest_normal(self, data, exponent):
+        want, got = quotients(*self.operands(data, exponent))
+        assert got == want
+
+    @given(
+        st.integers(1 << 52, (1 << 53) - 1),
+        st.integers(-1021, 970),
+        st.integers(1, 1 << 200).map(lambda f: 2 * f + 1),
+        st.integers(0, 80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_midpoints_round_to_even(self, mantissa, exponent, f, pad):
+        # (2M + 1) * 2**(exponent - 1) lies halfway between two floats, M of
+        # either parity; one below and one above it must round away from it
+        a = pad + max(exponent, 0) + 60
+        x = ((2 * mantissa + 1) * f) << a
+        shift = a - exponent + 1
+        for bump in (0, -1, 1):
+            want, got = quotients(x + bump, f, shift)
+            assert got == want
+        want = math.ldexp(float(mantissa + (mantissa & 1)), exponent)
+        assert quotients(x, f, shift) == [want.hex()] * 2
+
+    @given(
+        st.integers(1 << 49, (1 << 52) - 1),
+        st.integers(1, 1 << 200).map(lambda f: 2 * f + 1),
+        st.integers(0, 80),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ties_below_the_smallest_normal(self, g, f, pad):
+        # (2g + 1) * 2**-1075 lies halfway between two subnormals; a hair
+        # above or below it, a 53-bit float(q) lands on the tie itself, and
+        # ldexp's second rounding would go to the even neighbour either way
+        a = pad + 60
+        x = ((2 * g + 1) * f) << a
+        for bump in (0, -1, 1):
+            want, got = quotients(x + bump, f, a + 1075)
+            assert got == want
+
+    @pytest.mark.parametrize("f", [1, 3, 2**61 - 1, 3**400])
+    def test_overflow_edge(self, f):
+        # the largest float is (2**53 - 1) * 2**971; halfway to 2**1024
+        # rounds to even, up and out of range
+        a = 1200
+        top = ((2**54 - 1) * f) << a
+        shift = a - 970
+        assert quotients(top, f, shift) == [OverflowError] * 2
+        assert quotients(top - 1, f, shift) == [sys.float_info.max.hex()] * 2
+        assert quotients((2**53 - 1) * f << a, f, a - 971) == [sys.float_info.max.hex()] * 2
+        assert quotients(f << a, f, a - 1024) == [OverflowError] * 2
 
 
 class TestNormalize:
@@ -490,6 +622,12 @@ class TestRunningSums:
         assert on_sums >= 40
 
 
+def index_error(diff, table, n) -> str:
+    with pytest.raises(IndexError) as info:
+        diff(table, n)
+    return str(info.value)
+
+
 class TestDifferenceIdentities:
     def test_forward_small_case(self):
         t = build_table(Params(2, 1.0), 4)
@@ -533,6 +671,23 @@ class TestDifferenceIdentities:
                 assert diff_forward(t, n).abs_gap <= 1e-12 * max(1.0, t.values[n])
             for n in range(2, 51):
                 assert diff_km(t, n).abs_gap <= 1e-12 * max(1.0, t.values[n])
+
+    @given(
+        st.integers(1, 12),
+        st.floats(-6.0, math.log10(50.0)).map(lambda e: 10.0**e),
+        st.integers(0, 80),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_reports_as_the_reference(self, k, lam, n_max):
+        t = build_table(Params(k, lam), n_max)
+        for n in range(1, n_max):
+            assert diff_forward(t, n) == diff_forward_reference(t, n)
+        for n in range(2, n_max + 1):
+            assert diff_km(t, n) == diff_km_reference(t, n)
+        for n in (0, n_max, -1, n_max + 1):
+            assert index_error(diff_forward, t, n) == index_error(diff_forward_reference, t, n)
+        for n in (1, n_max + 1, 0, n_max + 2):
+            assert index_error(diff_km, t, n) == index_error(diff_km_reference, t, n)
 
     def test_index_range_is_enforced(self):
         t = build_table(Params(2, 1.0), 5)
