@@ -29,7 +29,6 @@ from .pmf import _check_int, _check_real
 
 __all__ = [
     "WeightPolynomial",
-    "count_tuples",
     "enumerate_tuples",
     "weight_polynomial",
     "weight_exact",
@@ -41,11 +40,6 @@ __all__ = [
 _TUPLE_BUDGET = 10_000_000
 
 Rational = Fraction | int | float
-
-
-def count_tuples(k: int, n: int) -> int:
-    """Number of solution tuples = partitions of n into parts of size <= k."""
-    return _count(k, n, n)
 
 
 def _count(k: int, n: int, parts: int) -> int:

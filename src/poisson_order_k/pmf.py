@@ -85,14 +85,6 @@ class PmfTable(namedtuple("PmfTable", "params values mass_captured")):
     def n_max(self) -> int:
         return len(self.values) - 1
 
-    def at(self, n: int) -> float:
-        """Weight at index n; negative indices contribute exactly 0."""
-        if n < 0:
-            return 0.0
-        if n > self.n_max:
-            raise IndexError(f"index {n} beyond table n_max={self.n_max}")
-        return self.values[n]
-
 
 class DiffIdentityReport(namedtuple("DiffIdentityReport", "n lhs rhs abs_gap")):
     """One consecutive difference computed two ways.

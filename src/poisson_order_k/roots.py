@@ -23,6 +23,7 @@ which the two weights just past k are equal.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 from .pmf import Params, _check_int, _check_real, _extend_kp, _kterm_weights
@@ -198,9 +199,19 @@ def solve_weight_equals(
     of 4 ulps of max(1, x), so for c < 1 the root can be far off: (3, 3,
     1e-150) returns 5e-151, half the root.  A relative stop would mend it but
     moves verify's closed-form-roots worst error (c = 0.5), a printed digit.
+
+    A root at or below ``sys.float_info.min`` has no float with relative
+    precision, so it is refused with ArithmeticError.  Since
+    w_n(lam) <= lam (1 + lam)^(n - 1), such a root needs c < 2 * min.
     """
     hi = root_upper_bound(k, n, c)  # validates k, n and c
     _check_real("tol", tol, 0.0)
+    tiny = sys.float_info.min
+    if c < 2.0 * tiny and weight_value(k, n, tiny) >= c:
+        raise ArithmeticError(
+            f"the root of w_{n} = {c} at k={k} is at most the smallest normal "
+            f"float {tiny}, below which no float carries relative precision"
+        )
 
     def f(lam: float) -> float:
         return weight_value(k, n, lam) - c
@@ -380,9 +391,9 @@ def bounds_record(
     return BoundsRecord(
         k=k,
         root1=root1,
-        root1_upper=2.0 / (math.sqrt(2.0 * k - 1.0) + 1.0),
+        root1_upper=root_upper_bound(k, k, 1.0),
         root2=root2,
-        root2_upper=4.0 / (math.sqrt(4.0 * k - 3.0) + 1.0),
+        root2_upper=root_upper_bound(k, k, 2.0),
         rise_threshold=rise,
         tail_bound=tail,
         shoulder=shoulder,

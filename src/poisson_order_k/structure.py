@@ -6,7 +6,7 @@ pair inside the tie band; a scan table has a few) decides modes, maxima, tie
 runs and the tail, and checks each of those comparisons against ``_MARGIN``
 as it makes it: ``build_report`` and ``decided_report`` make it once, and
 ``find_modes``, ``local_maxima``, ``find_triple_ties`` and
-``check_monotone_tail`` are views of it; ``check_initial_increase`` and the
+``check_monotone_tail`` are views of it; the report's initial increase and
 block check read their signs off the runs.  Mode finding refuses
 tables that are not past their last peak (see ``build_adaptive_table``), so a
 reported mode can never be an artifact of truncation.  The audits compare the
@@ -33,11 +33,7 @@ __all__ = [
     "StructureReport",
     "find_modes",
     "local_maxima",
-    "check_initial_increase",
     "check_monotone_tail",
-    "audit_mode_bounds",
-    "check_block_assumption",
-    "mean_mode_gap",
     "find_triple_ties",
     "build_report",
     "decided_report",
@@ -108,7 +104,7 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True
     1 - tie_tol or near 1 (the sign of b - a), b/a near 1 + tail_tol past k,
     or an entry within m * peak of the mode floor (the peak itself excepted
     when it is the only one there).  The sign of every pair decides the
-    comparisons of ``check_initial_increase`` and the block check as well.
+    comparisons of the initial increase and the block check as well.
 
     The walk replays the runs at ``_fast`` that the running-sum build
     recorded, or that one pass finds.  A run of clear steps is decided whole,
@@ -224,24 +220,10 @@ def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]
     return _walk(table, tie_tol, 0.0)[1]
 
 
-def check_initial_increase(table: PmfTable) -> bool:
-    """True iff the weights at 1..k increase strictly and the first equals lam.
-
-    Vacuously true at k = 1.  It holds for k >= 2 and any positive rate in
-    exact arithmetic, but a False need not mean a broken table: at a rate
-    near the float epsilon, neighbours round to equal floats (w_1 == w_2 at
-    the ``tail-bound`` rates of k >= 23, 1.5e-16 at k = 23).
-    """
-    k, lam = table.params.k, table.params.lam
-    if table.n_max < k:
-        raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
-    head = table.values[: k + 1]
-    # the pairs of a run share their sign at any band edge
-    return _increases(head, _runs(head, _fast(0.0, 0.0)), k, lam)
-
-
 def _increases(v, runs: list[int], k: int, lam: float) -> bool:
-    # check_initial_increase, read off the runs of v
+    """Whether w_1 is lam (within 1e-12) and w_1 < ... < w_k, read off the runs
+    of v.  At rates near the float epsilon neighbours round to equal floats
+    (w_1 == w_2 at the ``tail-bound`` rates of k >= 23)."""
     close = math.isclose(v[1], lam, rel_tol=1e-12, abs_tol=0.0)
     return close and _every(v, runs, 2, k, operator.lt)
 
@@ -261,7 +243,7 @@ def check_monotone_tail(
     return _walk(table, 0.0, tol, settled=False)[3]
 
 
-def audit_mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, bool]:
+def _mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, bool]:
     """(proved-bounds verdict, conjectured-floor verdict) for a mode set.
 
     Proved: every mode lies in [floor(kappa*lam) - kappa + 1 - [k=1],
@@ -274,31 +256,6 @@ def audit_mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, boo
     thm_ok = all(low <= m <= fl for m in modes)
     conj_ok = 0 in modes or all(m >= fl - params.k for m in modes)
     return thm_ok, conj_ok
-
-
-def check_block_assumption(table: PmfTable, mode_index: int) -> bool:
-    """Whether the k+1 entries from a (nonzero) mode upward are nonincreasing.
-
-    Requires mode_index >= k (a nonzero mode is never below k) and a table
-    reaching mode_index + k.
-    """
-    k = table.params.k
-    m = mode_index
-    if m < k:
-        raise ValueError(
-            f"block check applies to nonzero modes only: mode {m} < k={k}"
-        )
-    if m + k > table.n_max:
-        raise ValueError(
-            f"table ends at {table.n_max}, need index {m + k} for the block check"
-        )
-    seg = table.values[m : m + k + 1]
-    return _every(seg, _runs(seg, _fast(0.0, 0.0)), 1, k, operator.ge)
-
-
-def mean_mode_gap(params: Params, modes: tuple[int, ...]) -> float:
-    """Mean minus the highest mode, kappa*lam - max(modes)."""
-    return params.mean - modes[-1]
 
 
 def find_triple_ties(
@@ -321,10 +278,10 @@ def _audit(
     """(``build_report``'s report, whether its comparisons all clear ``_MARGIN``)."""
     params, k, v = table.params, table.params.k, table.values
     modes, peaks, ties, violation, clear, runs = _walk(table, tie_tol, tail_tol)
-    bounds_ok, floor_ok = audit_mode_bounds(params, modes)
+    bounds_ok, floor_ok = _mode_bounds(params, modes)
     block: bool | None = None
     if k <= modes[0] <= table.n_max - k:
-        # check_block_assumption at the lowest mode
+        # whether the k + 1 entries from the lowest mode up are nonincreasing
         block = _every(v, runs, modes[0] + 1, modes[0] + k, operator.ge)
     report = StructureReport(
         modes=modes,
@@ -333,7 +290,7 @@ def _audit(
         monotone_tail_from_k=violation is None,
         first_tail_violation=violation,
         mean=params.mean,
-        mean_mode_gap=mean_mode_gap(params, modes),
+        mean_mode_gap=params.mean - modes[-1],
         mode_bounds_ok=bounds_ok,
         mode_floor_ok=floor_ok,
         block_nonincreasing=block,

@@ -22,7 +22,6 @@ from poisson_order_k.roots import (
     weight_value,
 )
 from poisson_order_k.structure import (
-    check_initial_increase,
     check_monotone_tail,
     find_modes,
     find_triple_ties,
@@ -94,11 +93,18 @@ def test_04_bound_audit():
     )
 
 
+def increases(table) -> bool:
+    """Whether w_1 is the rate (within 1e-12) and w_1 < ... < w_k, pair by pair."""
+    v, k = table.values, table.params.k
+    close = math.isclose(v[1], table.params.lam, rel_tol=1e-12, abs_tol=0.0)
+    return close and all(a < b for a, b in zip(v[1:k], v[2 : k + 1]))
+
+
 def test_05_initial_increase():
     violations = 0
     for k in range(2, 51):
         for lam in log_grid(0.01, 10.0, 20):
-            if not check_initial_increase(build_table(Params(k, lam), k)):
+            if not increases(build_table(Params(k, lam), k)):
                 violations += 1
     _verdict(
         5,

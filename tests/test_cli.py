@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, determinism, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -10,6 +11,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -730,6 +732,12 @@ PINNED_SHA256 = {
     # the benchmark's verify workload: every exact entry is rounded from a
     # short quotient
     ("verify",): "bfa2c142e5e7526ad79818b5151c2b449324972a69e3014b00a03d0e545a16d6",
+    # the benchmark's two scan workloads, at their seed-0 inputs
+    ("scan", "--k-min", "2", "--k-max", "200", "--lambda-rule", "mean-k", "--jobs", "1"):
+        "245e7785357642efaaa5f79b794cac1c4c5d31f6f8e991cd38b01432e4feb157",
+    ("scan", "--k-min", "2", "--k-max", "50", "--lambda-grid", "0.05", "3.0", "20",
+     "--format", "json", "--jobs", "1"):
+        "bddb4c238a0b366ba3726ffcc82461a5b979464e99a5c35bd8c542efddd92b19",
 }
 
 
@@ -794,11 +802,53 @@ class TestParserDefaults:
 
 class TestPackageExports:
     MODULES = (pmf, oracle, roots, structure)
+    TRACED = "perfbench row; leaves with ROADMAP item 3"
+    # every public name that no other module of the package uses, and why it
+    # stays public; any other such name is to be made private or deleted
+    UNCALLED = {
+        "find_modes": TRACED,
+        "local_maxima": TRACED,
+        "find_triple_ties": TRACED,
+        "check_monotone_tail": TRACED,
+        "enumerate_tuples": TRACED,
+        "weight_exact": TRACED,
+        "weight_value": "traced: perfbench counts its calls on bounds",
+        "WeightUnderflowError": "raised by the public table builders",
+        "WeightPolynomial": "returned by weight_polynomial",
+        "root_upper_bound": "the paper's n = k bound, printed by bounds",
+    }
+
+    def test_public_names_are_used_by_the_package_or_listed(self):
+        source = Path(poisson_order_k.__file__).parent
+        used = {}
+        for path in source.glob("*.py"):
+            names = used.setdefault(path.stem, set())
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+        uncalled = set()
+        for module in self.MODULES:
+            own = module.__name__.rsplit(".", 1)[1]
+            others = set().union(*(names for stem, names in used.items() if stem != own))
+            uncalled |= set(module.__all__) - others
+        assert uncalled == set(self.UNCALLED)
 
     def test_all_is_the_modules_lists_in_order(self):
         want = [name for module in self.MODULES for name in module.__all__]
         assert poisson_order_k.__all__ == want
         assert len(set(want)) == len(want)
+
+    def test_readme_lists_each_modules_all(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        for module in self.MODULES:
+            own = module.__name__.rsplit(".", 1)[1]
+            entry = re.search(rf"^- `{own}`: (.*?)\.$", text, re.M | re.S)
+            assert re.findall(r"`(\w+)`", entry[1]) == module.__all__
 
     def test_each_name_is_its_modules_object(self):
         for module in self.MODULES:
@@ -937,3 +987,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "pmf", "--k", "1", "--lambda", "800", "--n-max", "900")
         assert code == 2
         assert "overflow" in err.lower()
+
+    @pytest.mark.parametrize("c", ["5e-324", "1e-310"])
+    def test_root_below_the_smallest_normal_is_two(self, capsys, c):
+        # 5e-324 once failed on a rate of 0.0 the user never gave (exit 1),
+        # and 1e-310 printed half its root
+        code, out, err = run(capsys, "roots", "--k", "2", "--n", "2", "--c", c)
+        assert (code, out) == (2, "")
+        assert err.startswith("computation failed: ") and "smallest normal" in err
+        assert "rate lam" not in err
+
+    def test_tiny_level_with_a_normal_root_is_zero(self, capsys):
+        # w_3 = lam^3/6 at k = 1, so the level 5e-324 has its root near 3e-108
+        code, out, _ = run(capsys, "roots", "--k", "1", "--n", "3", "--c", "5e-324")
+        assert code == 0
+        assert out.startswith("k,n,c,root,") and out.count("\n") == 2

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from poisson_order_k import checks, oracle
 from poisson_order_k.oracle import (
     WeightPolynomial,
-    count_tuples,
     enumerate_tuples,
     lambda2_coefficient,
     weight_exact,
@@ -81,7 +80,7 @@ class TestEnumerateTuples:
             assert len(t) == k
             assert all(c >= 0 for c in t)
             assert sum((i + 1) * c for i, c in enumerate(t)) == n
-        assert len(tuples) == count_tuples(k, n) == partitions_at_most(n, k)
+        assert len(tuples) == oracle._count(k, n, n) == partitions_at_most(n, k)
 
     def test_budget_guard_refuses(self, monkeypatch):
         monkeypatch.setattr(oracle, "_TUPLE_BUDGET", 10)

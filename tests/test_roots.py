@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,20 @@ class TestSolveWeightEquals:
             solve_weight_equals(k, n, c)
         with pytest.raises(ValueError):
             root_upper_bound(k, n, c)
+
+    @pytest.mark.parametrize("k, n, c", [(2, 2, 5e-324), (2, 2, 1e-310), (3, 1, 2e-308)])
+    def test_root_below_the_smallest_normal_is_refused(self, k, n, c):
+        with pytest.raises(ArithmeticError, match="smallest normal float"):
+            solve_weight_equals(k, n, c)
+
+    @pytest.mark.parametrize("k, n, c", [(2, 2, 2.5e-308), (1, 3, 5e-324), (2, 5, 1e-310)])
+    def test_tiny_level_with_a_normal_root_is_solved(self, k, n, c):
+        # only a root at or below sys.float_info.min is refused; these roots
+        # are not certified: below c = 1 the residual stop can return half the
+        # root (1.25e-308 for 2.5e-308 here, ROADMAP item 2)
+        res = solve_weight_equals(k, n, c)
+        assert 0.0 < res.root <= res.bracket_high
+        assert weight_value(k, n, sys.float_info.min) < c
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):

@@ -12,16 +12,12 @@ from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_adaptive_table,
 from poisson_order_k.roots import monotone_tail_bound, shoulder_lambda
 from poisson_order_k.structure import (
     StructureReport,
-    audit_mode_bounds,
     build_report,
-    check_block_assumption,
-    check_initial_increase,
     check_monotone_tail,
     decided_report,
     find_modes,
     find_triple_ties,
     local_maxima,
-    mean_mode_gap,
 )
 
 
@@ -87,16 +83,16 @@ def report_reference(t, tie_tol, tail_tol):
     violation = tail_reference(v, p.k, tail_tol)
     block = None
     if modes[0] >= p.k and modes[0] + p.k <= t.n_max:
-        block = check_block_assumption(t, modes[0])
+        block = block_reference(t, modes[0])
     return StructureReport(
         modes,
         tuple(local_maxima_reference(v, tie_tol)),
-        check_initial_increase(t),
+        increase_reference(t),
         violation is None,
         violation,
         p.mean,
-        mean_mode_gap(p, modes),
-        *audit_mode_bounds(p, modes),
+        p.mean - modes[-1],
+        *mode_bounds_reference(p, modes),
         block,
         bool(triple_ties_reference(v, tie_tol)),
     )
@@ -171,16 +167,31 @@ def walk_reference(table, tie_tol, tail_tol):
 
 
 def increase_reference(t):
-    """``check_initial_increase`` pair by pair."""
+    """The initial increase, pair by pair: w_1 is the rate (within 1e-12) and
+    w_1 < ... < w_k; vacuous past w_1 at k = 1."""
     v, k = t.values, t.params.k
     close = math.isclose(v[1], t.params.lam, rel_tol=1e-12, abs_tol=0.0)
     return close and all(v[n] < v[n + 1] for n in range(1, k))
 
 
 def block_reference(t, mode):
-    """``check_block_assumption`` pair by pair."""
+    """The block assumption, pair by pair: the k + 1 entries from ``mode`` up
+    are nonincreasing."""
+    assert t.params.k <= mode <= t.n_max - t.params.k
     seg = t.values[mode : mode + t.params.k + 1]
     return all(a >= b for a, b in zip(seg, seg[1:]))
+
+
+def mode_bounds_reference(p, modes):
+    """(proved-bounds verdict, conjectured-floor verdict), as the paper states
+    them: every mode in [floor(kappa*lam) - kappa + 1 - [k=1], floor(kappa*lam)],
+    and, when 0 is not a mode, every mode at least floor(kappa*lam) - k."""
+    fl = math.floor(p.kappa * p.lam)
+    low = fl - p.kappa + 1 - (p.k == 1)
+    return (
+        all(low <= m <= fl for m in modes),
+        0 in modes or all(m >= fl - p.k for m in modes),
+    )
 
 
 def assert_replay_is_the_pair_walk(t, tie_tol, tail_tol):
@@ -193,9 +204,8 @@ def assert_replay_is_the_pair_walk(t, tie_tol, tail_tol):
     block = None
     if modes[0] >= k and modes[0] + k <= t.n_max:
         block = block_reference(t, modes[0])
-        assert check_block_assumption(t, modes[0]) == block
     assert report.block_nonincreasing == block
-    assert report.initial_increase == increase_reference(t) == check_initial_increase(t)
+    assert report.initial_increase == increase_reference(t)
 
 
 # a power-of-two tolerance makes exact ties at the tolerance representable:
@@ -539,10 +549,14 @@ class TestLocalMaxima:
 class TestInitialIncrease:
     @pytest.mark.parametrize("k, lam", [(5, 0.05), (2, 10.0), (3, 1.0)])
     def test_holds_for_any_rate(self, k, lam):
-        assert check_initial_increase(table(k, lam))
+        t = table(k, lam)
+        assert build_report(t).initial_increase
+        assert increase_reference(t)
 
     def test_vacuous_at_order_one(self):
-        assert check_initial_increase(table(1, 0.7))
+        t = table(1, 0.7)
+        assert build_report(t).initial_increase
+        assert increase_reference(t)
 
 
 class TestMonotoneTail:
@@ -569,47 +583,67 @@ class TestMonotoneTail:
 
 
 class TestModeBoundAudits:
+    @staticmethod
+    def audits(k, lam, **tolerances):
+        """(modes, the report's two verdicts), checked against the reference."""
+        rep = build_report(table(k, lam), **tolerances)
+        verdicts = rep.mode_bounds_ok, rep.mode_floor_ok
+        assert verdicts == mode_bounds_reference(Params(k, lam), rep.modes)
+        return rep.modes, verdicts
+
     def test_equality_case_of_the_floor(self):
         p = Params(2, 4 / 3)
-        modes = find_modes(table(2, 4 / 3))
-        thm_ok, conj_ok = audit_mode_bounds(p, modes)
-        assert thm_ok and conj_ok
+        modes, verdicts = self.audits(2, 4 / 3)
+        assert verdicts == (True, True)
         assert math.floor(p.kappa * p.lam) - p.k == 2 == modes[0]
 
     def test_bimodal_case_floor_and_strict(self):
         lam = 4.02373 / 3
         p = Params(2, lam)
-        modes = find_modes(table(2, lam), tie_tol=1e-4)
-        thm_ok, conj_ok = audit_mode_bounds(p, modes)
-        assert thm_ok and conj_ok
+        modes, verdicts = self.audits(2, lam, tie_tol=1e-4)
+        assert verdicts == (True, True)
         floor_bound = math.floor(p.kappa * p.lam) - p.k
         assert modes[0] == floor_bound  # attains equality
         assert modes[1] > floor_bound
 
     def test_standard_poisson_window(self):
-        p = Params(1, 2.5)
-        modes = find_modes(table(1, 2.5))
+        modes, verdicts = self.audits(1, 2.5)
         assert modes == (2,)
-        assert audit_mode_bounds(p, modes) == (True, True)
+        assert verdicts == (True, True)
 
     def test_zero_mode_makes_floor_vacuous(self):
-        p = Params(3, 0.01)
-        assert audit_mode_bounds(p, find_modes(table(3, 0.01))) == (True, True)
+        modes, verdicts = self.audits(3, 0.01)
+        assert modes == (0,)
+        assert verdicts == (True, True)
+
+    @pytest.mark.parametrize(
+        "values, verdicts",
+        [
+            ((1.0, 2.0, 1.0, 0.5, 0.2), (False, False)),
+            ((1.0, 0.5, 0.3, 0.2, 0.1), (False, True)),
+            ((1.0, 1.1, 1.2, 1.3, 1.4, 2.0, 1.0, 0.5, 0.2), (False, True)),
+        ],
+    )
+    def test_forged_modes_outside_the_window_fail(self, values, verdicts):
+        # floor(kappa*lam) = 4 at (2, 4/3): the proved window is [2, 4]
+        t = table(2, 4 / 3)._replace(values=values)
+        rep = build_report(t)
+        assert (rep.mode_bounds_ok, rep.mode_floor_ok) == verdicts
+        assert mode_bounds_reference(t.params, rep.modes) == verdicts
 
 
 class TestBlockAssumption:
     def test_fails_in_the_equality_example(self):
-        assert not check_block_assumption(table(2, 4 / 3), 2)
+        t = table(2, 4 / 3)
+        assert build_report(t).modes[0] == 2
+        assert build_report(t).block_nonincreasing is False
+        assert not block_reference(t, 2)
 
     def test_consecutive_double_mode_is_nonincreasing(self):
-        assert check_block_assumption(table(1, 3.0), 2)
-
-    def test_requires_nonzero_mode_and_room(self):
-        t = table(2, 4 / 3)
-        with pytest.raises(ValueError, match="nonzero"):
-            check_block_assumption(t, 1)
-        with pytest.raises(ValueError, match="ends at"):
-            check_block_assumption(t, t.n_max)
+        t = table(1, 3.0)
+        assert build_report(t).modes[0] == 2
+        assert build_report(t).block_nonincreasing is True
+        assert block_reference(t, 2)
 
     def test_block_implies_mean_at_most_top_plus_k(self):
         # wherever the chain holds at the top mode, the mean-gap bound follows
@@ -619,23 +653,23 @@ class TestBlockAssumption:
                 modes = find_modes(t)
                 if modes[0] < k:
                     continue
-                if check_block_assumption(t, modes[-1]):
+                if block_reference(t, modes[-1]):
                     p = t.params
                     assert p.kappa * p.lam <= modes[-1] + k + 1e-9
 
 
 class TestMeanModeGap:
     def test_equality_case_value(self):
-        p = Params(2, 4 / 3)
-        assert mean_mode_gap(p, find_modes(table(2, 4 / 3))) == 2.0
+        assert build_report(table(2, 4 / 3)).mean_mode_gap == 2.0
 
     def test_standard_poisson_case(self):
-        p = Params(1, 3.5)
-        assert mean_mode_gap(p, find_modes(table(1, 3.5))) == pytest.approx(0.5)
+        assert build_report(table(1, 3.5)).mean_mode_gap == pytest.approx(0.5)
 
     def test_bimodal_uses_the_top_mode(self):
         lam = 4.02373 / 3
-        gap = mean_mode_gap(Params(2, lam), find_modes(table(2, lam), tie_tol=1e-4))
+        rep = build_report(table(2, lam), tie_tol=1e-4)
+        assert rep.modes == (2, 4)
+        gap = rep.mean_mode_gap
         assert gap == pytest.approx(3 * lam - 4, abs=1e-12)
         assert gap < 2
 
