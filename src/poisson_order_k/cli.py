@@ -168,9 +168,20 @@ def _scan_point(task: tuple) -> dict:
     return row
 
 
-def _lambda_grid(args) -> list[float]:
+def _lambda_grid(args):
+    """(rate, n): the scan's n rates are rate(0), .., rate(n - 1).
+
+    ``--lambda`` is one rate.  Rate i of a ``--lambda-grid`` is
+    start + i * step (linear) or start * ratio**i (geometric), with
+    step >= 0 and ratio >= 1, computed when its points run, so no grid is
+    ever stored.  Rounding is monotone, so the linear rates rise from the
+    first to the last; the geometric ones are at least start, as
+    ratio**i >= 1, and one overflows to inf only if the last, the largest,
+    does.  A rate is refused only for being at most 0 or not finite, so
+    checking the first and the last rate checks them all.
+    """
     if args.lam is not None:
-        return [args.lam]
+        return (lambda i: args.lam), 1
     start, stop, count = args.lambda_grid
     if not (count >= 1 and count.is_integer() and 0 < start <= stop):
         raise ValueError(
@@ -179,12 +190,12 @@ def _lambda_grid(args) -> list[float]:
         )
     n = int(count)
     if n == 1:
-        return [start]
+        return (lambda i: start), 1
     if args.lambda_spacing == "linear":
         step = (stop - start) / (n - 1)
-        return [start + i * step for i in range(n)]
+        return (lambda i: start + i * step), n
     ratio = (stop / start) ** (1.0 / (n - 1))
-    return [start * ratio**i for i in range(n)]
+    return (lambda i: start * ratio**i), n
 
 
 def _tallied(rows, summary: dict):
@@ -218,11 +229,11 @@ def _cmd_scan(args) -> int:
     tols = (args.tie_tol, args.tol, args.epsilon)
     header = _scan_header()
     if args.lambda_rule is None:
-        grid = _lambda_grid(args)
-        for lam in grid:
+        rate, n = _lambda_grid(args)
+        for lam in (rate(0), rate(n - 1)):  # and so every rate (see _lambda_grid)
             Params(args.k_min, lam)
-        tasks = ((k, lam, *tols) for k in ks for lam in grid)
-        count = len(ks) * len(grid)
+        tasks = ((k, rate(i), *tols) for k in ks for i in range(n))
+        count = len(ks) * n
     else:
         rates = [_rule_rate(args.lambda_rule, k) for k in ks]
         tasks = ((k, lam, *tols) for k, lam in zip(ks, rates))

@@ -18,18 +18,18 @@ The k-term loop costs min(n, k) multiply-adds for w_n and is the reference:
 every table a caller prints comes from it.  ``scan`` needs only decisions
 (``n_max``, modes, maxima, flags), so ``build_adaptive_table(decided=...)``
 first grows the table on running sums of the last k weights, at O(1) per
-step.  Those sums are recomputed by the loop's own step, ``_extend_kp``
-(the one k-term window sum), whenever their rounding-error bound passes
-``_RESYNC`` (and every k steps), so each entry stays within a tenth of
-``_MARGIN`` of the loop's.  A decision that does not clear ``_MARGIN`` is
-left to the loop, which then builds the table inside the same call.  The
-build also records the table's runs, which ``structure`` decides it from.
+step, on block sums of positive terms only, so each entry stays within a
+tenth of ``_MARGIN`` of the loop's with nothing to recompute.  A decision
+that does not clear ``_MARGIN`` is left to the loop, which then builds the
+table inside the same call.  The build also records the table's runs,
+which ``structure`` decides it from.
 """
 
 import math
-import sys
 from collections import deque, namedtuple
 from collections.abc import Callable
+from itertools import accumulate
+from operator import add, mul
 
 __all__ = [
     "Params",
@@ -163,21 +163,19 @@ def _finish(params: Params, values: list[float]) -> PmfTable:
 def _extend_kp(w: list[float], k: int, lam: float, n: int) -> float:
     """Append w_n = lam S_n / n to a k-term table of length n; return S_n.
 
-    S_n = sum_{j=1..k} j w_{n-j} is the package's one k-term window sum (the
-    running sums of ``_running_weights`` are recomputed here); read w_n as w[-1].
+    S_n = sum_{j=1..k} j w_{n-j} is the package's one k-term window sum
+    whose bits reach a table; read w_n as w[-1].
 
     The sum runs over j = 1..min(n, k) in that order, s += j * w[n - j], with
     j an exact float.  Walking the reversed window of the last min(n, k)
     entries performs exactly those float operations with less interpreter
     work, so the weights are bit-identical to the indexed loop; a table of
-    at most k entries is walked in place, without copying the window (the
-    running builder's ``w`` carries k leading zeros, so the test is on its
-    length, not on n).  Faster forms
-    round differently: ``sum`` compensates float sums from Python 3.12 on,
-    ``math.fsum`` and ``math.sumprod`` round in another way, and a numpy dot
-    reorders the sum (and its import adds ~14 MB and ~0.09 s per process).
-    When lam * s alone overflows, the quotient is formed as s / n * lam, so a
-    finite weight is not reported as an overflow.
+    at most k entries is walked in place, without copying the window.
+    Faster forms round differently: ``sum`` compensates float sums from
+    Python 3.12 on, ``math.fsum`` and ``math.sumprod`` round in another way,
+    and a numpy dot reorders the sum (and its import adds ~14 MB and ~0.09 s
+    per process).  When lam * s alone overflows, the quotient is formed as
+    s / n * lam, so a finite weight is not reported as an overflow.
     """
     s = 0.0
     j = 1.0
@@ -299,17 +297,14 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
 # Adaptive truncation refuses to grow a table past this many indices.
 _ADAPTIVE_CAP = 1_000_000
 
-# The running sums of ``build_adaptive_table(decided=...)`` are recomputed
-# from the stored weights once their rounding-error bound passes this
-# relative size.
-_RESYNC = 1e-14
-
 # Over ten times the worst gap measured between a running-sum table and the
-# loop's table at the same point: 1.22e-14 relative in an entry and 1.04e-14
-# absolute in the captured mass, over 1,633 tables (the scan grids, the
-# tail-bound and shoulder rates, and orders 1..100 at k*lam up to 700).
-# tests/test_pmf.py keeps entries within a tenth of it.  A decision that
-# clears it is the loop's decision as well.
+# loop's table at the same point: 1.12e-14 relative in an entry and 1.13e-14
+# absolute in the captured mass, both at k = 94 and k*lam = 700, over the
+# 1,402 tables that the running sums settle among the mean-k rates and the
+# tail-bound rates for k = 2..200, the shoulder rates for k = 2..100, the
+# scan-grid rates (k = 2..50, 20 from 0.05 to 3) and orders 1..100 at
+# k*lam = 100, 300, 500 and 700.  tests/test_pmf.py keeps entries within a
+# tenth of it.  A decision that clears it is the loop's decision as well.
 _MARGIN = 1.5e-13
 
 # The shape audits' default tie and tail tolerances (``structure``), kept
@@ -317,36 +312,48 @@ _MARGIN = 1.5e-13
 DEFAULT_TIE_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-12
 
-_ULP = sys.float_info.epsilon / 2  # unit roundoff: one rounding errs by at most this
+
+def _block(rev: list[float], up: list[float], down: list[float]) -> list[float]:
+    """The old block's part of S_{n+1} at each distance d = k, k - 1, .., 1.
+
+    ``rev`` is the block w_b, w_{b-1}, .., w_{b-k+1}, newest first, ``up``
+    is 1.0, .., k and ``down`` is k, .., 1.0.  Entry r + 1 is d A[r] + B[r]
+    with d = k - 1 - r, A[r] = sum w_i and B[r] = sum (b + 1 - i) w_i over
+    b - r <= i <= b; entry 0, at d = k, is 0.0.  All of it is C-level
+    passes of plain float multiplies and adds.
+    """
+    a = accumulate(rev, initial=0.0)
+    b = accumulate(map(mul, up, rev), initial=0.0)
+    return list(map(add, map(mul, down, a), b))
 
 
 def _running_weights(
     k: int, lam: float, scale: float, epsilon: float, fast: float = 0.0
 ) -> tuple[list[float], float, list[int]] | None:
-    """(w_0..w_n_max, mass, runs) by running sums, or None where the loop must decide.
+    """(w_0..w_n_max, mass, runs) by block sums, or None where the loop must decide.
 
-    Carries S_n = sum_{j=1..k} j w_{n-j} and U_n = sum_{j=1..k} w_{n-j}
-    (negative indices zero) with
+    S_{n+1} = sum_{j=1..k} j w_{n+1-j} (negative indices zero) is formed
+    from positive terms only, at O(1) per step, on two blocks (two-stack
+    sliding-window aggregation: Tangwongsan, Hirzel and Schneider, VLDB
+    2015).  The old block is the k entries ending at index b, and its part
+    of the sum at each distance d = n - b into the new block is tabulated
+    when it fills (``_block``).  The new block w_{b+1}..w_n grows by one
+    entry per step, as N0 = sum w_i and N1 = sum (n + 1 - i) w_i, so
 
-        U_{n+1} = U_n + w_n - w_{n-k},    S_{n+1} = S_n + U_{n+1} - k w_{n-k},
+        S_{n+1} = d A[r] + B[r] + N1,    r = k - 1 - d,
 
-    so each step costs O(1).  The subtractions cancel where the table falls
-    fast (Gautschi 1967), so a bound on the rounding error of S, with the
-    error of U carried into it, grows with every step.  Both sums are
-    recomputed once that bound passes ``_RESYNC`` relative and at the latest
-    k steps after the last recomputation.  Such a step is the loop's own:
-    ``_extend_kp`` appends the loop's entry on the same history and returns
-    S, and U is the builtin ``sum`` of the same window (U needs accuracy,
-    not the loop's bits).  The second rule costs one multiply-add per step
-    on average and keeps small orders, where the bound allows many steps,
-    from drifting: an entry's gap to the loop is the sum of the drifts of
-    all earlier steps.  Every stop decision must clear ``_MARGIN``: a
-    near-tie between consecutive entries, or a stop that other conditions
-    allow but the mass or the last value cannot settle, returns None, and
-    so does an entry that is zero or not finite, or one past the cap.
-    Each entry is compared with the previous one against the shape walk's
-    band edge ``fast``, at most (1 - m)/(1 + m) with m = ``_MARGIN``, first,
-    and ``runs`` are the runs so found, as ``structure._runs`` finds them.
+    and at d = k the window is the new block alone: S_{n+1} = N1, and the
+    new block becomes the old one.  Nothing is subtracted, so nothing
+    cancels where the table falls fast (as in S += U - k w_{n-k}, Gautschi
+    1967): each S_n is within gamma_{min(n, k) + 2} (Higham) of the exact
+    sum of the same entries, and no error needs tracking or recomputing.
+    Every stop decision must clear ``_MARGIN``: a near-tie between
+    consecutive entries, or a stop that other conditions allow but the mass
+    or the last value cannot settle, returns None, and so does an entry
+    that is zero or not finite, or a block that would pass the cap.  Each
+    entry is compared with the previous one against the shape walk's band
+    edge ``fast``, at most (1 - m)/(1 + m) with m = ``_MARGIN``, first, and
+    ``runs`` are the runs so found, as ``structure._runs`` finds them.
     """
     m = _MARGIN
     falls, rises = 1.0 - m, 1.0 + m
@@ -354,64 +361,55 @@ def _running_weights(
     if mass_high >= 1.0:
         return None  # epsilon inside the margin: the loop decides every mass test
     last_low, last_high = epsilon * falls / scale, epsilon * rises / scale
-    u2, u3 = 2.0 * _ULP, 3.0 * _ULP
-    kf = float(k)
-    w = [0.0] * k + [1.0]  # k zeros stand for the weights at negative indices
-    s = u = 1.0
-    err_s = err_u = 0.0
+    w = [1.0]
+    up = list(map(float, range(1, k + 1)))
+    down = up[::-1]
+    old = _block([1.0] + [0.0] * (k - 1), up, down)  # w_0, then the zeros before it
+    n = 0
+    s = 1.0  # S_1
     mass = scale
     prev = 1.0
     dec_run = 0
-    due = k + 1
     runs = []
     kind = 0  # the last pair: 1 a clear rise, -1 a clear fall, 0 in the band
-    inf, resync = math.inf, _RESYNC  # locals: the loop reads them at every step
-    for n in range(1, _ADAPTIVE_CAP + 1):
-        if n == due or err_s > resync * s:
-            s = _extend_kp(w, k, lam, n)
-            u = sum(w[-k - 1 : -1])
-            x = w[-1]
-            err_s = err_u = 0.0
-            due = n + k
-        else:
+    inf = math.inf  # a local: the loop reads it at every step
+    while n + k <= _ADAPTIVE_CAP:
+        n0 = n1 = 0.0
+        for c in reversed(old):  # d = 1, .., k
+            n += 1
             x = lam * s / n
-            w.append(x)
-        if not 0.0 < x < inf:
-            return None
-        if x < prev * fast:  # a clear fall, so x < prev * falls
-            dec_run += 1
-            if kind >= 0:
-                runs.append(n)
-                kind = -1
-        elif prev < x * fast:  # a clear rise, so x > prev * rises
-            dec_run = 0
-            if kind <= 0:
-                runs.append(n)
-                kind = 1
-        else:
-            if x < prev * falls:
-                dec_run += 1
-            elif x > prev * rises:
-                dec_run = 0
-            else:
+            if not 0.0 < x < inf:
                 return None
-            runs.append(n)
-            kind = 0
-        mass += scale * x
-        if dec_run >= k and mass >= mass_low and x <= last_high:
-            if mass >= mass_high and x <= last_low:
-                return w[k:], mass, runs
-            return None
-        old = w[n]  # w_{n-k}
-        a = u + x
-        u = a - old
-        t = s + u
-        s = t - kf * old
-        # each rounding errs by at most _ULP of its result, and a (for U) and
-        # t (for S) are at least every result of their update
-        err_u += u2 * a
-        err_s += err_u + u3 * t
-        prev = x
+            w.append(x)
+            if x < prev * fast:  # a clear fall, so x < prev * falls
+                dec_run += 1
+                if kind >= 0:
+                    runs.append(n)
+                    kind = -1
+            elif prev < x * fast:  # a clear rise, so x > prev * rises
+                dec_run = 0
+                if kind <= 0:
+                    runs.append(n)
+                    kind = 1
+            else:
+                if x < prev * falls:
+                    dec_run += 1
+                elif x > prev * rises:
+                    dec_run = 0
+                else:
+                    return None
+                runs.append(n)
+                kind = 0
+            mass += scale * x
+            if dec_run >= k and mass >= mass_low and x <= last_high:
+                if mass >= mass_high and x <= last_low:
+                    return w, mass, runs
+                return None
+            n0 += x
+            n1 += n0
+            s = c + n1
+            prev = x
+        old = _block(w[: -k - 1 : -1], up, down)
     return None
 
 
@@ -440,18 +438,19 @@ def build_adaptive_table(
     By default each weight comes from the k-term loop (``_extend_kp``), the
     reference every other table is compared with.  With ``decided``, a
     predicate over the candidate ``PmfTable``, the table is first grown on
-    running sums at O(1) per step (``_running_weights``).  Its entries stayed
-    within ``_MARGIN / 10`` of the loop's in every table measured (see
-    ``_MARGIN``), so every stop decision that clears ``_MARGIN`` is the
-    loop's, and so is ``n_max``.  The running-sum table is returned when its
-    build settled every stop decision outside the margin and ``decided``
-    accepts it; otherwise the loop builds the table, once, inside this call,
-    and decides.  ``decided`` states whether the caller's comparisons on
-    the candidate clear the margin too, and may keep what it computed on it
-    (``scan`` keeps the report of ``structure.decided_report``).  The band
-    edge of the caller's shape walk reaches the build as the attribute
-    ``fast`` of ``decided``, and the runs found at it come back as the
-    candidate's ``runs`` and ``fast``, for the walk to replay.
+    block sums of positive terms at O(1) per step (``_running_weights``).
+    Its entries stayed within ``_MARGIN / 10`` of the loop's in every table
+    measured (see ``_MARGIN``), so every stop decision that clears
+    ``_MARGIN`` is the loop's, and so is ``n_max``.  The running-sum table
+    is returned when its build settled every stop decision outside the
+    margin and ``decided`` accepts it; otherwise the loop builds the table,
+    once, inside this call, and decides.  ``decided`` states whether the
+    caller's comparisons on the candidate clear the margin too, and may keep
+    what it computed on it (``scan`` keeps the report of
+    ``structure.decided_report``).  The band edge of the caller's shape walk
+    reaches the build as the attribute ``fast`` of ``decided``, and the runs
+    found at it come back as the candidate's ``runs`` and ``fast``, for the
+    walk to replay.
     """
     _check_real("epsilon", epsilon, 0.0, 1.0)
     k, lam = params.k, params.lam

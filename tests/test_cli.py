@@ -201,6 +201,30 @@ class TestScanCommand:
         assert out == ""
         assert named in err
 
+    @pytest.mark.parametrize("spacing", ["geometric", "linear"])
+    def test_lambda_grid_is_lazy_and_keeps_every_rate(self, spacing):
+        def grid(start, stop, count):
+            args = argparse.Namespace(
+                lam=None, lambda_grid=[start, stop, count], lambda_spacing=spacing
+            )
+            return cli._lambda_grid(args)
+
+        def listed(start, stop, n, i):  # rate i by the grid formula, written out
+            if spacing == "linear":
+                return start + i * ((stop - start) / (n - 1))
+            return start * ((stop / start) ** (1.0 / (n - 1))) ** i
+
+        rate, n = grid(0.05, 3.0, 20.0)
+        assert n == 20
+        assert [rate(i).hex() for i in range(n)] == [
+            listed(0.05, 3.0, n, i).hex() for i in range(n)
+        ]
+        rate, n = grid(0.1, 1.0, 1e9)  # far too many rates to hold
+        assert n == 10**9
+        for i in (0, n - 1, 123_456_789):
+            assert rate(i).hex() == listed(0.1, 1.0, n, i).hex()
+        assert rate(0) == 0.1
+
     def test_underflowing_weights_become_an_error_row(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--k-min", "2", "--k-max", "3", "--lambda", "1e-200"
@@ -891,6 +915,10 @@ class TestExitCodes:
             (["--lambda", "0.5", "--jobs", "0"], "--jobs must"),
             (["--lambda", "0.5", "--jobs", "-3"], "--jobs must"),
             (["--lambda", "0.5", "--k-step", "0"], "--k-step must"),
+            # grids whose last rate, the only one checked besides the first, is inf
+            (["--lambda-grid", "1e-300", "1e300", "3"], "rate lam must"),
+            (["--lambda-grid", "1", "inf", "1e9"], "rate lam must"),
+            (["--lambda-grid", "0.1", "inf", "1e9", "--lambda-spacing", "linear"], "rate lam must"),
         ],
     )
     def test_invalid_scan_parameter_is_one(self, capsys, extra, named):

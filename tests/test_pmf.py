@@ -1,5 +1,6 @@
 """Tests for the recurrence tables, normalization, and difference identities."""
 
+import hashlib
 import math
 import pickle
 import re
@@ -480,6 +481,13 @@ def count_loop_builds(monkeypatch) -> list[int]:
     return builds
 
 
+# SHA-256 of the float.hex entries of two running-sum tables, joined by commas
+RUNNING_SHA256 = {
+    (50, 2.0 / 51): "bf336142de180c5e03bb5a04f7c7809f115f0fbff27cb5bb693b34e34c31d85b",
+    (3, 2.0): "46cbb0f7c70003521dceeb8b35029b0b5ba279cf13210bb24cf750ed4cdd83ed",
+}
+
+
 class TestRunningSums:
     """``build_adaptive_table(decided=...)``: running sums, the loop decides close calls."""
 
@@ -505,16 +513,18 @@ class TestRunningSums:
             assert t.n_max == build_adaptive_table(p, 1e-10).n_max
             assert max(map(rel_gap, t.values, kterm_reference(p, t.n_max))) <= tol
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", [*range(1, 9), 60, 89, 94, 100])
     @pytest.mark.parametrize("k_lam", [300.0, 700.0])
     def test_loop_n_max_and_entries_at_small_orders_and_extreme_rates(self, k, k_lam):
-        # long tables on few terms: without the recomputation every k steps
-        # the drift of the running sums adds up past the tenth of the margin
+        # long tables on few terms, where an entry's gap to the loop sums the
+        # gaps of many steps before it, and the orders of the worst gaps
+        # measured (see pmf._MARGIN)
         p = Params(k, k_lam / k)
         loop = build_adaptive_table(p, 1e-10)
         t = build_adaptive_table(p, 1e-10, decided=always)
         assert t.n_max == loop.n_max
         assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
+        assert abs(t.mass_captured - loop.mass_captured) <= pmf._MARGIN / 10
 
     @pytest.mark.parametrize(
         "k, lam, epsilon",
@@ -599,10 +609,13 @@ class TestRunningSums:
         with pytest.raises(RuntimeError, match="cap of 5"):
             build_adaptive_table(Params(2, 4 / 3), 1e-10, decided=always)
 
-    def test_recomputing_every_step_gives_the_loops_table(self, monkeypatch):
-        # with _RESYNC = 0 every step after the first recomputes its sums,
-        # so each entry comes from the loop's own step on the loop's history
-        monkeypatch.setattr(pmf, "_RESYNC", 0.0)
+    def test_each_entry_is_within_the_positive_sums_bound_of_the_loops_step(self):
+        # S_n sums positive terms both ways: the loop's within min(n, k)
+        # roundings of the exact sum of the entries before it, the block sums'
+        # within min(n, k) + 2, and w_n = lam S_n / n adds two roundings on
+        # each side; so (Higham, lemma 3.3) each entry is within
+        # gamma_{2 min(n, k) + 6} of the loop's step on the same history
+        u = sys.float_info.epsilon / 2
         points = [(k, 2.0 / (k + 1)) for k in range(2, 201, 7)]
         points += [
             (k, lam)
@@ -614,12 +627,24 @@ class TestRunningSums:
             running = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10)
             if running is None:  # a close call of the stop rule
                 continue
-            loop = build_adaptive_table(Params(k, lam), 1e-10)
-            assert tuple(running[0]) == loop.values
-            assert running[1] == loop.mass_captured
+            w = running[0]
+            for n in range(1, len(w)):
+                history = w[:n]
+                pmf._extend_kp(history, k, lam, n)
+                rounds = 2 * min(n, k) + 6
+                assert rel_gap(w[n], history[-1]) <= rounds * u / (1 - rounds * u)
             on_sums += 1
         assert len(points) == 64
         assert on_sums >= 40
+
+    @pytest.mark.parametrize("k, lam", list(RUNNING_SHA256))
+    def test_running_tables_have_the_same_bits_on_every_interpreter(self, k, lam):
+        # plain float adds and multiplies only: builtin sum, which compensates
+        # from Python 3.12 on, would give other bits, and so could decide
+        # other points on the loop
+        w, _, _ = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10)
+        bits = ",".join(map(float.hex, w)).encode()
+        assert hashlib.sha256(bits).hexdigest() == RUNNING_SHA256[k, lam]
 
 
 def index_error(diff, table, n) -> str:
