@@ -15,9 +15,12 @@ failure.  A reader that closes stdout early is not a failure: exit 0.
 """
 
 import argparse
+import contextlib
+import functools
 import itertools
 import os
 import sys
+from collections import deque
 
 from . import roots
 from .pmf import (
@@ -147,11 +150,11 @@ def _scan_point(task: tuple) -> dict:
     row["k"], row["lambda"], row["error"] = k, lam, ""
     rep = None
 
-    def decided(table) -> bool:
+    def decided(table, runs) -> bool:
         # the report of a running-sum table whose comparisons all clear the
         # margin is kept; otherwise the loop builds the table inside the call
         nonlocal rep
-        rep = structure.decided_report(table, tie_tol, tail_tol)
+        rep = structure.decided_report(table, tie_tol, tail_tol, runs)
         return rep is not None
 
     decided.fast = structure._fast(tie_tol, tail_tol)  # the runs' band edge
@@ -166,6 +169,24 @@ def _scan_point(task: tuple) -> dict:
     row["n_max"] = table.n_max
     row.update(rep._asdict())
     return row
+
+
+def _scan_chunk(tasks: list) -> list[dict]:
+    """The rows of a chunk of points, run by one worker call."""
+    return [_scan_point(task) for task in tasks]
+
+
+def _pooled(pool, tasks, workers: int):
+    """The rows of ``tasks`` in task order, run by ``pool`` in chunks of 8
+    points, with at most 2 * ``workers`` chunks submitted ahead of the
+    writer, so that the pool holds no more of a long grid than that."""
+    chunks = iter(lambda: list(itertools.islice(tasks, 8)), [])
+    submit = functools.partial(pool.submit, _scan_chunk)
+    window = deque(map(submit, itertools.islice(chunks, 2 * workers)))
+    while window:
+        rows = window.popleft().result()
+        window.extend(map(submit, itertools.islice(chunks, 1)))
+        yield from rows
 
 
 def _lambda_grid(args):
@@ -244,22 +265,16 @@ def _cmd_scan(args) -> int:
         0,
     )
     workers = min(args.jobs, count)
+    pool, rows = contextlib.nullcontext(), map(_scan_point, tasks)
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, pickle, socket
         # and logging, which every other run would pay for at startup
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(_scan_point, tasks, chunksize=8)  # in task order
-            try:
-                _emit(_Rows(count, _tallied(rows, summary)), header, args)
-            except BaseException:
-                # a closed pipe or a failed point: the points not yet started
-                # are dropped, not waited for
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        rows = map(_scan_point, tasks)
+        pool = ProcessPoolExecutor(max_workers=workers)
+        rows = _pooled(pool, tasks, workers)
+    # a closed pipe or a failed point waits only for the submitted chunks
+    with pool:
         _emit(_Rows(count, _tallied(rows, summary)), header, args)
     print(
         "scan summary: " + " ".join(f"{k}={v}" for k, v in summary.items()),

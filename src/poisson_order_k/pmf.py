@@ -21,8 +21,8 @@ first grows the table on running sums of the last k weights, at O(1) per
 step, on block sums of positive terms only, so each entry stays within a
 tenth of ``_MARGIN`` of the loop's with nothing to recompute.  A decision
 that does not clear ``_MARGIN`` is left to the loop, which then builds the
-table inside the same call.  The build also records the table's runs,
-which ``structure`` decides it from.
+table inside the same call.  The build also records the table's runs and
+hands them to ``decided``, which decides the table from them.
 """
 
 import math
@@ -328,7 +328,7 @@ def _block(rev: list[float], up: list[float], down: list[float]) -> list[float]:
 
 
 def _running_weights(
-    k: int, lam: float, scale: float, epsilon: float, fast: float = 0.0
+    k: int, lam: float, scale: float, epsilon: float, fast: float
 ) -> tuple[list[float], float, list[int]] | None:
     """(w_0..w_n_max, mass, runs) by block sums, or None where the loop must decide.
 
@@ -347,13 +347,13 @@ def _running_weights(
     cancels where the table falls fast (as in S += U - k w_{n-k}, Gautschi
     1967): each S_n is within gamma_{min(n, k) + 2} (Higham) of the exact
     sum of the same entries, and no error needs tracking or recomputing.
-    Every stop decision must clear ``_MARGIN``: a near-tie between
-    consecutive entries, or a stop that other conditions allow but the mass
-    or the last value cannot settle, returns None, and so does an entry
-    that is zero or not finite, or a block that would pass the cap.  Each
-    entry is compared with the previous one against the shape walk's band
-    edge ``fast``, at most (1 - m)/(1 + m) with m = ``_MARGIN``, first, and
-    ``runs`` are the runs so found, as ``structure._runs`` finds them.
+    Every stop decision must clear ``_MARGIN``: a near-tie between consecutive
+    entries, or a stop that other conditions allow but the mass or the last
+    value cannot settle, returns None, and so does an entry that is zero or
+    not finite, or a block that would pass the cap.  Each entry is compared
+    with the previous one against the shape walk's band edge ``fast``, at most
+    (1 - m)/(1 + m) with m = ``_MARGIN``, first; the runs so found, as
+    ``structure._runs`` finds them, reach ``decided`` as its second argument.
     """
     m = _MARGIN
     falls, rises = 1.0 - m, 1.0 + m
@@ -413,10 +413,6 @@ def _running_weights(
     return None
 
 
-class _Running(PmfTable):
-    """A candidate of ``decided``: its ``runs`` and ``fast`` are not fields."""
-
-
 def build_adaptive_table(
     params: Params, epsilon: float, *, decided: Callable | None = None
 ) -> PmfTable:
@@ -436,21 +432,17 @@ def build_adaptive_table(
     RuntimeError when ``_ADAPTIVE_CAP`` indices are exhausted first.
 
     By default each weight comes from the k-term loop (``_extend_kp``), the
-    reference every other table is compared with.  With ``decided``, a
-    predicate over the candidate ``PmfTable``, the table is first grown on
-    block sums of positive terms at O(1) per step (``_running_weights``).
-    Its entries stayed within ``_MARGIN / 10`` of the loop's in every table
-    measured (see ``_MARGIN``), so every stop decision that clears
-    ``_MARGIN`` is the loop's, and so is ``n_max``.  The running-sum table
-    is returned when its build settled every stop decision outside the
-    margin and ``decided`` accepts it; otherwise the loop builds the table,
-    once, inside this call, and decides.  ``decided`` states whether the
-    caller's comparisons on the candidate clear the margin too, and may keep
-    what it computed on it (``scan`` keeps the report of
-    ``structure.decided_report``).  The band edge of the caller's shape walk
-    reaches the build as the attribute ``fast`` of ``decided``, and the runs
-    found at it come back as the candidate's ``runs`` and ``fast``, for the
-    walk to replay.
+    reference every other table is compared with.  With ``decided``, the table
+    is first grown on block sums of positive terms at O(1) per step
+    (``_running_weights``).  Its entries stayed within ``_MARGIN / 10`` of the
+    loop's in every table measured (see ``_MARGIN``), so every stop decision
+    that clears ``_MARGIN`` is the loop's, and so is ``n_max``.  When the
+    build settles every stop decision outside the margin, ``decided(table,
+    runs)`` states whether the caller's comparisons on the candidate, given
+    the runs the build found at the band edge ``decided.fast``, clear the
+    margin too; it may keep what it computed (``scan`` keeps the report of
+    ``structure.decided_report``).  The candidate is returned when they do;
+    otherwise the loop builds the table, once, inside this call, and decides.
     """
     _check_real("epsilon", epsilon, 0.0, 1.0)
     k, lam = params.k, params.lam
@@ -462,14 +454,13 @@ def build_adaptive_table(
         )
     if decided is not None:
         # a clear step must clear the near-tie test of the build by the margin
-        fast = min(getattr(decided, "fast", 0.0), (1.0 - _MARGIN) / (1.0 + _MARGIN))
+        fast = min(decided.fast, (1.0 - _MARGIN) / (1.0 + _MARGIN))
         running = _running_weights(k, lam, scale, epsilon, fast)
         if running is not None:
             w, mass, runs = running
-            table = _Running(params=params, values=tuple(w), mass_captured=mass)
-            table.fast, table.runs = fast, runs
-            if decided(table):
-                return PmfTable(*table)
+            table = PmfTable(params=params, values=tuple(w), mass_captured=mass)
+            if decided(table, runs):
+                return table
     w = [1.0]
     mass = scale
     dec_run = 0

@@ -87,7 +87,7 @@ def _every(v, runs: list[int], lo: int, hi: int, holds) -> bool:
     return lo > hi or all(holds(v[s - 1], v[s]) for s in runs[first:] if s <= hi)
 
 
-def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True):
+def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=True):
     """(modes, local maxima, triple-tie runs, first tail violation, clear, runs).
 
     Checks ``tie_tol``, settledness (when ``settled``), then ``tail_tol``.  For
@@ -106,20 +106,22 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, settled: bool = True
     when it is the only one there).  The sign of every pair decides the
     comparisons of the initial increase and the block check as well.
 
-    The walk replays the runs at ``_fast`` that the running-sum build
-    recorded, or that one pass finds.  A run of clear steps is decided whole,
-    its rounding far inside the margin, except where 1 - tie_tol nears the
+    The walk replays ``runs``, found at an edge at or below ``_fast``, or with
+    None finds them there.  A run of clear steps is decided whole, its
+    rounding far inside the margin, except where 1 - tie_tol nears the
     rounding error over the margin, so from tie_tol = 0.99 on every pair is a
     run.  Its entries are monotone: the peak is a run end, the entries near
     the floor sit at its top, it ends the tie run, and past k its first pair
-    is the tail violation.  A run of one pair takes the exact tests.
+    is the tail violation.  A run of one pair takes the exact tests.  A step
+    clear at a lower edge is clear at ``_fast`` too, and a pair inside the
+    band takes the exact tests either way, so the report and ``clear`` are
+    those of the pair walk, which takes each pair as a run.
     """
     _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     v, k = table.values, table.params.k
     last = len(v) - 1
-    fast = _fast(tie_tol, tail_tol)
-    # a running-sum table carries the runs its builder recorded at its edge
-    runs = table.runs if getattr(table, "fast", None) == fast else _runs(v, fast)
+    if runs is None:
+        runs = _runs(v, _fast(tie_tol, tail_tol))
     if settled and not (last >= k and _every(v, runs, last - k + 1, last, operator.gt)):
         raise ValueError(
             f"table (k={k}, lam={table.params.lam}, n_max={table.n_max}) is not "
@@ -273,11 +275,11 @@ def find_triple_ties(
 
 
 def _audit(
-    table: PmfTable, tie_tol: float, tail_tol: float
+    table: PmfTable, tie_tol: float, tail_tol: float, runs=None
 ) -> tuple[StructureReport, bool]:
     """(``build_report``'s report, whether its comparisons all clear ``_MARGIN``)."""
     params, k, v = table.params, table.params.k, table.values
-    modes, peaks, ties, violation, clear, runs = _walk(table, tie_tol, tail_tol)
+    modes, peaks, ties, violation, clear, runs = _walk(table, tie_tol, tail_tol, runs)
     bounds_ok, floor_ok = _mode_bounds(params, modes)
     block: bool | None = None
     if k <= modes[0] <= table.n_max - k:
@@ -314,16 +316,18 @@ def build_report(
 
 
 def decided_report(
-    table: PmfTable, tie_tol: float, tail_tol: float
+    table: PmfTable, tie_tol: float, tail_tol: float, runs=None
 ) -> StructureReport | None:
     """``build_report``'s report when every comparison in it clears ``_MARGIN``.
 
     Then every table within ``_MARGIN / 10`` of this one, entry by entry and
     with the same w_1, gets the same report; otherwise this returns None.
-    ``scan`` decides on a running-sum table this way, whose entries stay
-    that close to the loop's (see ``build_adaptive_table``) and whose w_1 is
-    the rate exactly, as the loop's is.  The comparisons are made once, by
-    the one walk that also makes the report (see ``_walk``).
+    ``scan`` decides on a running-sum table this way, whose entries stay that
+    close to the loop's (see ``build_adaptive_table``) and whose w_1 is the
+    rate exactly, as the loop's is, on the runs its build found at an edge at
+    or below ``_fast(tie_tol, tail_tol)``: a step clear there is clear at
+    ``_fast`` too, so they give the pair walk's report (see ``_walk``).  None
+    finds the runs at ``_fast``.
     """
-    report, clear = _audit(table, tie_tol, tail_tol)
+    report, clear = _audit(table, tie_tol, tail_tol, runs)
     return report if clear else None

@@ -464,8 +464,11 @@ class TestAdaptiveTruncation:
         assert w[n] == 0.0 < w[n - 1]
 
 
-def always(table) -> bool:
+def always(table, runs) -> bool:
     return True
+
+
+always.fast = 0.0  # the band edge of the runs: no pair is clear
 
 
 def count_loop_builds(monkeypatch) -> list[int]:
@@ -557,10 +560,11 @@ class TestRunningSums:
         p = Params(50, 2.0 / 51)
         seen = []
 
-        def refuse(candidate):
+        def refuse(candidate, runs):
             seen.append(candidate)
             return False
 
+        refuse.fast = 0.0
         builds = count_loop_builds(monkeypatch)
         t = build_adaptive_table(p, 1e-10, decided=refuse)
         assert builds == [1]
@@ -573,29 +577,28 @@ class TestRunningSums:
     def test_candidate_carries_the_runs_of_its_build(self):
         seen = []
 
-        def decided(candidate):
-            seen.append(candidate)
+        def decided(candidate, runs):
+            seen.append((candidate, runs))
             return True
 
         p = Params(50, 2.0 / 51)
         decided.fast = structure._fast(1e-9, 1e-12)
         t = build_adaptive_table(p, 1e-10, decided=decided)
-        (candidate,) = seen
-        assert candidate.fast == decided.fast
-        assert candidate.runs == structure._runs(candidate.values, decided.fast)
-        assert len(candidate.runs) <= 3  # a clear rise, then a clear fall
-        # what the caller gets is a plain table
-        assert type(t) is PmfTable and t == candidate
+        ((candidate, runs),) = seen
+        assert runs == structure._runs(candidate.values, decided.fast)
+        assert len(runs) <= 3  # a clear rise, then a clear fall
+        # what the caller gets is the candidate, a plain table
+        assert type(t) is PmfTable and t is candidate
         # an edge past (1 - m)/(1 + m) is lowered to it: a clear step must
         # clear the build's own near-tie test, whatever the caller asks
         m = pmf._MARGIN
         decided.fast = 1.0 - m
         assert build_adaptive_table(p, 1e-10, decided=decided) == t
-        assert seen[1].fast == (1.0 - m) / (1.0 + m)
-        assert seen[1].runs == structure._runs(t.values, seen[1].fast)
-        # a predicate without an edge gets every pair as a run of its own
-        build_adaptive_table(p, 1e-10, decided=seen.append)
-        assert seen[2].runs == list(range(1, len(t.values)))
+        assert seen[1][1] == structure._runs(t.values, (1.0 - m) / (1.0 + m))
+        # at edge 0.0 every pair is a run of its own
+        decided.fast = 0.0
+        build_adaptive_table(p, 1e-10, decided=decided)
+        assert seen[2][1] == list(range(1, len(t.values)))
 
     @pytest.mark.parametrize("k, lam", [(2, 1e-200), (300, 1.1e-219), (1, 740.0), (3, 400.0)])
     def test_failures_are_the_loops(self, k, lam):
@@ -624,7 +627,7 @@ class TestRunningSums:
         ]
         on_sums = 0
         for k, lam in points:
-            running = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10)
+            running = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10, 0.0)
             if running is None:  # a close call of the stop rule
                 continue
             w = running[0]
@@ -642,7 +645,7 @@ class TestRunningSums:
         # plain float adds and multiplies only: builtin sum, which compensates
         # from Python 3.12 on, would give other bits, and so could decide
         # other points on the loop
-        w, _, _ = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10)
+        w, _, _ = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10, 0.0)
         bits = ",".join(map(float.hex, w)).encode()
         assert hashlib.sha256(bits).hexdigest() == RUNNING_SHA256[k, lam]
 

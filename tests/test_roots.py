@@ -3,6 +3,7 @@
 import math
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -420,22 +421,16 @@ class TestShoulder:
         assert below[k + 2] - below[k + 1] < 0.0 < above[k + 2] - above[k + 1]
 
     def test_high_precision_cross_check(self):
-        # solve the same crossing from the exact polynomials at 40 digits
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        p5 = weight_polynomial(4, 5).coeffs
-        p6 = weight_polynomial(4, 6).coeffs
+        # the printed value d, widened by half a unit h in its 12th digit,
+        # brackets the crossing of the oracle's exact w_6 - w_5 at k = 4
+        d = Decimal(format(shoulder_lambda(4), ".12g"))
+        h = Decimal(5).scaleb(d.adjusted() - 12)
+        p5, p6 = weight_polynomial(4, 5), weight_polynomial(4, 6)
 
-        def gap(x):
-            tot = mp.mpf(0)
-            for d, c in p6.items():
-                tot += mp.mpf(c.numerator) / c.denominator * x**d
-            for d, c in p5.items():
-                tot -= mp.mpf(c.numerator) / c.denominator * x**d
-            return tot
+        def gap(x: Decimal) -> Fraction:
+            return p6.evaluate(Fraction(x)) - p5.evaluate(Fraction(x))
 
-        ref = mp.findroot(gap, mp.mpf("0.6"))
-        assert abs(shoulder_lambda(4) - float(ref)) <= 1e-12
+        assert gap(d - h) < 0 < gap(d + h)
 
 
 class TestShoulderGapClosedForm:

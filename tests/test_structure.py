@@ -194,11 +194,11 @@ def mode_bounds_reference(p, modes):
     )
 
 
-def assert_replay_is_the_pair_walk(t, tie_tol, tail_tol):
+def assert_replay_is_the_pair_walk(t, tie_tol, tail_tol, runs=None):
     """The walk over runs decides what the walk over pairs decided."""
     want = walk_reference(t, tie_tol, tail_tol)
-    assert structure._walk(t, tie_tol, tail_tol)[:5] == want
-    report, clear = structure._audit(t, tie_tol, tail_tol)  # decided_report's
+    assert structure._walk(t, tie_tol, tail_tol, runs)[:5] == want
+    report, clear = structure._audit(t, tie_tol, tail_tol, runs)  # decided_report's
     assert clear == want[4]
     modes, k = want[0], t.params.k
     block = None
@@ -290,21 +290,20 @@ def test_builder_runs_replay_to_the_pair_walk_on_scan_tables(name):
         scale = math.exp(-k * lam)
         # at edge 0.0 no pair is clear, so the build decides as it did before
         # it recorded runs: the edge must not change what it returns or refuses
-        plain = pmf._running_weights(k, lam, scale, 1e-10)
+        plain = pmf._running_weights(k, lam, scale, 1e-10, 0.0)
         loop = table(k, lam) if plain is None else None
         for tie_tol in (0.0, 1e-9, 0.25, 0.995):
             fast = structure._fast(tie_tol, tail_tol)
             running = pmf._running_weights(k, lam, scale, 1e-10, fast)
             assert (running is None) == (plain is None)
             if running is None:
-                t = loop
+                t, runs = loop, None
             else:
                 w, mass, runs = running
                 assert (w, mass) == plain[:2]
                 assert runs == structure._runs(w, fast)
-                t = pmf._Running(Params(k, lam), tuple(w), mass)
-                t.fast, t.runs = fast, runs
-            assert_replay_is_the_pair_walk(t, tie_tol, tail_tol)
+                t = PmfTable(Params(k, lam), tuple(w), mass)
+            assert_replay_is_the_pair_walk(t, tie_tol, tail_tol, runs)
 
 
 @given(
@@ -345,12 +344,13 @@ RATIOS = st.sampled_from(
     st.integers(1, 4),
     st.sampled_from([0.0, TIE, 1e-9, 0.25, 0.995]),
     st.sampled_from([0.0, TIE, 1e-12, 1.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
-@example([1.0, 1.0, 1.0, 2.0, 0.5], 1.0, 1, 1e-9, 1e-12)  # a plateau, then a peak
-@example([2.0, 1.0 + TIE, 0.5, 1.0 + 1e-12], 1.0, 1, 0.0, 0.0)  # tail rises past k
-@example([1.25, 0.8, 0.8, 1.25], 1e-320, 2, 0.25, 0.0)  # subnormal pairs in the band
+@example([1.0, 1.0, 1.0, 2.0, 0.5], 1.0, 1, 1e-9, 1e-12, 0.5)  # a plateau, then a peak
+@example([2.0, 1.0 + TIE, 0.5, 1.0 + 1e-12], 1.0, 1, 0.0, 0.0, 0.5)  # tail rises past k
+@example([1.25, 0.8, 0.8, 1.25], 1e-320, 2, 0.25, 0.0, 0.5)  # subnormal pairs in the band
 @settings(max_examples=400, deadline=None)
-def test_runs_replay_to_the_pair_walk(ratios, start, k, tie_tol, tail_tol):
+def test_runs_replay_to_the_pair_walk(ratios, start, k, tie_tol, tail_tol, u):
     v = [start]
     for r in ratios:
         v.append(v[-1] * r)
@@ -362,6 +362,21 @@ def test_runs_replay_to_the_pair_walk(ratios, start, k, tie_tol, tail_tol):
     runs = structure._runs(v, fast)
     assert runs == sorted(set(runs)) and runs[:1] == [1]
     assert_replay_is_the_pair_walk(t, tie_tol, tail_tol)
+    # runs found at any edge at or below the walk's replay to the pair walk
+    for lower in (0.0, fast * u, fast):
+        assert_replay_is_the_pair_walk(t, tie_tol, tail_tol, structure._runs(v, lower))
+
+
+@given(
+    st.sampled_from([0.0, TIE, 1e-9, 0.25, 0.99, 0.995]) | st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, TIE, 1e-12, 1.0]) | st.floats(0.0, allow_infinity=False),
+)
+@settings(max_examples=500, deadline=None)
+def test_the_builds_clamp_never_lowers_the_walks_edge(tie_tol, tail_tol):
+    # pmf.build_adaptive_table records runs at min(fast, (1 - m)/(1 + m)),
+    # so on scan's path the runs are found at the walk's own edge
+    m = _MARGIN
+    assert structure._fast(tie_tol, tail_tol) <= (1.0 - m) / (1.0 + m)
 
 
 @pytest.mark.parametrize("scan", [find_modes, local_maxima, find_triple_ties, build_report])
