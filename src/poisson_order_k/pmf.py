@@ -160,8 +160,8 @@ def _finish(params: Params, values: list[float]) -> PmfTable:
     return PmfTable(params=params, values=tuple(values), mass_captured=scale * total)
 
 
-def _extend_kp(w: list[float], k: int, lam: float, n: int) -> float:
-    """Append w_n = lam S_n / n to a k-term table of length n; return S_n.
+def _extend_kp(w: list[float], k: int, lam: float, n: int) -> None:
+    """Append w_n = lam S_n / n to a k-term table of length n.
 
     S_n = sum_{j=1..k} j w_{n-j} is the package's one k-term window sum
     whose bits reach a table; read w_n as w[-1].
@@ -186,7 +186,6 @@ def _extend_kp(w: list[float], k: int, lam: float, n: int) -> float:
     if x == math.inf:
         x = s / n * lam
     w.append(x)
-    return s
 
 
 def _kterm_weights(k: int, lam: float, n_max: int) -> list[float]:

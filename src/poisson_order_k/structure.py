@@ -1,15 +1,15 @@
 """Shape analysis of weight tables: modes, local maxima, monotone stretches.
 
-All analyses are pure functions of an immutable table.  One walk over the
-table's runs (``_runs``: stretches of clear rises or of clear falls, or one
-pair inside the tie band; a scan table has a few) decides modes, maxima, tie
-runs and the tail, and checks each of those comparisons against ``_MARGIN``
-as it makes it: ``build_report`` and ``decided_report`` make it once, and
+All analyses are pure functions of an immutable table.  One walk decides
+modes, maxima, tie runs and the tail, taking the exact tests, each against
+``_MARGIN``, on the first pair of each run (``_runs``: a stretch of clear
+rises or of clear falls, or one pair inside the tie band; a scan table has a
+few): ``build_report`` and ``decided_report`` make it once, and
 ``find_modes``, ``local_maxima``, ``find_triple_ties`` and
 ``check_monotone_tail`` are views of it; the report's initial increase and
-block check read their signs off the runs.  Mode finding refuses
-tables that are not past their last peak (see ``build_adaptive_table``), so a
-reported mode can never be an artifact of truncation.  The audits compare the
+block check read their signs off the runs.  Mode finding refuses tables that
+are not past their last peak (see ``build_adaptive_table``), so a reported
+mode can never be an artifact of truncation.  The audits compare the
 observed shape against the proved mode bounds and against the conjectured
 sharper floor; conjecture violations are reported, never raised, because a
 conjecture under test is not an invariant.
@@ -107,15 +107,18 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=T
     comparisons of the initial increase and the block check as well.
 
     The walk replays ``runs``, found at an edge at or below ``_fast``, or with
-    None finds them there.  A run of clear steps is decided whole, its
-    rounding far inside the margin, except where 1 - tie_tol nears the
-    rounding error over the margin, so from tie_tol = 0.99 on every pair is a
-    run.  Its entries are monotone: the peak is a run end, the entries near
-    the floor sit at its top, it ends the tie run, and past k its first pair
-    is the tail violation.  A run of one pair takes the exact tests.  A step
-    clear at a lower edge is clear at ``_fast`` too, and a pair inside the
-    band takes the exact tests either way, so the report and ``clear`` are
-    those of the pair walk, which takes each pair as a run.
+    None finds them there: it is the pair walk, stepping over the interior of
+    clear runs.  Each run takes the exact tests on its first pair; its other
+    entries count only in the entries near the floor (from its high end), in
+    a rise's plateau top and next tie start (its last entry), and in a rise
+    across k (a violation at k + 1).  The first pair decides as its run would:
+    fast = ``_fast`` <= (1 - tie_tol)(1 - m) and fast * tail_high <= 1 - m, so
+    a clear pair, small < big * fast, fires no edge test, is not flat and ends
+    a tie run unflagged; past k a clear rise has b > a * tail_high, a flagless
+    violation, and a clear fall b < a * tail_low.  From tie_tol = 0.99 on
+    fast is 0, every pair a run.  A step clear at a lower edge is clear at
+    ``_fast`` too, and a pair inside the band takes the exact tests either
+    way, so the report and ``clear`` are those of the pair walk.
     """
     _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     v, k = table.values, table.params.k
@@ -145,28 +148,15 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=T
     tie = lo = hi = 0  # first index of the tie run; its spread once it has two
     for n, end in zip(ends, ends[1:]):
         e = end - 1  # the run's last pair, and its last entry
-        if e > n:  # clear rises or clear falls, entries n - 1..e
-            rise = v[n] > v[n - 1]
-            j, step = (e, -1) if rise else (n - 1, 1)
-            while n - 1 <= j <= e and v[j] >= floor_low:
-                top_entries.add(j)
-                j += step
-            if rise:
-                top, up = e, True
-                if violation is None and e > k:
-                    violation = max(n, k + 1)
-            elif up:
-                peaks.append(top)
-                up = False
-            if n - tie >= 3:
-                ties.append((tie, n - 1))
-            tie = e
-            continue
-        a, b = v[n - 1], v[n]  # one pair: each exact test against its margin
-        top_entries.update(j for j in (n - 1, n) if v[j] >= floor_low)
-        if n > k and violation is None and b >= a * tail_low:
+        a, b = v[n - 1], v[n]  # its first pair: each exact test against its margin
+        j, step = (e, -1) if b > a else (n - 1, 1)  # entries n - 1..e, high end first
+        while n - 1 <= j <= e and v[j] >= floor_low:
+            top_entries.add(j)
+            j += step
+        first = max(n, k + 1)  # the run's first pair past k
+        if violation is None and first <= e and b >= a * tail_low:
             if b > a * tail:
-                violation = n
+                violation = first
             if b <= a * tail_high:
                 clear = False
         small, big = (a, b) if a < b else (b, a)
@@ -175,7 +165,7 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=T
         flat = big - small <= tie_tol * big
         if not flat:
             if b > a:
-                top, up = n, True
+                top, up = e, True
             elif up:
                 peaks.append(top)
                 up = False
@@ -190,7 +180,7 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=T
                 continue
         if n - tie >= 3:
             ties.append((tie, n - 1))
-        tie = n
+        tie = e
     if up:
         peaks.append(top)
     if len(v) - tie >= 3:

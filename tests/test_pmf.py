@@ -478,7 +478,7 @@ def count_loop_builds(monkeypatch) -> list[int]:
 
     def counted(w, k, lam, n):
         builds[0] += n == 1
-        return step(w, k, lam, n)
+        step(w, k, lam, n)
 
     monkeypatch.setattr(pmf, "_extend_kp", counted)
     return builds
