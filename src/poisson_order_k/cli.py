@@ -105,6 +105,7 @@ def _cmd_roots(args) -> int:
 
 
 def _check_k_range(args) -> None:
+    _check_int("--k-min", args.k_min, 1)
     if args.k_max < args.k_min:
         raise ValueError(f"--k-max {args.k_max} below --k-min {args.k_min}")
 
@@ -234,7 +235,6 @@ def _tallied(rows, summary: dict):
 
 
 def _cmd_scan(args) -> int:
-    _check_int("--k-min", args.k_min, 1)
     _check_k_range(args)
     _check_int("--k-step", args.k_step, 1)
     _check_int("--jobs", args.jobs, 1)

@@ -9,11 +9,11 @@ evaluates ``weight_value``: at 1 <= n <= k the order drops out and the weight
 is an n-term closed form, evaluated in O(n); past k it is an entry of a
 k-term table.  The shoulder's bracket is the grid step across which the O(k)
 closed form of the gap w(k+2) - w(k+1) changes sign, confirmed once at each
-end on the k-term gap, and the root is solved on the k-term pair at k+1 and
-k+2.  Every order uses the same grid, and for n <= k the k-term window covers
-the whole prefix, so w_0..w_k at a grid rate do not depend on k: the bracket
-ends read one prefix per grid rate, kept here and extended by the kernel, and
-take their two window steps past k on a copy of it.
+end on the k-term gap, and the root is solved on the k-term weights at k+1
+and k+2.  Every order uses the same grid, and for n <= k the k-term window
+covers the whole prefix, so w_0..w_k at a grid rate do not depend on k: the
+bracket ends read one prefix per grid rate, kept here and extended by the
+kernel, and take their two window steps past k on a copy of it.
 
 From the n = k crossings at levels 1 and 2 this module derives the constants
 that delimit the distribution's shape regimes: the proved monotone-tail
@@ -154,12 +154,14 @@ def root_upper_bound(k: int, n: int, c: float) -> float:
     return min(bounds)
 
 
-def _illinois(f, lo, flo, hi, fhi, is_done) -> tuple[float, int]:
+def _illinois(f, lo, flo, hi, fhi, floor) -> tuple[float, int]:
     """Regula falsi with the Illinois cut, on a bracket with flo < 0 <= fhi.
 
-    Returns (root, evaluations).  ``is_done(x, fx, lo, hi)`` decides
-    convergence.  The secant proposal is clipped to the open bracket, falling
-    back to the midpoint, so progress is always made.
+    ``f(x)`` returns ``(value, slack)``.  The solve stops at the first x with
+    ``|value| <= slack``, or once the bracket is at most 4 ulps of
+    ``max(floor, x)`` wide.  Returns (root, evaluations).  The secant
+    proposal is clipped to the open bracket, falling back to the midpoint, so
+    progress is always made.
     """
     side = 0
     for it in range(1, _MAX_ITER + 1):
@@ -167,8 +169,8 @@ def _illinois(f, lo, flo, hi, fhi, is_done) -> tuple[float, int]:
         x = (lo * fhi - hi * flo) / denom if denom != 0.0 else 0.5 * (lo + hi)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        fx = f(x)
-        if is_done(x, fx, lo, hi):
+        fx, slack = f(x)
+        if abs(fx) <= slack or hi - lo <= 4.0 * math.ulp(max(floor, x)):
             return x, it
         if fx < 0.0:
             lo, flo = x, fx
@@ -213,26 +215,23 @@ def solve_weight_equals(
             f"float {tiny}, below which no float carries relative precision"
         )
 
-    def f(lam: float) -> float:
-        return weight_value(k, n, lam) - c
+    target = tol * max(1.0, c)
 
-    fhi = f(hi)
+    def f(lam: float) -> tuple[float, float]:
+        return weight_value(k, n, lam) - c, target
+
+    fhi = f(hi)[0]
     grown = 0
     while fhi < 0.0:
         hi *= 1.0 + 1e-9
-        fhi = f(hi)
+        fhi = f(hi)[0]
         grown += 1
         if grown > 64:
             raise RuntimeError(
                 f"could not re-establish the bracket above {hi} for "
                 f"k={k}, n={n}, c={c}"
             )
-    target = tol * max(1.0, c)
-
-    def is_done(x: float, fx: float, lo: float, hi_: float) -> bool:
-        return abs(fx) <= target or hi_ - lo <= 4.0 * math.ulp(max(1.0, x))
-
-    root, iterations = _illinois(f, 0.0, -c, hi, fhi, is_done)
+    root, iterations = _illinois(f, 0.0, -c, hi, fhi, 1.0)
     return RootResult(
         k=k,
         n=n,
@@ -329,26 +328,17 @@ def shoulder_lambda(k: int, tol: float = DEFAULT_TOL) -> float:
     below 1e-3 where g is not yet negative there (orders k >= 2258).  The
     bracket is confirmed on the k-term gap, read from the prefix that every
     order shares at a grid rate (``_grid_weights``, bit-identical to a table
-    of its own), and the root is solved on k-term pairs to
-    ``|g| <= tol * w(k+1)``.  Raises RuntimeError if the closed form and the
-    k-term gap disagree on the bracket's signs.
+    of its own), and the root is solved on one k-term table per step to
+    ``|g| <= tol * w(k+1)`` or a bracket of 4 ulps of the rate.  Raises
+    RuntimeError if the closed form and the k-term gap disagree on the
+    bracket's signs.
     """
     _check_int("order k", k, 2)
     _check_real("tol", tol, 0.0)
 
-    # is_done asks for the pair at the rate g has just evaluated; reuse it
-    last: tuple = (None, None)
-
-    def pair(lam: float) -> tuple[float, float]:
-        nonlocal last
-        if last[0] != lam:
-            w = _kterm_weights(k, lam, k + 2)
-            last = lam, (w[k + 1], w[k + 2])
-        return last[1]
-
-    def g(lam: float) -> float:
-        a, b = pair(lam)
-        return b - a
+    def g(lam: float) -> tuple[float, float]:
+        w = _kterm_weights(k, lam, k + 2)
+        return w[k + 2] - w[k + 1], tol * w[k + 1]
 
     # the closed form rises with the rate: walk down until it is negative at
     # lo (only orders k >= 2258 start non-negative), then up until it is
@@ -367,11 +357,7 @@ def shoulder_lambda(k: int, tol: float = DEFAULT_TOL) -> float:
             f"bracket for k={k}: k-term gap {flo} at {lo}, {fhi} at {hi}"
         )
 
-    def is_done(x: float, fx: float, lo_: float, hi_: float) -> bool:
-        ref = pair(x)[0]
-        return abs(fx) <= tol * ref or hi_ - lo_ <= 4.0 * math.ulp(x)
-
-    root, _ = _illinois(g, lo, flo, hi, fhi, is_done)
+    root, _ = _illinois(g, lo, flo, hi, fhi, 0.0)
     return root
 
 

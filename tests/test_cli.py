@@ -1027,6 +1027,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize(
+        "k_range, message",
+        [
+            (["0", "3"], "error: --k-min must be an integer >= 1, got 0\n"),
+            (["-2", "-1"], "error: --k-min must be an integer >= 1, got -2\n"),
+            (["5", "2"], "error: --k-max 2 below --k-min 5\n"),
+        ],
+    )
+    def test_invalid_bounds_range_names_the_flag(self, capsys, k_range, message):
+        # bounds shares scan's k-range validator, so the error names the flag
+        # the user typed, not the order k of the first row
+        k_min, k_max = k_range
+        code, out, err = run(capsys, "bounds", "--k-min", k_min, "--k-max", k_max)
+        assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             (["bounds", "--k-min", "2", "--k-max", "3"], "tol must be > 0 and finite"),

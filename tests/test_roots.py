@@ -47,26 +47,18 @@ def shoulder_reference(k: int, tol: float = 1e-13) -> tuple[float, int]:
     Illinois phase made.
     """
 
-    def pair(lam: float) -> tuple[float, float]:
+    def g(lam: float) -> tuple[float, float]:
         w = _kterm_weights(k, lam, k + 2)
-        return w[k + 1], w[k + 2]
-
-    def g(lam: float) -> float:
-        a, b = pair(lam)
-        return b - a
+        return w[k + 2] - w[k + 1], tol * w[k + 1]
 
     lo = hi = 1e-3
-    flo = fhi = g(lo)
+    flo = fhi = g(lo)[0]
     assert flo < 0.0, k
     while fhi < 0.0:
         lo, flo = hi, fhi
         hi *= 1.5
-        fhi = g(hi)
-
-    def is_done(x: float, fx: float, lo_: float, hi_: float) -> bool:
-        return abs(fx) <= tol * pair(x)[0] or hi_ - lo_ <= 4.0 * math.ulp(x)
-
-    return _illinois(g, lo, flo, hi, fhi, is_done)
+        fhi = g(hi)[0]
+    return _illinois(g, lo, flo, hi, fhi, 0.0)
 
 
 def shoulder_grid() -> list[float]:
@@ -206,6 +198,32 @@ def weight_sign(k: int, n: int, x: Fraction, c: float) -> int:
     cn, cd = c.as_integer_ratio()
     lhs, rhs = big[n] * cd, cn * math.factorial(n) * q**n
     return (lhs > rhs) - (lhs < rhs)
+
+
+class TestIllinois:
+    """The one stop rule: |value| <= slack, or 4 ulps of max(floor, x)."""
+
+    @staticmethod
+    def square_minus(a: float, slack: float):
+        return lambda x: (x * x - a, slack)
+
+    def test_infinite_slack_returns_the_first_secant_iterate(self):
+        f = self.square_minus(2.0, math.inf)
+        assert _illinois(f, 1.0, -1.0, 2.0, 2.0, 1.0) == (4 / 3, 1)
+
+    def test_zero_slack_stops_on_the_bracket_width(self):
+        root, _ = _illinois(self.square_minus(2.0, 0.0), 1.0, -1.0, 2.0, 2.0, 1.0)
+        assert abs(root - math.sqrt(2.0)) <= 4 * math.ulp(math.sqrt(2.0))
+
+    def test_floor_sets_the_width_of_a_tiny_root(self):
+        # floor 0 stops within 4 ulps of the root itself; floor 1 stops once
+        # the bracket is 4 ulps of 1.0 wide, which is 1.4% of a root at 1e-20
+        f = self.square_minus(1e-40, 0.0)
+        exact, _ = _illinois(f, 0.0, -1e-40, 1.0, 1.0, 0.0)
+        assert abs(exact - 1e-20) <= 4 * math.ulp(1e-20)
+        coarse, _ = _illinois(f, 0.0, -1e-40, 1.0, 1.0, 1.0)
+        assert abs(coarse - 1e-20) <= 4 * math.ulp(1.0)
+        assert abs(coarse - 1e-20) > 1e-2 * 1e-20
 
 
 class TestSolveWeightEquals:
@@ -426,7 +444,7 @@ class TestShoulder:
     def test_identical_to_the_linear_walk_with_fewer_tables(self, tol, monkeypatch):
         # the closed form only locates the bracket; the walk's bracket and
         # root are kept, and the bracket ends read the shared grid prefix, so
-        # the Illinois iterates build the only k-term tables
+        # the Illinois iterates build the only k-term tables, one each
         calls = 0
 
         def counted(*args):
@@ -435,12 +453,12 @@ class TestShoulder:
             return _kterm_weights(*args)
 
         monkeypatch.setattr(roots, "_kterm_weights", counted)
-        allowed = 0
+        steps = 0
         for k in range(2, 151):
             ref, evals = shoulder_reference(k, tol)
             assert shoulder_lambda(k, tol) == ref, k
-            allowed += evals
-        assert calls <= allowed
+            steps += evals
+        assert calls == steps
 
     @pytest.mark.parametrize("lam", BOUNDS_GRID_RATES + (1e10,))
     def test_grid_prefix_tables_are_the_kernels(self, lam, monkeypatch):
