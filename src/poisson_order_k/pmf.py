@@ -19,10 +19,11 @@ every table a caller prints comes from it.  ``scan`` needs only decisions
 (``n_max``, modes, maxima, flags), so ``build_adaptive_table(decided=...)``
 first grows the table on running sums of the last k weights, at O(1) per
 step, on block sums of positive terms only, so each entry stays within a
-tenth of ``_MARGIN`` of the loop's with nothing to recompute.  A decision
-that does not clear ``_MARGIN`` is left to the loop, which then builds the
-table inside the same call.  The build also records the table's runs and
-hands them to ``decided``, which decides the table from them.
+tenth of ``_MARGIN`` of the loop's, and the captured mass within a tenth of
+its own, smaller margin ``_mass_margin(k*lam)``, with nothing to recompute.
+A decision that does not clear its margin is left to the loop, which then
+builds the table inside the same call.  The build also records the table's
+runs and hands them to ``decided``, which decides the table from them.
 """
 
 import math
@@ -303,8 +304,27 @@ _ADAPTIVE_CAP = 1_000_000
 # tail-bound rates for k = 2..200, the shoulder rates for k = 2..100, the
 # scan-grid rates (k = 2..50, 20 from 0.05 to 3) and orders 1..100 at
 # k*lam = 100, 300, 500 and 700.  tests/test_pmf.py keeps entries within a
-# tenth of it.  A decision that clears it is the loop's decision as well.
+# tenth of it.  Entries, and so every tie and shape comparison, are tested
+# against it; the mass against ``_mass_margin``.  A decision that clears its
+# margin is the loop's decision as well.
 _MARGIN = 1.5e-13
+
+
+def _mass_margin(k_lam: float) -> float:
+    """The captured mass's margin at k*lam: min(``_MARGIN``, 1e-14 + 5e-16 k*lam).
+
+    Set by ``_MARGIN``'s rule: at every k*lam it is over ten times the worst
+    gap measured between the running sums' mass and the loop's, at every
+    index, where each mass test is made.  Over ``_MARGIN``'s tables and the
+    scan-grid rates with both ends moved by 1e-3, that gap is 5.6e-16 for
+    the mean-k rates (k*lam < 2), 2.7e-15 at k*lam = 44, 3.3e-15 at most to
+    k*lam = 150, 5.9e-15 at 300 and 1.13e-14 at 700: the margin is at least
+    12 times each.  The gap grows with k*lam, as the table and the mass
+    beyond w_0 do; a margin of 1.5e-13 at k*lam = 2 would send one mean-k
+    table in ten back to the loop.  tests/test_pmf.py keeps the gap within a
+    tenth of this margin.
+    """
+    return min(_MARGIN, 1e-14 + 5e-16 * k_lam)
 
 # The shape audits' default tie and tail tolerances (``structure``), kept
 # here so that the CLI's parser reads them without loading the audits.
@@ -346,7 +366,8 @@ def _running_weights(
     cancels where the table falls fast (as in S += U - k w_{n-k}, Gautschi
     1967): each S_n is within gamma_{min(n, k) + 2} (Higham) of the exact
     sum of the same entries, and no error needs tracking or recomputing.
-    Every stop decision must clear ``_MARGIN``: a near-tie between consecutive
+    Every stop decision must clear its margin, ``_MARGIN`` for an entry and
+    ``_mass_margin(k * lam)`` for the mass: a near-tie between consecutive
     entries, or a stop that other conditions allow but the mass or the last
     value cannot settle, returns None, and so does an entry that is zero or
     not finite, or a block that would pass the cap.  Each entry is compared
@@ -356,7 +377,8 @@ def _running_weights(
     """
     m = _MARGIN
     falls, rises = 1.0 - m, 1.0 + m
-    mass_low, mass_high = 1.0 - epsilon - m, 1.0 - epsilon + m
+    mm = _mass_margin(k * lam)
+    mass_low, mass_high = 1.0 - epsilon - mm, 1.0 - epsilon + mm
     if mass_high >= 1.0:
         return None  # epsilon inside the margin: the loop decides every mass test
     last_low, last_high = epsilon * falls / scale, epsilon * rises / scale
@@ -434,14 +456,15 @@ def build_adaptive_table(
     reference every other table is compared with.  With ``decided``, the table
     is first grown on block sums of positive terms at O(1) per step
     (``_running_weights``).  Its entries stayed within ``_MARGIN / 10`` of the
-    loop's in every table measured (see ``_MARGIN``), so every stop decision
-    that clears ``_MARGIN`` is the loop's, and so is ``n_max``.  When the
-    build settles every stop decision outside the margin, ``decided(table,
-    runs)`` states whether the caller's comparisons on the candidate, given
-    the runs the build found at the band edge ``decided.fast``, clear the
-    margin too; it may keep what it computed (``scan`` keeps the report of
-    ``structure.decided_report``).  The candidate is returned when they do;
-    otherwise the loop builds the table, once, inside this call, and decides.
+    loop's, and its mass within a tenth of ``_mass_margin(k*lam)``, in every
+    table measured, so every stop decision that clears its margin is the
+    loop's, and so is ``n_max``.  When the build settles every stop decision
+    outside its margin, ``decided(table, runs)`` states whether the caller's
+    comparisons on the candidate, given the runs the build found at the band
+    edge ``decided.fast``, clear the margin too; it may keep what it computed
+    (``scan`` keeps the report of ``structure.decided_report``).  The
+    candidate is returned when they do; otherwise the loop builds the table,
+    once, inside this call, and decides.
     """
     _check_real("epsilon", epsilon, 0.0, 1.0)
     k, lam = params.k, params.lam

@@ -361,7 +361,8 @@ class TestScanDecisions:
     def test_loose_tie_tolerance_rebuilds_only_close_calls(self, capsys, monkeypatch):
         # a pair clearly inside the tie band decides on running sums; the loop
         # rebuilds the stop rule's close calls and k = 2, whose w_1 / w_2 is
-        # 3/4 exactly, on the edge of the band
+        # 3/4 exactly, on the edge of the band.  At this epsilon the mass of
+        # k = 25 and k = 60 ends within the mass margin of 1 - epsilon.
         refused, builds = [], []
         running, step = pmf._running_weights, pmf._extend_kp
 
@@ -376,7 +377,7 @@ class TestScanDecisions:
                 builds.append(k)
             step(w, k, lam, n)
 
-        argv = "--k-min 2 --k-max 60 --lambda-rule mean-k --tie-tol 0.25".split()
+        argv = "--k-min 2 --k-max 60 --lambda-rule mean-k --tie-tol 0.25 --epsilon 1e-11".split()
         with monkeypatch.context() as m:
             m.setattr(pmf, "_running_weights", counted_running)
             m.setattr(pmf, "_extend_kp", counted_step)

@@ -6,6 +6,8 @@ import pickle
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -484,6 +486,32 @@ def count_loop_builds(monkeypatch) -> list[int]:
     return builds
 
 
+def masses(table: PmfTable) -> list[float]:
+    """The captured mass at each index, summed as the adaptive builds sum it."""
+    scale = math.exp(-table.params.k * table.params.lam)
+    got = list(accumulate(scale * x for x in table.values))
+    assert got[-1] == table.mass_captured  # the build's own sum, step by step
+    return got
+
+
+def assert_running_is_the_loops(p: Params) -> PmfTable:
+    """The running build's table at p, checked to decide as the loop does.
+
+    The same n_max; every entry within a tenth of ``_MARGIN`` of the loop's;
+    and the captured mass at every index, where any mass test may be made,
+    within a tenth of its own margin (and at the end within a tenth of
+    ``_MARGIN``).
+    """
+    loop = build_adaptive_table(p, 1e-10)
+    t = build_adaptive_table(p, 1e-10, decided=always)
+    assert t.n_max == loop.n_max
+    assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
+    assert abs(t.mass_captured - loop.mass_captured) <= pmf._MARGIN / 10
+    gap = max(map(abs, map(sub, masses(t), masses(loop))))
+    assert gap <= pmf._mass_margin(p.k * p.lam) / 10
+    return t
+
+
 # SHA-256 of the float.hex entries of two running-sum tables, joined by commas
 RUNNING_SHA256 = {
     (50, 2.0 / 51): "bf336142de180c5e03bb5a04f7c7809f115f0fbff27cb5bb693b34e34c31d85b",
@@ -496,14 +524,8 @@ class TestRunningSums:
 
     def test_loop_n_max_and_entries_at_the_mean_k_rate(self):
         # the loop's table is kterm_reference bit for bit (tested above)
-        tol = pmf._MARGIN / 10
         for k in range(2, 201):
-            p = Params(k, 2.0 / (k + 1))
-            loop = build_adaptive_table(p, 1e-10)
-            t = build_adaptive_table(p, 1e-10, decided=always)
-            assert t.n_max == loop.n_max
-            assert max(map(rel_gap, t.values, loop.values)) <= tol
-            assert abs(t.mass_captured - loop.mass_captured) <= tol
+            assert_running_is_the_loops(Params(k, 2.0 / (k + 1)))
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 21, 34, 55])
     def test_loop_n_max_and_entries_on_a_rate_grid(self, k):
@@ -512,22 +534,32 @@ class TestRunningSums:
             p = Params(k, 0.01 * 600.0 ** (i / 8))  # 0.01 .. 6, geometric
             if p.k * p.lam > 150:
                 continue
-            t = build_adaptive_table(p, 1e-10, decided=always)
-            assert t.n_max == build_adaptive_table(p, 1e-10).n_max
+            t = assert_running_is_the_loops(p)
             assert max(map(rel_gap, t.values, kterm_reference(p, t.n_max))) <= tol
 
+    @pytest.mark.parametrize("rule, k_max", [(monotone_tail_bound, 200), (shoulder_lambda, 100)])
+    def test_loop_n_max_and_entries_at_the_rule_rates(self, rule, k_max):
+        for k in range(2, k_max + 1, 3):
+            assert_running_is_the_loops(Params(k, rule(k)))
+
+    @pytest.mark.parametrize("jitter", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_loop_n_max_and_entries_on_the_jittered_scan_grid(self, jitter):
+        # the scan-grid benchmark's rates, 20 geometric from 0.05 to 3, with
+        # both ends moved as far as its seeds move them, at every sixth order
+        start, stop = 0.05 * jitter, 3.0 * jitter
+        ratio = (stop / start) ** (1.0 / 19)
+        for k in range(2, 51, 6):
+            for i in range(20):
+                assert_running_is_the_loops(Params(k, start * ratio**i))
+
     @pytest.mark.parametrize("k", [*range(1, 9), 60, 89, 94, 100])
-    @pytest.mark.parametrize("k_lam", [300.0, 700.0])
+    @pytest.mark.parametrize("k_lam", [300.0, 700.0, 280.0])
     def test_loop_n_max_and_entries_at_small_orders_and_extreme_rates(self, k, k_lam):
         # long tables on few terms, where an entry's gap to the loop sums the
         # gaps of many steps before it, and the orders of the worst gaps
-        # measured (see pmf._MARGIN)
-        p = Params(k, k_lam / k)
-        loop = build_adaptive_table(p, 1e-10)
-        t = build_adaptive_table(p, 1e-10, decided=always)
-        assert t.n_max == loop.n_max
-        assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
-        assert abs(t.mass_captured - loop.mass_captured) <= pmf._MARGIN / 10
+        # measured (see pmf._MARGIN); from k*lam = 280 on the mass margin
+        # is _MARGIN itself
+        assert_running_is_the_loops(Params(k, k_lam / k))
 
     @pytest.mark.parametrize(
         "k, lam, epsilon",
@@ -535,7 +567,7 @@ class TestRunningSums:
             (24, monotone_tail_bound(24), 1e-10),  # float ties inside w_1..w_24
             *[(k, shoulder_lambda(k), 1e-10) for k in (2, 3, 10, 40)],  # w_{k+1} = w_{k+2}
             (2, 1e-160, 1e-10),  # w_2 == w_1 in floats, and w_3 is subnormal
-            (86, 2.0 / 87, 1e-10),  # the mass ends 3.2e-14 above 1 - epsilon
+            (46, 0.05, 1e-10),  # the mass ends 6.4e-15 above 1 - epsilon
             # epsilon is the loop's last normalized value, at n = 11; the
             # running sums' value there is a rounding error above it
             (2, 0.2, 4.1950562630990616e-07),
@@ -555,6 +587,22 @@ class TestRunningSums:
         assert builds == [0]
         assert t.n_max == build_adaptive_table(p, 1e-10).n_max
         assert t != build_adaptive_table(p, 1e-10)  # the running sums' rounding
+
+    @pytest.mark.parametrize(
+        "k, lam, n_max",
+        [
+            (86, 2.0 / 87, 878),  # the mass ends 3.2e-14 above 1 - epsilon
+            # 9.0e-14 above, on 10,476 entries: the loop's O(n k) build takes
+            # about 2 s there, the running build a few milliseconds
+            (4000, 1e-6, 10_475),
+        ],
+    )
+    def test_clear_mass_builds_no_loop_table(self, monkeypatch, k, lam, n_max):
+        # n_max is the loop's, from one loop build
+        builds = count_loop_builds(monkeypatch)
+        t = build_adaptive_table(Params(k, lam), 1e-10, decided=always)
+        assert builds == [0]
+        assert t.n_max == n_max
 
     def test_refused_weights_give_the_loops_table(self, monkeypatch):
         p = Params(50, 2.0 / 51)
