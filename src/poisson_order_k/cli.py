@@ -10,8 +10,9 @@ Output is CSV (default) or JSON with the same fields, written to stdout or
 with 12 significant digits so identical configurations produce
 byte-identical output.  The ``roots``, ``bounds`` and ``scan`` columns are
 the fields of the library's result records, named only there.  Diagnostics and scan summaries go to stderr.  Exit codes:
-0 success, 1 invalid parameters, 2 computation failure, 3 verification-suite
-failure.  A reader that closes stdout early is not a failure: exit 0.
+0 success, 1 invalid parameters, 2 computation failure or a failed write,
+3 verification-suite failure.  A reader that closes stdout early is not a
+failure: exit 0.
 """
 
 import argparse
@@ -451,9 +452,21 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader stopped early (`figs 1 | head -1`), which is not an
         # error; stdout goes to devnull so the flush at exit cannot fail too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _stdout_to_devnull()
         return 0
+    except OSError as exc:  # a failed write, such as to a full disk
+        # verify has no --out: it prints to stdout
+        where = getattr(args, "out", None) or "stdout"
+        print(f"write failed: {where}: {exc}", file=sys.stderr)
+        _stdout_to_devnull()
+        return 2
     return code
+
+
+def _stdout_to_devnull() -> None:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
 
 
 if __name__ == "__main__":

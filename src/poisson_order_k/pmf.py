@@ -450,7 +450,11 @@ def build_adaptive_table(
 
     Raises WeightUnderflowError at the first weight that underflows to 0.0
     before the table settles (a rate whose square underflows), and
-    RuntimeError when ``_ADAPTIVE_CAP`` indices are exhausted first.
+    RuntimeError when ``_ADAPTIVE_CAP`` indices are exhausted first.  An
+    epsilon finer than the float mass resolves is an ArithmeticError that
+    names it: once the falling run has formed and the newest weight no
+    longer changes the mass, no later, smaller weight can change it either,
+    so a mass still below 1 - epsilon never reaches it.
 
     By default each weight comes from the k-term loop (``_extend_kp``), the
     reference every other table is compared with.  With ``decided``, the table
@@ -504,8 +508,15 @@ def build_adaptive_table(
         x = w[-1]
         if not math.isfinite(x):
             raise _overflow(n, params)
-        mass += scale * x
         dec_run = dec_run + 1 if x < w[n - 1] else 0
+        grown = mass + scale * x
+        if grown == mass and dec_run >= k and mass < 1.0 - epsilon:
+            raise ArithmeticError(
+                f"the captured mass stopped growing at {mass!r} at index n={n} "
+                f"for k={k}, lam={lam}, below 1 - epsilon for epsilon={epsilon}; "
+                f"the float mass cannot resolve this epsilon"
+            )
+        mass = grown
     return PmfTable(params=params, values=tuple(w), mass_captured=mass)
 
 

@@ -15,7 +15,6 @@ import time
 from poisson_order_k import checks
 from poisson_order_k.pmf import Params, build_adaptive_table, build_table
 from poisson_order_k.roots import (
-    monotone_tail_bound,
     rise_threshold,
     shoulder_lambda,
     solve_weight_equals,
@@ -26,6 +25,7 @@ from poisson_order_k.structure import (
     find_modes,
     find_triple_ties,
 )
+from scan_tables import geometric_rate, increase_reference, loop_table, scan_points
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -37,8 +37,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def log_grid(lo: float, hi: float, count: int) -> list[float]:
-    ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * ratio**i for i in range(count)]
+    return [geometric_rate(lo, hi, count, i) for i in range(count)]
 
 
 def test_01_oracle_equivalence():
@@ -93,18 +92,11 @@ def test_04_bound_audit():
     )
 
 
-def increases(table) -> bool:
-    """Whether w_1 is the rate (within 1e-12) and w_1 < ... < w_k, pair by pair."""
-    v, k = table.values, table.params.k
-    close = math.isclose(v[1], table.params.lam, rel_tol=1e-12, abs_tol=0.0)
-    return close and all(a < b for a, b in zip(v[1:k], v[2 : k + 1]))
-
-
 def test_05_initial_increase():
     violations = 0
     for k in range(2, 51):
         for lam in log_grid(0.01, 10.0, 20):
-            if not increases(build_table(Params(k, lam), k)):
+            if not increase_reference(build_table(Params(k, lam), k)):
                 violations += 1
     _verdict(
         5,
@@ -116,10 +108,8 @@ def test_05_initial_increase():
 
 def test_06_monotone_tail_proved_regime():
     violations = 0
-    for k in range(2, 51):
-        lam = monotone_tail_bound(k)
-        table = build_adaptive_table(Params(k, lam), 1e-10)
-        if check_monotone_tail(table) is not None:
+    for k, lam in scan_points("tail-bound"):
+        if check_monotone_tail(loop_table(k, lam)) is not None:
             violations += 1
     _verdict(
         6,
@@ -130,6 +120,7 @@ def test_06_monotone_tail_proved_regime():
 
 
 def test_07_monotone_tail_empirical_regime():
+    # times its own builds: the session's cached tables would time nothing
     start = time.perf_counter()
     violations = 0
     for k in range(2, 201):
@@ -163,7 +154,7 @@ def test_08_shoulder_reproduction():
 
 def test_09_equality_histogram():
     params = Params(2, 4.0 / 3.0)
-    table = build_adaptive_table(params, 1e-10)
+    table = loop_table(*params)
     modes = find_modes(table)
     floor_gap = math.floor(params.kappa * params.lam) - params.k
     ok = modes == (2,) and floor_gap == 2 and params.mean == 4.0
@@ -177,7 +168,7 @@ def test_09_equality_histogram():
 
 def test_10_bimodal_histogram():
     params = Params(2, 4.02373 / 3.0)
-    table = build_adaptive_table(params, 1e-10)
+    table = loop_table(*params)
     modes = find_modes(table, tie_tol=1e-4)
     floor_bound = math.floor(params.kappa * params.lam) - params.k
     ok = (
@@ -201,9 +192,8 @@ def mode_audit_grid():
     points = []
     for k in range(1, 21):
         for lam in log_grid(0.05, 7.9, 30):
-            params = Params(k, lam)
-            table = build_adaptive_table(params, 1e-10)
-            points.append((params, table, find_modes(table)))
+            table = loop_table(k, lam)
+            points.append((table.params, table, find_modes(table)))
     return points
 
 

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import errno
 import functools
 import hashlib
 import inspect
@@ -15,7 +16,6 @@ import pkgutil
 import re
 import subprocess
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -28,6 +28,7 @@ import poisson_order_k
 from poisson_order_k import checks, cli, oracle, output, pmf, roots, structure
 from poisson_order_k.cli import _emit, main
 from poisson_order_k.pmf import Params, build_table_km
+from scan_tables import geometric_rate, loop_steps, loop_table, printed_interval
 
 
 def run(capsys, *argv):
@@ -43,6 +44,20 @@ def quiet_main(*argv: str) -> str:
         "from poisson_order_k import cli\n"
         "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null):\n"
         f"    assert cli.main({list(argv)!r}) == 0"
+    )
+
+
+def child(*args: str, stdout) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a child interpreter that imports this package, with
+    its stdout on ``stdout`` (buffered unless ARGS say otherwise) and its
+    stderr captured as text."""
+    src = str(Path(poisson_order_k.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -106,13 +121,6 @@ def printed_bounds() -> dict[int, dict]:
     with contextlib.redirect_stdout(out):
         assert main(["bounds", "--k-min", "2", "--k-max", "150"]) == 0
     return {int(row["k"]): row for row in rows_of(out.getvalue())}
-
-
-def printed_interval(cell: str) -> tuple[Fraction, Fraction]:
-    """(d - h, d + h) for a printed value d, h half a unit in its 12th digit."""
-    d = Decimal(cell)
-    h = Decimal(5).scaleb(d.adjusted() - 12)
-    return Fraction(d - h), Fraction(d + h)
 
 
 def shoulder_gap_sign(k: int, x: Fraction) -> int:
@@ -285,7 +293,7 @@ class TestScanCommand:
         def listed(start, stop, n, i):  # rate i by the grid formula, written out
             if spacing == "linear":
                 return start + i * ((stop - start) / (n - 1))
-            return start * ((stop / start) ** (1.0 / (n - 1))) ** i
+            return geometric_rate(start, stop, n, i)
 
         rate, n = grid(0.05, 3.0, 20.0)
         assert n == 20
@@ -319,7 +327,7 @@ def scan_rows(monkeypatch, argv, *, loop=False):
             m.setattr(
                 cli,
                 "build_adaptive_table",
-                lambda params, epsilon, **_: pmf.build_adaptive_table(params, epsilon),
+                lambda params, epsilon, **_: loop_table(*params, epsilon),
             )
         assert main(["scan", *argv]) == 0
     return rows
@@ -345,17 +353,9 @@ class TestScanDecisions:
         capsys.readouterr()
 
     def test_most_grid_points_build_no_loop_table(self, capsys, monkeypatch):
-        builds = []
-        step = pmf._extend_kp
-
-        def counted(w, k, lam, n):
-            if n == 1:
-                builds.append(k)
-            step(w, k, lam, n)
-
-        monkeypatch.setattr(pmf, "_extend_kp", counted)
+        steps = loop_steps(monkeypatch)
         rows = scan_rows(monkeypatch, "--k-min 2 --k-max 80 --k-step 13 --lambda-grid 0.01 6 12".split())
-        assert len(builds) < len(rows) / 4
+        assert [n for _, n in steps].count(1) < len(rows) / 4
         capsys.readouterr()
 
     def test_loose_tie_tolerance_rebuilds_only_close_calls(self, capsys, monkeypatch):
@@ -363,8 +363,7 @@ class TestScanDecisions:
         # rebuilds the stop rule's close calls and k = 2, whose w_1 / w_2 is
         # 3/4 exactly, on the edge of the band.  At this epsilon the mass of
         # k = 25 and k = 60 ends within the mass margin of 1 - epsilon.
-        refused, builds = [], []
-        running, step = pmf._running_weights, pmf._extend_kp
+        refused, running = [], pmf._running_weights
 
         def counted_running(k, *args):
             got = running(k, *args)
@@ -372,18 +371,13 @@ class TestScanDecisions:
                 refused.append(k)
             return got
 
-        def counted_step(w, k, lam, n):
-            if n == 1:
-                builds.append(k)
-            step(w, k, lam, n)
-
         argv = "--k-min 2 --k-max 60 --lambda-rule mean-k --tie-tol 0.25 --epsilon 1e-11".split()
         with monkeypatch.context() as m:
             m.setattr(pmf, "_running_weights", counted_running)
-            m.setattr(pmf, "_extend_kp", counted_step)
+            steps = loop_steps(m)
             rows = scan_rows(monkeypatch, argv)
         assert refused != [] and 2 not in refused
-        assert builds == [2, *refused]
+        assert [k for k, n in steps if n == 1] == [2, *refused]
         assert rows == scan_rows(monkeypatch, argv, loop=True)
         capsys.readouterr()
 
@@ -529,23 +523,6 @@ class TestStreaming:
         # chunk's rows reach the writer
         assert seen == [40]
 
-    def test_closed_pipe_ends_a_parallel_scan_quietly(self):
-        # more than one batch of rows, so the reader's leaving is seen mid-scan
-        src = str(Path(poisson_order_k.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = "scan --k-min 2 --k-max 30 --lambda-grid 0.05 3 40 --jobs 2".split()
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "poisson_order_k", *argv],
-                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
-            )
-        finally:
-            os.close(write_end)
-        assert (done.returncode, done.stderr) == (0, b"")
-
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
@@ -612,6 +589,16 @@ CELLS = st.one_of(
 )
 
 
+def emitted(rows, header, fmt: str, batch: int = output._BATCH) -> str:
+    """What ``_emit`` writes to stdout for rows of cells, in writes of about
+    ``batch`` characters."""
+    got = io.StringIO()
+    with mock.patch.object(output, "_BATCH", batch), contextlib.redirect_stdout(got):
+        _emit([dict(zip(header, row)) for row in rows], header,
+              argparse.Namespace(format=fmt, out=None))
+    return got.getvalue()
+
+
 def json_cell(x):
     """A cell as the JSON rows should carry it, written out independently."""
     if isinstance(x, float):
@@ -657,22 +644,17 @@ class TestOutputContract:
         assert code == 0 and to_stdout == ""
         assert path.read_bytes() == out.encode("utf-8")
 
-    def test_json_emitter_matches_json_dumps(self, capsys):
+    def test_json_emitter_matches_json_dumps(self):
         header = ["k", "lambda", "modes", "triple_ties", "error"]
-        rows = [
-            {"k": 2, "lambda": 1 / 3, "modes": None, "triple_ties": True, "error": ""},
-            {"k": 3, "lambda": 0.5, "modes": "0;1", "triple_ties": False,
-             "error": 'bad "rate"'},
-        ]
+        rows = [[2, 1 / 3, None, True, ""], [3, 0.5, "0;1", False, 'bad "rate"']]
         # enough rows (about 100 KB) to span two batched writes
-        _emit(rows * 500, header, argparse.Namespace(format="json", out=None))
         payload = [
             {"k": 2, "lambda": 0.333333333333, "modes": None, "triple_ties": True,
              "error": ""},
             {"k": 3, "lambda": 0.5, "modes": "0;1", "triple_ties": False,
              "error": 'bad "rate"'},
         ] * 500
-        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        assert emitted(rows * 500, header, "json") == json.dumps(payload, indent=2) + "\n"
 
     @given(
         rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
@@ -686,26 +668,15 @@ class TestOutputContract:
     @settings(max_examples=150, deadline=None)
     def test_batched_json_writer_matches_json_dumps(self, rows, batch):
         header = ["a", "b", "c"]
-        got = io.StringIO()
-        with mock.patch.object(output, "_BATCH", batch), contextlib.redirect_stdout(got):
-            _emit([dict(zip(header, row)) for row in rows], header,
-                  argparse.Namespace(format="json", out=None))
         payload = [{h: json_cell(x) for h, x in zip(header, row)} for row in rows]
-        assert got.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert emitted(rows, header, "json", batch) == json.dumps(payload, indent=2) + "\n"
 
     @given(rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
            batch=st.integers(1, 300))
     @settings(max_examples=50, deadline=None)
     def test_csv_is_the_same_in_any_batch(self, rows, batch):
         header = ["a", "b", "c"]
-        outs = []
-        for size in (batch, output._BATCH):
-            got = io.StringIO()
-            with mock.patch.object(output, "_BATCH", size), contextlib.redirect_stdout(got):
-                _emit([dict(zip(header, row)) for row in rows], header,
-                      argparse.Namespace(format="csv", out=None))
-            outs.append(got.getvalue())
-        assert outs[0] == outs[1]
+        assert emitted(rows, header, "csv", batch) == emitted(rows, header, "csv")
 
     @given(
         rows=st.lists(st.lists(st.text(max_size=8), min_size=2, max_size=3), max_size=6),
@@ -720,10 +691,8 @@ class TestOutputContract:
             rows = [[c.replace("\x00", "") for c in row] for row in rows]
         for row in rows:
             header = [f"c{i}" for i in range(len(row))]
-            got = io.StringIO()
-            with mock.patch.object(output, "_BATCH", batch), contextlib.redirect_stdout(got):
-                _emit([dict(zip(header, row))], header, argparse.Namespace(format="csv", out=None))
-            assert list(csv.reader(io.StringIO(got.getvalue(), newline=""))) == [header, row]
+            got = emitted([row], header, "csv", batch)
+            assert list(csv.reader(io.StringIO(got, newline=""))) == [header, row]
 
     @given(st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6))
     @settings(max_examples=150, deadline=None)
@@ -734,15 +703,11 @@ class TestOutputContract:
         rows = [[c.translate(dict.fromkeys(map(ord, drop))) if isinstance(c, str) else c
                  for c in row] for row in rows]
         header = ["a", "b", "c"]
-        got = io.StringIO()
-        with contextlib.redirect_stdout(got):
-            _emit([dict(zip(header, row)) for row in rows], header,
-                  argparse.Namespace(format="csv", out=None))
         want = io.StringIO()
         csv.writer(want, lineterminator="\n").writerows(
             [header, *([output._fmt(c) for c in row] for row in rows)]
         )
-        assert got.getvalue() == want.getvalue()
+        assert emitted(rows, header, "csv") == want.getvalue()
 
     @pytest.mark.parametrize(
         "statement, unloaded",
@@ -784,13 +749,8 @@ class TestOutputContract:
         ids=["cli", "package", "pmf-name", "parser", "verify", "figs"],
     )
     def test_import_floor(self, statement, unloaded):
-        src = str(Path(poisson_order_k.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = f"import sys\n{statement}\nprint(*sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-        )
+        done = child("-c", probe, stdout=subprocess.PIPE)
         assert done.returncode == 0, done.stderr
         loaded = set(done.stdout.split())
         assert "poisson_order_k" in loaded
@@ -1073,25 +1033,56 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and named in err
 
-    @pytest.mark.parametrize("flags", [[], ["-u"]])
-    def test_closed_pipe_is_zero_and_quiet(self, flags):
+    @pytest.mark.parametrize(
+        "flags, argv",
+        [
+            ([], "figs 1"),
+            (["-u"], "figs 1"),
+            # more than one batch of rows: the reader's leaving is seen mid-scan
+            ([], "scan --k-min 2 --k-max 30 --lambda-grid 0.05 3 40 --jobs 2"),
+        ],
+        ids=["flags0", "flags1", "parallel-scan"],
+    )
+    def test_closed_pipe_is_zero_and_quiet(self, flags, argv):
         # a reader that stops early (`figs 1 | head -1`) is not an error; the
         # read end is closed before the child writes, so the first write
         # (unbuffered, -u) or the flush (buffered) meets a broken pipe
-        src = str(Path(poisson_order_k.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(
-                [sys.executable, *flags, "-m", "poisson_order_k", "figs", "1"],
-                env=env, stdout=write_end, stderr=subprocess.PIPE,
-            )
+            done = child(*flags, "-m", "poisson_order_k", *argv.split(), stdout=write_end)
         finally:
             os.close(write_end)
-        assert (done.returncode, done.stderr) == (0, b"")
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_failed_write_is_two(self, capsys, monkeypatch):
+        # a full disk; stdout then goes to devnull, here the test's own
+        # descriptor, so that the flush at exit cannot fail again
+        null = os.open(os.devnull, os.O_WRONLY)
+        full = mock.Mock(fileno=lambda: null)
+        full.write.side_effect = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(sys, "stdout", full)
+        try:
+            code = main(["pmf", "--k", "2", "--lambda", "1"])
+        finally:
+            os.close(null)
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "write failed: stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            ("pmf --k 2 --lambda 1", "stdout"),
+            ("bounds --k-min 2 --k-max 3 --out /dev/full", "/dev/full"),
+            ("scan --k-min 2 --k-max 2 --lambda 1 --format json --out /dev/full", "/dev/full"),
+        ],
+    )
+    def test_full_device_is_two_without_a_traceback(self, argv, where):
+        with open("/dev/full", "w") as full:
+            done = child("-m", "poisson_order_k", *argv.split(), stdout=full)
+        assert done.returncode == 2
+        assert done.stderr == f"write failed: {where}: [Errno 28] No space left on device\n"
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
     def test_unopenable_out_is_one(self, capsys, tmp_path, target):
@@ -1125,6 +1116,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "underflowed to 0.0 at index n=3 for k=2, lam=1e-200" in err
+
+    def test_epsilon_below_the_float_mass_is_two(self, capsys):
+        # the mass stops growing at n = 61, below 1 - epsilon
+        code, out, err = run(capsys, *"pmf --k 3 --lambda 1 --epsilon 1e-16".split())
+        assert (code, out) == (2, "")
+        assert err.startswith("computation failed: the captured mass stopped growing at ")
+        assert "epsilon=1e-16;" in err and err.count("\n") == 1
+        # in a scan it is the point's error
+        code, out, _ = run(capsys, *"scan --k-min 3 --k-max 3 --lambda 1 --epsilon 1e-16".split())
+        assert code == 0
+        assert rows_of(out)[0]["error"].startswith("the captured mass stopped growing at ")
 
     def test_computation_failure_is_two(self, capsys):
         code, _, err = run(capsys, "pmf", "--k", "1", "--lambda", "800", "--n-max", "900")

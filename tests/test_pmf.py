@@ -29,6 +29,7 @@ from poisson_order_k.pmf import (
     diff_km,
     normalize,
 )
+from scan_tables import geometric_rate, kterm_reference, loop_steps, loop_table, scan_points
 
 FLOAT_MIN = sys.float_info.min
 
@@ -45,22 +46,6 @@ def at(table: PmfTable, n: int) -> float:
 def rel_gap(a: float, b: float) -> float:
     m = max(a, b)
     return abs(a - b) / m if m else 0.0
-
-
-def kterm_reference(params: Params, n_max: int) -> tuple[float, ...]:
-    """The k-term recurrence as an indexed loop over j = 1..min(n, k).
-
-    The shipped kernel walks a reversed window instead; it must perform the
-    same float operations in the same order, so the weights agree bit for bit.
-    """
-    k, lam = params.k, params.lam
-    w = [1.0]
-    for n in range(1, n_max + 1):
-        s = 0.0
-        for j in range(1, min(n, k) + 1):
-            s += j * w[n - j]
-        w.append(lam * s / n)
-    return tuple(w)
 
 
 def km_fraction_reference(params: Params, n_max: int) -> tuple[tuple[float, ...], float]:
@@ -220,7 +205,7 @@ class TestBuildTable:
     def test_bit_identical_to_indexed_loop(self, k):
         for lam in (0.05, 0.3, 0.6026076, 1.0, 4.0 / 3.0, 3.0, 12.5, 50.0):
             t = build_table(Params(k, lam), 150)
-            assert t.values == kterm_reference(t.params, 150)
+            assert t.values == kterm_reference(k, lam, 150)
 
     @given(
         st.integers(1, 60),
@@ -230,7 +215,7 @@ class TestBuildTable:
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_across_orders_and_binades(self, k, lam, n_max):
         t = build_table(Params(k, lam), n_max)
-        assert t.values == kterm_reference(t.params, n_max)
+        assert t.values == kterm_reference(k, lam, n_max)
 
     def test_rejects_negative_n_max(self):
         with pytest.raises(ValueError):
@@ -413,7 +398,7 @@ class TestNormalize:
         assert normalize(t)[0] == math.exp(-2)
 
     def test_sum_matches_mass_captured(self):
-        t = build_adaptive_table(Params(2, 4 / 3), 1e-10)
+        t = loop_table(2, 4 / 3)
         assert abs(math.fsum(normalize(t)) - t.mass_captured) <= 1e-13
         assert 1 - 1e-10 <= t.mass_captured <= 1 + 1e-12
 
@@ -423,17 +408,17 @@ class TestAdaptiveTruncation:
         # mass alone is satisfied at 12 (deficit ~6.4e-11), but the value
         # at 12 is ~7.7e-10 > epsilon; the negligible-last-term rule moves
         # the cut to 13, where the value is ~5.9e-11
-        assert build_adaptive_table(Params(1, 1.0), 1e-10).n_max == 13
+        assert loop_table(1, 1.0).n_max == 13
 
     def test_tail_is_past_the_last_peak(self):
-        t = build_adaptive_table(Params(2, 4 / 3), 1e-10)
+        t = loop_table(2, 4 / 3)
         k = t.params.k
         assert t.n_max >= 4
         tail = t.values[-(k + 1):]
         assert all(tail[i] > tail[i + 1] for i in range(k))
 
     def test_tight_epsilon(self):
-        t = build_adaptive_table(Params(5, 0.1), 1e-12)
+        t = loop_table(5, 0.1, 1e-12)
         assert t.mass_captured >= 1 - 1e-12
 
     def test_cap_is_reported(self, monkeypatch):
@@ -448,9 +433,9 @@ class TestAdaptiveTruncation:
 
     def test_bit_identical_to_indexed_loop_at_the_mean_k_rate(self):
         # the scan --lambda-rule mean-k grid: rate 2/(k+1), mean equal to k
-        for k in range(2, 201):
-            t = build_adaptive_table(Params(k, 2.0 / (k + 1)), 1e-10)
-            assert t.values == kterm_reference(t.params, t.n_max)
+        for k, lam in scan_points("mean-k"):
+            t = loop_table(k, lam)
+            assert t.values == kterm_reference(k, lam, t.n_max)
 
     def test_huge_rate_fails_fast(self):
         with pytest.raises(OverflowError, match="underflow"):
@@ -465,25 +450,31 @@ class TestAdaptiveTruncation:
         w = build_table(Params(k, lam), n).values
         assert w[n] == 0.0 < w[n - 1]
 
+    @pytest.mark.parametrize(
+        "k, eps, stall", [(100, 1e-15, 10_244), (3, 1e-16, 61), (30, 5e-16, 1_452)]
+    )
+    def test_epsilon_below_the_float_mass_is_named(self, monkeypatch, k, eps, stall):
+        # from index `stall` on, the newest weight no longer changes the mass,
+        # still below 1 - epsilon; the loop once ran on to the first weight
+        # that underflowed to 0.0 (n = 46,079 at k = 100)
+        steps = loop_steps(monkeypatch)
+        with pytest.raises(ArithmeticError) as info:
+            build_adaptive_table(Params(k, 1.0), eps)
+        assert steps == [(k, n) for n in range(1, stall + 1)]
+        mass = list(accumulate(math.exp(-k) * x for x in build_table(Params(k, 1.0), stall).values))
+        assert mass[-1] == mass[-2] < 1.0 - eps
+        assert str(info.value) == (
+            f"the captured mass stopped growing at {mass[-1]!r} at index n={stall} for k={k}, "
+            f"lam=1.0, below 1 - epsilon for epsilon={eps}; "
+            "the float mass cannot resolve this epsilon"
+        )
+
 
 def always(table, runs) -> bool:
     return True
 
 
 always.fast = 0.0  # the band edge of the runs: no pair is clear
-
-
-def count_loop_builds(monkeypatch) -> list[int]:
-    """Count the tables the k-term loop starts (its first step, n = 1)."""
-    builds = [0]
-    step = pmf._extend_kp
-
-    def counted(w, k, lam, n):
-        builds[0] += n == 1
-        step(w, k, lam, n)
-
-    monkeypatch.setattr(pmf, "_extend_kp", counted)
-    return builds
 
 
 def masses(table: PmfTable) -> list[float]:
@@ -502,7 +493,7 @@ def assert_running_is_the_loops(p: Params) -> PmfTable:
     within a tenth of its own margin (and at the end within a tenth of
     ``_MARGIN``).
     """
-    loop = build_adaptive_table(p, 1e-10)
+    loop = loop_table(*p)
     t = build_adaptive_table(p, 1e-10, decided=always)
     assert t.n_max == loop.n_max
     assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
@@ -524,8 +515,8 @@ class TestRunningSums:
 
     def test_loop_n_max_and_entries_at_the_mean_k_rate(self):
         # the loop's table is kterm_reference bit for bit (tested above)
-        for k in range(2, 201):
-            assert_running_is_the_loops(Params(k, 2.0 / (k + 1)))
+        for k, lam in scan_points("mean-k"):
+            assert_running_is_the_loops(Params(k, lam))
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 21, 34, 55])
     def test_loop_n_max_and_entries_on_a_rate_grid(self, k):
@@ -535,7 +526,7 @@ class TestRunningSums:
             if p.k * p.lam > 150:
                 continue
             t = assert_running_is_the_loops(p)
-            assert max(map(rel_gap, t.values, kterm_reference(p, t.n_max))) <= tol
+            assert max(map(rel_gap, t.values, kterm_reference(*p, t.n_max))) <= tol
 
     @pytest.mark.parametrize("rule, k_max", [(monotone_tail_bound, 200), (shoulder_lambda, 100)])
     def test_loop_n_max_and_entries_at_the_rule_rates(self, rule, k_max):
@@ -546,11 +537,10 @@ class TestRunningSums:
     def test_loop_n_max_and_entries_on_the_jittered_scan_grid(self, jitter):
         # the scan-grid benchmark's rates, 20 geometric from 0.05 to 3, with
         # both ends moved as far as its seeds move them, at every sixth order
-        start, stop = 0.05 * jitter, 3.0 * jitter
-        ratio = (stop / start) ** (1.0 / 19)
         for k in range(2, 51, 6):
             for i in range(20):
-                assert_running_is_the_loops(Params(k, start * ratio**i))
+                lam = geometric_rate(0.05 * jitter, 3.0 * jitter, 20, i)
+                assert_running_is_the_loops(Params(k, lam))
 
     @pytest.mark.parametrize("k", [*range(1, 9), 60, 89, 94, 100])
     @pytest.mark.parametrize("k_lam", [300.0, 700.0, 280.0])
@@ -575,18 +565,18 @@ class TestRunningSums:
     )
     def test_close_calls_give_the_loops_table(self, monkeypatch, k, lam, epsilon):
         p = Params(k, lam)
-        builds = count_loop_builds(monkeypatch)
+        steps = loop_steps(monkeypatch)
         t = build_adaptive_table(p, epsilon, decided=always)
-        assert builds == [1]
-        assert t == build_adaptive_table(p, epsilon)
+        assert [n for _, n in steps].count(1) == 1
+        assert t == loop_table(k, lam, epsilon)
 
     def test_clear_calls_build_no_loop_table(self, monkeypatch):
         p = Params(200, 2.0 / 201)
-        builds = count_loop_builds(monkeypatch)
+        steps = loop_steps(monkeypatch)
         t = build_adaptive_table(p, 1e-10, decided=always)
-        assert builds == [0]
-        assert t.n_max == build_adaptive_table(p, 1e-10).n_max
-        assert t != build_adaptive_table(p, 1e-10)  # the running sums' rounding
+        assert steps == []
+        assert t.n_max == loop_table(*p).n_max
+        assert t != loop_table(*p)  # the running sums' rounding
 
     @pytest.mark.parametrize(
         "k, lam, n_max",
@@ -599,9 +589,9 @@ class TestRunningSums:
     )
     def test_clear_mass_builds_no_loop_table(self, monkeypatch, k, lam, n_max):
         # n_max is the loop's, from one loop build
-        builds = count_loop_builds(monkeypatch)
+        steps = loop_steps(monkeypatch)
         t = build_adaptive_table(Params(k, lam), 1e-10, decided=always)
-        assert builds == [0]
+        assert steps == []
         assert t.n_max == n_max
 
     def test_refused_weights_give_the_loops_table(self, monkeypatch):
@@ -613,10 +603,10 @@ class TestRunningSums:
             return False
 
         refuse.fast = 0.0
-        builds = count_loop_builds(monkeypatch)
+        steps = loop_steps(monkeypatch)
         t = build_adaptive_table(p, 1e-10, decided=refuse)
-        assert builds == [1]
-        assert t == build_adaptive_table(p, 1e-10)
+        assert [n for _, n in steps].count(1) == 1
+        assert t == loop_table(*p)
         # the candidate was the running-sum table the loop replaced
         (candidate,) = seen
         assert candidate.params == p and candidate.n_max == t.n_max
@@ -667,7 +657,7 @@ class TestRunningSums:
         # each side; so (Higham, lemma 3.3) each entry is within
         # gamma_{2 min(n, k) + 6} of the loop's step on the same history
         u = sys.float_info.epsilon / 2
-        points = [(k, 2.0 / (k + 1)) for k in range(2, 201, 7)]
+        points = list(scan_points("mean-k")[::7])
         points += [
             (k, lam)
             for k in (1, 2, 3, 5, 8, 13, 40)

@@ -3,7 +3,6 @@
 import math
 import pickle
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,17 +25,7 @@ from poisson_order_k.roots import (
     solve_weight_equals,
     weight_value,
 )
-
-
-def kterm_reference(k: int, lam: float, n_max: int) -> list[float]:
-    """The k-term recurrence as an indexed loop over j = 1..min(n, k)."""
-    w = [1.0]
-    for n in range(1, n_max + 1):
-        s = 0.0
-        for j in range(1, min(n, k) + 1):
-            s += j * w[n - j]
-        w.append(lam * s / n)
-    return w
+from scan_tables import kterm_reference, printed_interval
 
 
 def shoulder_reference(k: int, tol: float = 1e-13) -> tuple[float, int]:
@@ -94,7 +83,7 @@ class TestKTermKernel:
     def test_shoulder_pair_bit_identical_to_indexed_loop(self, k):
         # shoulder_lambda's gap reads the entries k+1 and k+2 of this table
         for lam in RATES:
-            assert _kterm_weights(k, lam, k + 2) == kterm_reference(k, lam, k + 2)
+            assert tuple(_kterm_weights(k, lam, k + 2)) == kterm_reference(k, lam, k + 2)
 
     def test_weight_past_the_float_range_is_inf(self):
         # 800**459/459! is the first k = 1 weight beyond the float range
@@ -281,9 +270,8 @@ class TestSolveWeightEquals:
     def test_printed_root_brackets_the_level(self, k, n, c):
         # the printed root d, widened by half a unit h in its 12th digit,
         # brackets the level: w_n rises strictly with the rate
-        d = Decimal(format(solve_weight_equals(k, n, c).root, ".12g"))
-        h = Decimal(5).scaleb(d.adjusted() - 12)
-        below, above = (weight_sign(k, n, Fraction(x), c) for x in (d - h, d + h))
+        interval = printed_interval(format(solve_weight_equals(k, n, c).root, ".12g"))
+        below, above = (weight_sign(k, n, x, c) for x in interval)
         assert below < 0 < above
 
     @pytest.mark.parametrize(
@@ -502,14 +490,9 @@ class TestShoulder:
     def test_high_precision_cross_check(self):
         # the printed value d, widened by half a unit h in its 12th digit,
         # brackets the crossing of the oracle's exact w_6 - w_5 at k = 4
-        d = Decimal(format(shoulder_lambda(4), ".12g"))
-        h = Decimal(5).scaleb(d.adjusted() - 12)
+        low, high = printed_interval(format(shoulder_lambda(4), ".12g"))
         p5, p6 = weight_polynomial(4, 5), weight_polynomial(4, 6)
-
-        def gap(x: Decimal) -> Fraction:
-            return p6.evaluate(Fraction(x)) - p5.evaluate(Fraction(x))
-
-        assert gap(d - h) < 0 < gap(d + h)
+        assert p6.evaluate(low) - p5.evaluate(low) < 0 < p6.evaluate(high) - p5.evaluate(high)
 
 
 class TestShoulderGapClosedForm:

@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poisson_order_k import pmf, structure
-from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_adaptive_table, build_table
-from poisson_order_k.roots import monotone_tail_bound, shoulder_lambda
+from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_table
 from poisson_order_k.structure import (
     StructureReport,
     build_report,
@@ -19,10 +18,7 @@ from poisson_order_k.structure import (
     find_triple_ties,
     local_maxima,
 )
-
-
-def table(k, lam, eps=1e-10):
-    return build_adaptive_table(Params(k, lam), eps)
+from scan_tables import increase_reference, loop_table, scan_points
 
 
 def scaled(t, factor):
@@ -76,17 +72,17 @@ def tail_reference(v, k, tol):
     return None
 
 
-def report_reference(t, tie_tol, tail_tol):
-    """``build_report`` composed from one scan per fact, the references above."""
-    p, v = t.params, t.values
-    modes = modes_reference(v, tie_tol)
-    violation = tail_reference(v, p.k, tail_tol)
+def report_reference(t, modes, maxima, ties, violation):
+    """``build_report`` composed from one scan per fact: the modes, local
+    maxima, triple-tie runs and first tail violation the references above
+    found at its tolerances."""
+    p = t.params
     block = None
     if modes[0] >= p.k and modes[0] + p.k <= t.n_max:
         block = block_reference(t, modes[0])
     return StructureReport(
         modes,
-        tuple(local_maxima_reference(v, tie_tol)),
+        tuple(maxima),
         increase_reference(t),
         violation is None,
         violation,
@@ -94,7 +90,7 @@ def report_reference(t, tie_tol, tail_tol):
         p.mean - modes[-1],
         *mode_bounds_reference(p, modes),
         block,
-        bool(triple_ties_reference(v, tie_tol)),
+        bool(ties),
     )
 
 
@@ -166,14 +162,6 @@ def walk_reference(table, tie_tol, tail_tol):
     return tuple(modes), peaks, runs, violation, clear
 
 
-def increase_reference(t):
-    """The initial increase, pair by pair: w_1 is the rate (within 1e-12) and
-    w_1 < ... < w_k; vacuous past w_1 at k = 1."""
-    v, k = t.values, t.params.k
-    close = math.isclose(v[1], t.params.lam, rel_tol=1e-12, abs_tol=0.0)
-    return close and all(v[n] < v[n + 1] for n in range(1, k))
-
-
 def block_reference(t, mode):
     """The block assumption, pair by pair: the k + 1 entries from ``mode`` up
     are nonincreasing."""
@@ -220,19 +208,24 @@ TAIL_TOLS = [0.0, TIE, 1e-12]
 
 
 def assert_walk_matches_references(t):
-    """The report and each view of the one walk equal the scan-per-fact forms."""
+    """The report and each view of the one walk equal the scan-per-fact forms,
+    each reference computed once per tolerance it reads."""
     v = t.values
+    violations = {tail_tol: tail_reference(v, t.params.k, tail_tol) for tail_tol in TAIL_TOLS}
+    for tail_tol, violation in violations.items():
+        assert check_monotone_tail(t, tail_tol) == violation
     for tie_tol in TIE_TOLS:
-        assert find_modes(t, tie_tol) == modes_reference(v, tie_tol)
-        assert local_maxima(t, tie_tol) == local_maxima_reference(v, tie_tol)
-        assert find_triple_ties(t, tie_tol) == triple_ties_reference(v, tie_tol)
-        for tail_tol in TAIL_TOLS:
-            want = report_reference(t, tie_tol, tail_tol)
+        modes = modes_reference(v, tie_tol)
+        maxima = local_maxima_reference(v, tie_tol)
+        ties = triple_ties_reference(v, tie_tol)
+        assert find_modes(t, tie_tol) == modes
+        assert local_maxima(t, tie_tol) == maxima
+        assert find_triple_ties(t, tie_tol) == ties
+        for tail_tol, violation in violations.items():
+            want = report_reference(t, modes, maxima, ties, violation)
             assert build_report(t, tie_tol, tail_tol) == want
             assert decided_report(t, tie_tol, tail_tol) in (None, want)
             assert_replay_is_the_pair_walk(t, tie_tol, tail_tol)
-    for tail_tol in TAIL_TOLS:
-        assert check_monotone_tail(t, tail_tol) == tail_reference(v, t.params.k, tail_tol)
 
 
 @given(
@@ -260,25 +253,13 @@ def test_shape_scans_match_references(values, k, top):
 
 
 def test_shape_scans_match_references_on_scan_tables():
-    # the mean-k rates, a geometric grid and the tail-bound rates, as the scan
-    # command builds them
-    points = [(k, 2.0 / (k + 1)) for k in range(2, 61)]
-    points += [(k, 0.05 * 60.0 ** (i / 19)) for k in range(2, 21) for i in range(20)]
-    points += [(k, monotone_tail_bound(k)) for k in range(2, 51)]
+    # the scan tables of the mean-k rates to k = 60, the scan-grid rates to
+    # k = 20 and the tail-bound rates
+    points = [(k, lam) for k, lam in scan_points("mean-k") if k <= 60]
+    points += [(k, lam) for k, lam in scan_points("grid") if k <= 20]
+    points += scan_points("tail-bound")
     for k, lam in points:
-        assert_walk_matches_references(table(k, lam))
-
-
-def scan_points(name):
-    """The (k, rate) points of the scans the runs are checked on."""
-    if name == "grid":  # scan --k-min 2 --k-max 50 --lambda-grid 0.05 3 20
-        ratio = (3.0 / 0.05) ** (1.0 / 19)
-        return [(k, 0.05 * ratio**i) for k in range(2, 51) for i in range(20)]
-    if name == "mean-k":
-        return [(k, 2.0 / (k + 1)) for k in range(2, 201)]
-    if name == "tail-bound":
-        return [(k, monotone_tail_bound(k)) for k in range(2, 51)]
-    return [(k, shoulder_lambda(k)) for k in range(2, 41)]
+        assert_walk_matches_references(loop_table(k, lam))
 
 
 @pytest.mark.parametrize("name", ["grid", "mean-k", "tail-bound", "shoulder"])
@@ -291,7 +272,7 @@ def test_builder_runs_replay_to_the_pair_walk_on_scan_tables(name):
         # at edge 0.0 no pair is clear, so the build decides as it did before
         # it recorded runs: the edge must not change what it returns or refuses
         plain = pmf._running_weights(k, lam, scale, 1e-10, 0.0)
-        loop = table(k, lam) if plain is None else None
+        loop = loop_table(k, lam) if plain is None else None
         for tie_tol in (0.0, 1e-9, 0.25, 0.995):
             fast = structure._fast(tie_tol, tail_tol)
             running = pmf._running_weights(k, lam, scale, 1e-10, fast)
@@ -383,13 +364,13 @@ def test_the_builds_clamp_never_lowers_the_walks_edge(tie_tol, tail_tol):
 @pytest.mark.parametrize("tie_tol", [math.nan, -1.0, 1.0, 2.0])
 def test_every_tie_scan_refuses_a_tolerance_outside_unit_interval(scan, tie_tol):
     with pytest.raises(ValueError, match=r"^tie_tol must be in \[0, 1\), got "):
-        scan(table(2, 4 / 3), tie_tol)
+        scan(loop_table(2, 4 / 3), tie_tol)
 
 
 @pytest.mark.parametrize("tail_tol", [math.inf, math.nan, -1.0])
 def test_build_report_refuses_a_tail_tolerance_that_is_negative_or_not_finite(tail_tol):
     with pytest.raises(ValueError, match=r"^tol must be >= 0 and finite, got "):
-        build_report(table(2, 4 / 3), tail_tol=tail_tol)
+        build_report(loop_table(2, 4 / 3), tail_tol=tail_tol)
 
 
 def test_build_report_checks_tie_tol_then_settledness_then_tail_tol():
@@ -399,7 +380,7 @@ def test_build_report_checks_tie_tol_then_settledness_then_tail_tol():
     with pytest.raises(ValueError, match="past its last peak"):
         build_report(cut, 1e-9, math.nan)
     with pytest.raises(ValueError, match="^tol must"):
-        build_report(table(2, 4 / 3), 1e-9, math.nan)
+        build_report(loop_table(2, 4 / 3), 1e-9, math.nan)
 
 
 @pytest.mark.parametrize("scan", [find_modes, local_maxima, build_report])
@@ -432,7 +413,7 @@ class TestDecided:
 
     def test_scan_tables_clear_the_margin(self):
         for k, lam in [(4, 0.6026076), (2, 4 / 3), (50, 2 / 51), (3, 0.05)]:
-            t = table(k, lam)
+            t = loop_table(k, lam)
             assert decided_report(t, 1e-9, 1e-12) == build_report(t, 1e-9, 1e-12)
 
     def test_near_flat_pair_is_refused(self):
@@ -523,15 +504,15 @@ def test_decided_tables_report_the_same_within_a_tenth_of_the_margin(
 
 class TestFindModes:
     def test_single_mode_case(self):
-        assert find_modes(table(2, 4 / 3)) == (2,)
+        assert find_modes(loop_table(2, 4 / 3)) == (2,)
 
     def test_near_tie_becomes_bimodal_at_loose_tolerance(self):
-        t = table(2, 4.02373 / 3)
+        t = loop_table(2, 4.02373 / 3)
         assert find_modes(t, tie_tol=1e-4) == (2, 4)
         assert find_modes(t, tie_tol=1e-9) == (4,)
 
     def test_tiny_rate_concentrates_at_zero(self):
-        assert find_modes(table(3, 0.01)) == (0,)
+        assert find_modes(loop_table(3, 0.01)) == (0,)
 
     def test_refuses_truncated_table(self):
         # n_max=2 cuts the table while it is still rising
@@ -542,44 +523,44 @@ class TestFindModes:
     @given(st.floats(1e-8, 1e8))
     @settings(max_examples=50, deadline=None)
     def test_invariant_under_positive_scaling(self, factor):
-        t = table(2, 4 / 3)
+        t = loop_table(2, 4 / 3)
         assert find_modes(scaled(t, factor)) == find_modes(t)
 
 
 class TestLocalMaxima:
     def test_near_tied_double_peak(self):
-        assert local_maxima(table(2, 4.02373 / 3), tie_tol=1e-4) == [2, 4]
+        assert local_maxima(loop_table(2, 4.02373 / 3), tie_tol=1e-4) == [2, 4]
 
     def test_decaying_standard_poisson(self):
-        assert local_maxima(table(1, 0.5)) == [0]
+        assert local_maxima(loop_table(1, 0.5)) == [0]
 
     def test_small_rate_has_peaks_at_zero_and_k(self):
-        assert local_maxima(table(4, 0.3)) == [0, 4]
+        assert local_maxima(loop_table(4, 0.3)) == [0, 4]
 
     def test_plateau_collapses_to_left_endpoint(self):
-        t = table(1, 3.0)  # consecutive equal weights at 2 and 3
+        t = loop_table(1, 3.0)  # consecutive equal weights at 2 and 3
         assert local_maxima(t) == [2]
 
 
 class TestInitialIncrease:
     @pytest.mark.parametrize("k, lam", [(5, 0.05), (2, 10.0), (3, 1.0)])
     def test_holds_for_any_rate(self, k, lam):
-        t = table(k, lam)
+        t = loop_table(k, lam)
         assert build_report(t).initial_increase
         assert increase_reference(t)
 
     def test_vacuous_at_order_one(self):
-        t = table(1, 0.7)
+        t = loop_table(1, 0.7)
         assert build_report(t).initial_increase
         assert increase_reference(t)
 
 
 class TestMonotoneTail:
     def test_rise_after_k_is_located(self):
-        assert check_monotone_tail(table(2, 4 / 3)) == 4
+        assert check_monotone_tail(loop_table(2, 4 / 3)) == 4
 
     def test_small_rate_tail_decreases(self):
-        t = table(4, 0.05)
+        t = loop_table(4, 0.05)
         assert check_monotone_tail(t) is None
         tail = t.values[4:]
         assert all(a > b for a, b in zip(tail, tail[1:]))  # strictly
@@ -594,14 +575,14 @@ class TestMonotoneTail:
 
     def test_mean_k_rule_small_orders(self):
         for k in range(2, 31):
-            assert check_monotone_tail(table(k, 2 / (k + 1))) is None
+            assert check_monotone_tail(loop_table(k, 2 / (k + 1))) is None
 
 
 class TestModeBoundAudits:
     @staticmethod
     def audits(k, lam, **tolerances):
         """(modes, the report's two verdicts), checked against the reference."""
-        rep = build_report(table(k, lam), **tolerances)
+        rep = build_report(loop_table(k, lam), **tolerances)
         verdicts = rep.mode_bounds_ok, rep.mode_floor_ok
         assert verdicts == mode_bounds_reference(Params(k, lam), rep.modes)
         return rep.modes, verdicts
@@ -641,7 +622,7 @@ class TestModeBoundAudits:
     )
     def test_forged_modes_outside_the_window_fail(self, values, verdicts):
         # floor(kappa*lam) = 4 at (2, 4/3): the proved window is [2, 4]
-        t = table(2, 4 / 3)._replace(values=values)
+        t = loop_table(2, 4 / 3)._replace(values=values)
         rep = build_report(t)
         assert (rep.mode_bounds_ok, rep.mode_floor_ok) == verdicts
         assert mode_bounds_reference(t.params, rep.modes) == verdicts
@@ -649,13 +630,13 @@ class TestModeBoundAudits:
 
 class TestBlockAssumption:
     def test_fails_in_the_equality_example(self):
-        t = table(2, 4 / 3)
+        t = loop_table(2, 4 / 3)
         assert build_report(t).modes[0] == 2
         assert build_report(t).block_nonincreasing is False
         assert not block_reference(t, 2)
 
     def test_consecutive_double_mode_is_nonincreasing(self):
-        t = table(1, 3.0)
+        t = loop_table(1, 3.0)
         assert build_report(t).modes[0] == 2
         assert build_report(t).block_nonincreasing is True
         assert block_reference(t, 2)
@@ -664,7 +645,7 @@ class TestBlockAssumption:
         # wherever the chain holds at the top mode, the mean-gap bound follows
         for k in (2, 3, 5):
             for lam in (1.0, 2.0, 4.0):
-                t = table(k, lam)
+                t = loop_table(k, lam)
                 modes = find_modes(t)
                 if modes[0] < k:
                     continue
@@ -675,14 +656,14 @@ class TestBlockAssumption:
 
 class TestMeanModeGap:
     def test_equality_case_value(self):
-        assert build_report(table(2, 4 / 3)).mean_mode_gap == 2.0
+        assert build_report(loop_table(2, 4 / 3)).mean_mode_gap == 2.0
 
     def test_standard_poisson_case(self):
-        assert build_report(table(1, 3.5)).mean_mode_gap == pytest.approx(0.5)
+        assert build_report(loop_table(1, 3.5)).mean_mode_gap == pytest.approx(0.5)
 
     def test_bimodal_uses_the_top_mode(self):
         lam = 4.02373 / 3
-        rep = build_report(table(2, lam), tie_tol=1e-4)
+        rep = build_report(loop_table(2, lam), tie_tol=1e-4)
         assert rep.modes == (2, 4)
         gap = rep.mean_mode_gap
         assert gap == pytest.approx(3 * lam - 4, abs=1e-12)
@@ -691,19 +672,19 @@ class TestMeanModeGap:
 
 class TestTripleTies:
     def test_none_in_the_reference_cases(self):
-        assert find_triple_ties(table(2, 4 / 3)) == []
-        assert find_triple_ties(table(4, 0.6026076)) == []
-        assert find_triple_ties(table(1, 3.0)) == []  # a pair, not a triple
+        assert find_triple_ties(loop_table(2, 4 / 3)) == []
+        assert find_triple_ties(loop_table(4, 0.6026076)) == []
+        assert find_triple_ties(loop_table(1, 3.0)) == []  # a pair, not a triple
 
     def test_synthetic_run_is_detected(self):
-        t = table(1, 0.5)
+        t = loop_table(1, 0.5)
         forged = t._replace(values=(1.0, 0.5, 0.5 * (1 + 1e-12), 0.5, 0.2, 0.1))
         assert find_triple_ties(forged, tie_tol=1e-9) == [(1, 3)]
 
 
 class TestBuildReport:
     def test_equality_case_report(self):
-        rep = build_report(table(2, 4 / 3))
+        rep = build_report(loop_table(2, 4 / 3))
         assert rep.modes == (2,)
         assert rep.local_maxima == (2, 4)
         assert rep.initial_increase
@@ -716,19 +697,19 @@ class TestBuildReport:
         assert not rep.triple_ties
 
     def test_zero_mode_report_leaves_block_undefined(self):
-        rep = build_report(table(3, 0.05))
+        rep = build_report(loop_table(3, 0.05))
         assert rep.modes == (0,)
         assert rep.block_nonincreasing is None
 
     def test_report_pickles_and_refuses_assignment(self):
-        rep = build_report(table(2, 4 / 3))
+        rep = build_report(loop_table(2, 4 / 3))
         back = pickle.loads(pickle.dumps(rep))
         assert type(back) is type(rep) and back == rep
         with pytest.raises(AttributeError):
             rep.modes = (0,)
 
     def test_shoulder_case_is_clean(self):
-        rep = build_report(table(4, 0.6026076))
+        rep = build_report(loop_table(4, 0.6026076))
         assert rep.modes == (4,)
         assert rep.monotone_tail_from_k
         assert not rep.triple_ties
