@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import math
 import os
 import sys
 from collections import deque
@@ -199,9 +200,11 @@ def _lambda_grid(args):
     step >= 0 and ratio >= 1, computed when its points run, so no grid is
     ever stored.  Rounding is monotone, so the linear rates rise from the
     first to the last; the geometric ones are at least start, as
-    ratio**i >= 1, and one overflows to inf only if the last, the largest,
-    does.  A rate is refused only for being at most 0 or not finite, so
-    checking the first and the last rate checks them all.
+    ratio**i >= 1.  With STOP finite, a STOP / START that overflows would
+    make ratio inf, and every rate past the first with it, so that grid is
+    refused by name; otherwise a geometric rate overflows to inf only if the
+    last, the largest, does.  A rate is refused only for being at most 0 or
+    not finite, so checking the first and the last rate checks them all.
     """
     if args.lam is not None:
         return (lambda i: args.lam), 1
@@ -217,7 +220,13 @@ def _lambda_grid(args):
     if args.lambda_spacing == "linear":
         step = (stop - start) / (n - 1)
         return (lambda i: start + i * step), n
-    ratio = (stop / start) ** (1.0 / (n - 1))
+    span = stop / start
+    if span == math.inf and stop != math.inf:
+        raise ValueError(
+            f"bad lambda grid ({start}, {stop}, {count}): "
+            "STOP / START overflows to inf; narrow the grid"
+        )
+    ratio = span ** (1.0 / (n - 1))
     return (lambda i: start * ratio**i), n
 
 

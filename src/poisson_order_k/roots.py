@@ -166,9 +166,9 @@ def _illinois(f, lo, flo, hi, fhi, floor) -> tuple[float, int]:
     side = 0
     for it in range(1, _MAX_ITER + 1):
         denom = fhi - flo
-        x = (lo * fhi - hi * flo) / denom if denom != 0.0 else 0.5 * (lo + hi)
+        x = (lo * fhi - hi * flo) / denom if denom != 0.0 else hi
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+            x = 0.5 * lo + 0.5 * hi  # lo + hi overflows above 8.99e307
         fx, slack = f(x)
         if abs(fx) <= slack or hi - lo <= 4.0 * math.ulp(max(floor, x)):
             return x, it

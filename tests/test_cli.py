@@ -47,17 +47,17 @@ def quiet_main(*argv: str) -> str:
     )
 
 
-def child(*args: str, stdout) -> subprocess.CompletedProcess:
+def child(*args: str, stdout, timeout: float = 120) -> subprocess.CompletedProcess:
     """``python ARGS`` in a child interpreter that imports this package, with
     its stdout on ``stdout`` (buffered unless ARGS say otherwise) and its
-    stderr captured as text."""
+    stderr captured as text; it fails after ``timeout`` seconds."""
     src = str(Path(poisson_order_k.__file__).resolve().parents[1])
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
     )
 
 
@@ -115,11 +115,11 @@ def order_param(k: int, known: set[int]):
 
 
 @functools.cache
-def printed_bounds() -> dict[int, dict]:
-    """The rows of one ``bounds --k-min 2 --k-max 150`` run, by order."""
+def printed_bounds(k_min: int = 2, k_max: int = 150) -> dict[int, dict]:
+    """The rows of one ``bounds --k-min K_MIN --k-max K_MAX`` run, by order."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["bounds", "--k-min", "2", "--k-max", "150"]) == 0
+        assert main(["bounds", "--k-min", str(k_min), "--k-max", str(k_max)]) == 0
     return {int(row["k"]): row for row in rows_of(out.getvalue())}
 
 
@@ -190,12 +190,14 @@ class TestBoundsCommand:
         strict=True,
         reason="ROADMAP item 1: prints 0.000981620327806, the root rounds to ...808",
     )
-    def test_printed_shoulder_below_the_grid_start(self, capsys):
-        # from k = 2258 on the shoulder's grid reaches below 1e-3
-        code, out, _ = run(capsys, "bounds", "--k-min", "2300", "--k-max", "2300")
-        assert code == 0
-        low, high = printed_interval(rows_of(out)[0]["shoulder"])
+    def test_printed_shoulder_below_the_grid_start(self):
+        low, high = printed_interval(printed_bounds(2300, 2300)[2300]["shoulder"])
         assert shoulder_gap_sign(2300, low) < 0 < shoulder_gap_sign(2300, high)
+
+    def test_shoulder_below_the_grid_start_is_printed(self):
+        # from k = 2258 on the shoulder's grid reaches below 1e-3
+        row = printed_bounds(2300, 2300)[2300]
+        assert row["status"] == "ok" and 0 < float(row["shoulder"]) < 1e-3
 
     @pytest.mark.parametrize("k", [order_param(k, TAIL_BOUND_WRONG) for k in range(2, 151)])
     def test_printed_tail_bound_is_correct(self, k):
@@ -239,14 +241,33 @@ class TestScanCommand:
             top = int(row["modes"].split(";")[-1])
             assert top == math.floor(float(row["lambda"]))
 
-    def test_parallel_output_matches_serial(self, capsys):
-        for fmt in ("csv", "json"):
-            args = ["scan", "--k-min", "2", "--k-max", "6", "--lambda-rule", "mean-k"]
-            args += ["--format", fmt]
-            code1, out1, _ = run(capsys, *args)
-            code2, out2, _ = run(capsys, *args, "--jobs", "2")
-            assert code1 == code2 == 0
-            assert out1 == out2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--k-min 2 --k-max 6 --lambda-rule mean-k",
+            "--k-min 2 --k-max 6 --lambda-rule mean-k --format json",
+            # the other CLI path into the shoulder solve; every shoulder
+            # point falls back to the loop inside its scan call
+            "--k-min 2 --k-max 40 --lambda-rule shoulder",
+            # mean-k points decide on running sums, in the workers as well:
+            # at the default tie tolerance, at a loose one where pairs inside
+            # the band decide too, at 0, and at 0.995, where every pair is a
+            # run of its own
+            "--k-min 2 --k-max 200 --k-step 9 --lambda-rule mean-k",
+            "--k-min 2 --k-max 200 --k-step 9 --lambda-rule mean-k --tie-tol 0.25",
+            "--k-min 2 --k-max 200 --k-step 9 --lambda-rule mean-k --tie-tol 0",
+            "--k-min 2 --k-max 200 --k-step 9 --lambda-rule mean-k --tie-tol 0.995",
+            # the JSON emitter, on grid points the workers decide on running sums
+            "--k-min 2 --k-max 30 --lambda-grid 0.05 3 8 --format json",
+            # the tail-bound rule, whose rate underflows to 0.0 from k = 443 on
+            "--k-min 2 --k-max 60 --lambda-rule tail-bound",
+        ],
+    )
+    def test_parallel_output_matches_serial(self, capsys, argv):
+        code1, out1, _ = run(capsys, "scan", *argv.split(), "--jobs", "1")
+        code2, out2, _ = run(capsys, "scan", *argv.split(), "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
 
     def test_a_spawned_worker_loads_the_audits_itself(self):
         # cli imports structure only inside the scan path, so a worker that
@@ -270,7 +291,10 @@ class TestScanCommand:
     @pytest.mark.parametrize(
         "rates, named",
         [
-            (["--lambda", "1", "--lambda-rule", "mean-k"], "not allowed with"),
+            (
+                ["--lambda", "1", "--lambda-rule", "mean-k"],
+                "error: argument --lambda-rule: not allowed with argument --lambda",
+            ),
             (["--lambda", "0.5", "--lambda-grid", "1", "2", "3"], "not allowed with"),
             (["--lambda-grid", "1", "2", "3", "--lambda-rule", "shoulder"], "not allowed with"),
             (["--lambda-grid", "1", "2", "2.7"], "integer COUNT"),
@@ -352,10 +376,20 @@ class TestScanDecisions:
         assert rows == scan_rows(monkeypatch, argv.split(), loop=True)
         capsys.readouterr()
 
-    def test_most_grid_points_build_no_loop_table(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--k-min 2 --k-max 80 --k-step 13 --lambda-grid 0.01 6 12",
+            # one point, so none: 10,476 entries at k = 4000 take a few
+            # milliseconds on running sums, about 2 s on the O(n k) loop
+            "--k-min 4000 --k-max 4000 --lambda 1e-6",
+        ],
+    )
+    def test_most_points_build_no_loop_table(self, capsys, monkeypatch, argv):
         steps = loop_steps(monkeypatch)
-        rows = scan_rows(monkeypatch, "--k-min 2 --k-max 80 --k-step 13 --lambda-grid 0.01 6 12".split())
+        rows = scan_rows(monkeypatch, argv.split())
         assert [n for _, n in steps].count(1) < len(rows) / 4
+        assert [row["error"] for row in rows] == [""] * len(rows)
         capsys.readouterr()
 
     def test_loose_tie_tolerance_rebuilds_only_close_calls(self, capsys, monkeypatch):
@@ -608,6 +642,12 @@ def json_cell(x):
     return x
 
 
+UNLOADED_BY_CLI = [
+    "multiprocessing", "concurrent.futures", "dataclasses", "inspect", "fractions", "json",
+    "csv", "poisson_order_k.oracle", "poisson_order_k.checks",
+]
+
+
 class TestOutputContract:
     def test_byte_identical_reruns(self, capsys):
         args = ("bounds", "--k-min", "2", "--k-max", "5")
@@ -616,15 +656,17 @@ class TestOutputContract:
         assert out1 == out2
         assert "\r" not in out1
 
-    def test_json_mirrors_csv_fields(self, capsys):
-        _, out_csv, _ = run(capsys, "roots", "--k", "3", "--n", "3", "--c", "1")
-        _, out_json, _ = run(
-            capsys, "roots", "--k", "3", "--n", "3", "--c", "1", "--format", "json"
-        )
-        csv_row = rows_of(out_csv)[0]
-        json_row = json.loads(out_json)[0]
-        assert list(json_row) == list(csv_row)
-        assert json_row["root"] == float(csv_row["root"])
+    # every bounds column, the shoulder's included
+    @pytest.mark.parametrize("argv", ["roots --k 3 --n 3 --c 1", "bounds --k-min 2 --k-max 40"])
+    def test_json_mirrors_csv_fields(self, capsys, argv):
+        _, out_csv, _ = run(capsys, *argv.split())
+        _, out_json, _ = run(capsys, *argv.split(), "--format", "json")
+        csv_rows, json_rows = rows_of(out_csv), json.loads(out_json)
+        assert len(json_rows) == len(csv_rows) > 0
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert list(json_row) == list(csv_row)
+            # a float cell is its 12-digit text read back
+            assert [output._fmt(v) for v in json_row.values()] == list(csv_row.values())
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -716,12 +758,7 @@ class TestOutputContract:
             # oracle and fractions, only --format json the json module, and
             # no command the csv module; no command needs dataclasses, which
             # pulls in inspect
-            (
-                "import poisson_order_k.cli",
-                ["multiprocessing", "concurrent.futures", "dataclasses", "inspect",
-                 "fractions", "json", "csv", "poisson_order_k.oracle",
-                 "poisson_order_k.checks"],
-            ),
+            ("import poisson_order_k.cli", UNLOADED_BY_CLI),
             (
                 "import poisson_order_k",
                 [f"poisson_order_k.{m.name}"
@@ -732,11 +769,12 @@ class TestOutputContract:
                 "import poisson_order_k; poisson_order_k.build_table",
                 ["fractions", "poisson_order_k.oracle"],
             ),
-            # only scan loads the shape audits, and only a command that
-            # prints rows the row writer
+            # building the parser loads none of these either; only scan loads
+            # the shape audits, and only a command that prints rows the row
+            # writer
             (
                 "from poisson_order_k import cli; cli.build_parser()",
-                ["poisson_order_k.structure", "poisson_order_k.output"],
+                [*UNLOADED_BY_CLI, "poisson_order_k.structure", "poisson_order_k.output"],
             ),
             (quiet_main("verify"), ["poisson_order_k.structure", "poisson_order_k.output"]),
             # the row writer is imported by name, so loading it looks up
@@ -755,6 +793,24 @@ class TestOutputContract:
         loaded = set(done.stdout.split())
         assert "poisson_order_k" in loaded
         assert sorted(set(unloaded) & loaded) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-W", "error", "-c", "from poisson_order_k import *"],
+            # a deprecation on the exact integer paths (math.lcm, Fraction)
+            ["-W", "error", "-m", "poisson_order_k", "verify"],
+            # or on the process pool's; the JSON document must still parse
+            ["-W", "error::DeprecationWarning", "-m", "poisson_order_k",
+             *"scan --k-min 2 --k-max 30 --lambda-rule mean-k --jobs 2 --format json".split()],
+        ],
+        ids=["star-import", "verify", "parallel-json-scan"],
+    )
+    def test_no_warning_becomes_an_error(self, args):
+        done = child(*args, stdout=subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        if "--format" in args:
+            assert len(json.loads(done.stdout)) == 29
 
     def test_twelve_significant_digits(self, capsys):
         _, out, _ = run(capsys, "figs", "1")
@@ -975,8 +1031,10 @@ class TestExitCodes:
             (["--lambda", "0.5", "--jobs", "0"], "--jobs must"),
             (["--lambda", "0.5", "--jobs", "-3"], "--jobs must"),
             (["--lambda", "0.5", "--k-step", "0"], "--k-step must"),
-            # grids whose last rate, the only one checked besides the first, is inf
-            (["--lambda-grid", "1e-300", "1e300", "3"], "rate lam must"),
+            # a STOP / START that overflows, although the rates 1e-300, 1 and
+            # 1e300 are finite, and grids whose last rate, the only one
+            # checked besides the first, is inf
+            (["--lambda-grid", "1e-300", "1e300", "3"], "bad lambda grid"),
             (["--lambda-grid", "1", "inf", "1e9"], "rate lam must"),
             (["--lambda-grid", "0.1", "inf", "1e9", "--lambda-spacing", "linear"], "rate lam must"),
         ],
@@ -1040,8 +1098,16 @@ class TestExitCodes:
             (["-u"], "figs 1"),
             # more than one batch of rows: the reader's leaving is seen mid-scan
             ([], "scan --k-min 2 --k-max 30 --lambda-grid 0.05 3 40 --jobs 2"),
+            # a --lambda-grid is never stored, and the pool holds a window of
+            # chunks, not the grid: a billion rates end at once either way
+            ([], "scan --k-min 2 --k-max 2 --lambda-grid 0.1 1 1e9"),
+            ([], "scan --k-min 2 --k-max 2 --lambda-grid 0.1 1 1e9 --jobs 2"),
+            # a parallel scan that would run for minutes: only the chunks
+            # already submitted are waited for
+            ([], "scan --k-min 2 --k-max 200 --lambda-grid 0.05 3 20 --jobs 2"),
         ],
-        ids=["flags0", "flags1", "parallel-scan"],
+        ids=["flags0", "flags1", "parallel-scan", "billion-rates", "billion-rates-parallel",
+             "long-parallel-scan"],
     )
     def test_closed_pipe_is_zero_and_quiet(self, flags, argv):
         # a reader that stops early (`figs 1 | head -1`) is not an error; the
@@ -1050,7 +1116,9 @@ class TestExitCodes:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = child(*flags, "-m", "poisson_order_k", *argv.split(), stdout=write_end)
+            done = child(
+                *flags, "-m", "poisson_order_k", *argv.split(), stdout=write_end, timeout=30
+            )
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (0, "")
@@ -1139,8 +1207,17 @@ class TestExitCodes:
         # and 1e-310 printed half its root
         code, out, err = run(capsys, "roots", "--k", "2", "--n", "2", "--c", c)
         assert (code, out) == (2, "")
-        assert err.startswith("computation failed: ") and "smallest normal" in err
+        assert err.startswith("computation failed: the root of ") and "smallest normal" in err
         assert "rate lam" not in err
+
+    @pytest.mark.parametrize("k, c", [("1", "1e308"), ("5", "1e308"), ("1", "9e307")])
+    def test_level_near_the_largest_float_is_zero(self, capsys, k, c):
+        # w_1 = lam at every order, so the root is c; the solver's midpoint
+        # once overflowed to inf here, and exit 1 named that rate
+        code, out, err = run(capsys, "roots", "--k", k, "--n", "1", "--c", c)
+        assert (code, err) == (0, "")
+        low, high = printed_interval(rows_of(out)[0]["root"])
+        assert low < Fraction(float(c)) < high
 
     def test_tiny_level_with_a_normal_root_is_zero(self, capsys):
         # w_3 = lam^3/6 at k = 1, so the level 5e-324 has its root near 3e-108
