@@ -9,10 +9,10 @@ Output is CSV (default) or JSON with the same fields, written to stdout or
 ``--out`` by :mod:`.output` as the rows are computed; all floats are printed
 with 12 significant digits so identical configurations produce
 byte-identical output.  The ``roots``, ``bounds`` and ``scan`` columns are
-the fields of the library's result records, named only there.  Diagnostics and scan summaries go to stderr.  Exit codes:
-0 success, 1 invalid parameters, 2 computation failure or a failed write,
-3 verification-suite failure.  A reader that closes stdout early is not a
-failure: exit 0.
+the fields of the library's result records, named only there.  Diagnostics
+and scan summaries go to stderr.  Exit codes: 0 success, 1 invalid
+parameters, 2 computation failure or a failed write, 3 verification-suite
+failure.  A reader that closes stdout early is not a failure: exit 0.
 """
 
 import argparse

@@ -326,6 +326,7 @@ def _mass_margin(k_lam: float) -> float:
     """
     return min(_MARGIN, 1e-14 + 5e-16 * k_lam)
 
+
 # The shape audits' default tie and tail tolerances (``structure``), kept
 # here so that the CLI's parser reads them without loading the audits.
 DEFAULT_TIE_TOL = 1e-9

