@@ -2,9 +2,8 @@
 
 The four scan rate sets, the loop's adaptive table at a point (built once
 per session by ``loop_table``), a record of the loop's steps
-(``loop_steps``), and the references that certify tables and printed
-values: the indexed k-term loop, the initial increase, and the interval a
-12-digit printed value stands for.
+(``loop_steps``), and the float references of the loop and of the initial
+increase.  The exact references live in ``exact``.
 
 ``tests/`` is not a package: a test module imports this by name,
 ``from scan_tables import loop_table``.  A test that times its own builds,
@@ -14,8 +13,6 @@ failure), calls ``build_adaptive_table`` instead.
 
 import functools
 import math
-from decimal import Decimal
-from fractions import Fraction
 
 from poisson_order_k import pmf
 from poisson_order_k.pmf import Params, build_adaptive_table
@@ -43,13 +40,6 @@ def increase_reference(t) -> bool:
     v, k = t.values, t.params.k
     close = math.isclose(v[1], t.params.lam, rel_tol=1e-12, abs_tol=0.0)
     return close and all(v[n] < v[n + 1] for n in range(1, k))
-
-
-def printed_interval(cell: str) -> tuple[Fraction, Fraction]:
-    """(d - h, d + h) for a printed value d, h half a unit in its 12th digit."""
-    d = Decimal(cell)
-    h = Decimal(5).scaleb(d.adjusted() - 12)
-    return Fraction(d - h), Fraction(d + h)
 
 
 def geometric_rate(start: float, stop: float, count: int, i: int) -> float:

@@ -28,7 +28,8 @@ import poisson_order_k
 from poisson_order_k import checks, cli, oracle, output, pmf, roots, structure
 from poisson_order_k.cli import _emit, main
 from poisson_order_k.pmf import Params, build_table_km
-from scan_tables import geometric_rate, loop_steps, loop_table, printed_interval
+from exact import printed_interval, shoulder_gap_sign
+from scan_tables import geometric_rate, loop_steps, loop_table
 
 
 def run(capsys, *argv):
@@ -124,27 +125,6 @@ def printed_bounds(k_min: int = 2, k_max: int = 150) -> dict[int, dict]:
     with contextlib.redirect_stdout(out):
         assert main(["bounds", "--k-min", str(k_min), "--k-max", str(k_max)]) == 0
     return {int(row["k"]): row for row in rows_of(out.getvalue())}
-
-
-def shoulder_gap_sign(k: int, x: Fraction) -> int:
-    """The sign of the shoulder's closed form at x > 0, or 0 when left open.
-
-    The closed form, -1/2 + sum_{m=1..k} C(k, m) x^m / (m + 2)!, tied to the
-    oracle by TestShoulderGapClosedForm, is t_0 + ... + t_k - 1 with t_0 = 1/2
-    and t_m = t_{m-1} (k - m + 1) x / (m (m + 2)).  Each t_m is carried in
-    integers at scale 2**256, once rounded down and once rounded up, so the
-    two sums bound the exact one.
-    """
-    p, q = x.numerator, x.denominator
-    one = 1 << 256
-    low = high = sum_low = sum_high = one // 2
-    for m in range(1, k + 1):
-        num, den = (k - m + 1) * p, m * (m + 2) * q
-        low = low * num // den
-        high = -(-high * num // den)
-        sum_low += low
-        sum_high += high
-    return 1 if sum_low > one else -1 if sum_high < one else 0
 
 
 class TestBoundsCommand:
@@ -1042,6 +1022,19 @@ class TestPackageExports:
         assert set(poisson_order_k.__all__) <= set(dir(poisson_order_k))
         with pytest.raises(AttributeError, match="no_such_name"):
             poisson_order_k.no_such_name
+
+
+def test_exact_references_import_only_the_standard_library():
+    # tests/exact.py certifies the library, so it must not import it, not even
+    # through another test module or a dynamic import
+    tree = ast.parse((Path(__file__).parent / "exact.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name if isinstance(node, ast.Import) else "." * node.level + (node.module or "")
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names - {"importlib"}
+    assert "__import__" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 class TestExitCodes:

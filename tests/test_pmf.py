@@ -29,6 +29,7 @@ from poisson_order_k.pmf import (
     diff_km,
     normalize,
 )
+import exact
 from scan_tables import geometric_rate, kterm_reference, loop_steps, loop_table, scan_points
 
 FLOAT_MIN = sys.float_info.min
@@ -48,26 +49,12 @@ def rel_gap(a: float, b: float) -> float:
     return abs(a - b) / m if m else 0.0
 
 
-def km_fraction_reference(params: Params, n_max: int) -> tuple[tuple[float, ...], float]:
-    """The four-term recurrence in Fraction arithmetic: (values, mass_captured).
-
-    Independent of the scaled-integer form in build_table_km; every entry is
-    the same rational, so the rounded floats must agree bit for bit.
-    """
-    k = params.k
-    lam = Fraction(params.lam)
-    w = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        x = (2 + (lam - 2) / n) * w[n - 1]
-        if n >= 2:
-            x -= Fraction(n - 2, n) * w[n - 2]
-        if n - k - 1 >= 0:
-            x -= Fraction(k + 1, n) * lam * w[n - k - 1]
-        if n - k - 2 >= 0:
-            x += Fraction(k, n) * lam * w[n - k - 2]
-        w.append(x)
-    values = tuple(float(x) for x in w)
-    return values, math.exp(-k * params.lam) * math.fsum(values)
+def assert_km_is_exact(t: PmfTable):
+    """build_table_km's table is the exact k-term one, correctly rounded: a
+    different formula from its four-term one, so they agree bit for bit."""
+    values = exact.weights(t.params.k, t.params.lam, t.n_max)
+    assert t.values == values
+    assert t.mass_captured == math.exp(-t.params.k * t.params.lam) * math.fsum(values)
 
 
 def diff_forward_reference(table: PmfTable, n: int) -> DiffIdentityReport:
@@ -162,8 +149,8 @@ class TestBuildTable:
         # independent evaluation of the defining tuple sum at the same rate
         t = build_table(Params(3, 0.5), 9)
         for n, got in enumerate(t.values):
-            exact = float(weight_exact(3, n, Fraction(1, 2)))
-            assert rel_gap(got, exact) <= 1e-12
+            want = float(weight_exact(3, n, Fraction(1, 2)))
+            assert rel_gap(got, want) <= 1e-12
 
     def test_seed_and_first_weight_are_exact(self):
         for k in (1, 2, 5):
@@ -253,25 +240,22 @@ class TestBuildTableKm:
             build_table_km(Params(1, 800.0), 900)
 
     @pytest.mark.parametrize("k", range(1, 11))
-    def test_bit_identical_to_fraction_recursion(self, k):
+    def test_bit_identical_on_the_verify_grid(self, k):
         # the whole grid of the verify recurrence-cross-check suite
         for lam in (0.1, 0.6026076, 4.0 / 3.0, 3.0):
-            t = build_table_km(Params(k, lam), 200)
-            assert (t.values, t.mass_captured) == km_fraction_reference(t.params, 200)
+            assert_km_is_exact(build_table_km(Params(k, lam), 200))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_bit_identical_at_integer_rates(self, k):
         # the rate's denominator is 2**0, so every shift is by zero bits
         for lam in (1.0, 3.0, 50.0):
-            t = build_table_km(Params(k, lam), 120)
-            assert (t.values, t.mass_captured) == km_fraction_reference(t.params, 120)
+            assert_km_is_exact(build_table_km(Params(k, lam), 120))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_bit_identical_where_one_lagged_term_enters(self, k):
         # index k+1 reaches back to W_0 but not yet to W_{-1}
         for lam in (1e-6, 0.1, 0.6026076, 1.0, 4.0 / 3.0, 50.0):
-            t = build_table_km(Params(k, lam), k + 1)
-            assert (t.values, t.mass_captured) == km_fraction_reference(t.params, k + 1)
+            assert_km_is_exact(build_table_km(Params(k, lam), k + 1))
 
     @given(
         st.integers(1, 12),
@@ -280,8 +264,7 @@ class TestBuildTableKm:
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_across_binades(self, k, lam, n_max):
-        t = build_table_km(Params(k, lam), n_max)
-        assert (t.values, t.mass_captured) == km_fraction_reference(t.params, n_max)
+        assert_km_is_exact(build_table_km(Params(k, lam), n_max))
 
     @given(
         st.integers(1, 6),

@@ -25,7 +25,8 @@ from poisson_order_k.roots import (
     solve_weight_equals,
     weight_value,
 )
-from scan_tables import kterm_reference, printed_interval
+from exact import printed_interval, weight_sign
+from scan_tables import kterm_reference
 
 
 def shoulder_reference(k: int, tol: float = 1e-13) -> tuple[float, int]:
@@ -168,25 +169,6 @@ def sweep_param(k: int, n: int, c: float):
     else:
         return (k, n, c)
     return pytest.param(k, n, c, marks=mark)
-
-
-def weight_sign(k: int, n: int, x: Fraction, c: float) -> int:
-    """The sign of w_n(x) - c, with c at its binary value, in integers.
-
-    At x = p/q, W_m = m! q^m w_m obeys W_0 = 1 and
-    W_m = p sum_{j=1..min(m, k)} j q^(j-1) (m - 1)!/(m - j)! W_{m-j}.
-    """
-    p, q = x.numerator, x.denominator
-    big = [1]
-    for m in range(1, n + 1):
-        s, factor = 0, 1  # factor = q^(j-1) (m - 1)!/(m - j)!
-        for j in range(1, min(m, k) + 1):
-            s += j * factor * big[m - j]
-            factor *= (m - j) * q
-        big.append(p * s)
-    cn, cd = c.as_integer_ratio()
-    lhs, rhs = big[n] * cd, cn * math.factorial(n) * q**n
-    return (lhs > rhs) - (lhs < rhs)
 
 
 class TestIllinois:

@@ -19,6 +19,7 @@ from poisson_order_k.structure import (
     find_triple_ties,
     local_maxima,
 )
+from exact import common_weights
 from scan_tables import geometric_rate, increase_reference, loop_table, scan_points
 
 
@@ -44,11 +45,11 @@ def local_maxima_reference(v, tie_tol):
 def triple_ties_reference(modes):
     """Maximal runs of >= 3 consecutive indices that are all modes, grown
     index by index from each mode whose predecessor is none."""
-    runs = []
+    members, runs = set(modes), []
     for start in modes:
-        if start - 1 not in modes:
+        if start - 1 not in members:
             end = start
-            while end + 1 in modes:
+            while end + 1 in members:
                 end += 1
             if end - start >= 2:
                 runs.append((start, end))
@@ -56,7 +57,8 @@ def triple_ties_reference(modes):
 
 
 def modes_reference(v, tie_tol):
-    floor = (1.0 - tie_tol) * max(v)
+    """The entries from (1 - tie_tol) * peak up, exact on integers and a Fraction."""
+    floor = (1 - tie_tol) * max(v)
     return tuple(n for n, x in enumerate(v) if x >= floor)
 
 
@@ -163,16 +165,10 @@ def mode_bounds_reference(p, modes):
 
 def assert_replay_is_the_pair_walk(t, tie_tol, tail_tol, runs=None):
     """The walk over runs decides what the walk over pairs decided."""
-    want = walk_reference(t, tie_tol, tail_tol)
-    assert structure._walk(t, tie_tol, tail_tol, runs)[:4] == want
-    report, clear = structure._audit(t, tie_tol, tail_tol, runs)  # decided_report's
-    assert clear == want[3]
-    modes, k = want[0], t.params.k
-    block = None
-    if modes[0] >= k and modes[0] + k <= t.n_max:
-        block = block_reference(t, modes[0])
-    assert report.block_nonincreasing == block
-    assert report.initial_increase == increase_reference(t)
+    modes, peaks, violation, clear = walk_reference(t, tie_tol, tail_tol)
+    report, decided = structure._audit(t, tie_tol, tail_tol, runs)  # decided_report's
+    assert report == report_reference(t, modes, peaks, triple_ties_reference(modes), violation)
+    assert decided == clear
 
 
 # a power-of-two tolerance makes exact ties at the tolerance representable:
@@ -246,6 +242,8 @@ def test_builder_runs_replay_to_the_pair_walk_on_scan_tables(name):
     # each table a scan decides on: the running-sum table with the runs its
     # build recorded, or the loop's table where the build refuses
     tail_tol = 1e-12
+    # from tie_tol 0.99 on the walk's edge is 0.0, so that build is ``plain``
+    assert structure._fast(0.995, tail_tol) == 0.0
     for k, lam in scan_points(name):
         scale = math.exp(-k * lam)
         # at edge 0.0 no pair is clear, so the build decides as it did before
@@ -254,7 +252,7 @@ def test_builder_runs_replay_to_the_pair_walk_on_scan_tables(name):
         loop = loop_table(k, lam) if plain is None else None
         for tie_tol in (0.0, 1e-9, 0.25, 0.995):
             fast = structure._fast(tie_tol, tail_tol)
-            running = pmf._running_weights(k, lam, scale, 1e-10, fast)
+            running = plain if fast == 0.0 else pmf._running_weights(k, lam, scale, 1e-10, fast)
             assert (running is None) == (plain is None)
             if running is None:
                 t, runs = loop, None
@@ -673,18 +671,6 @@ class TestTripleTies:
         assert build_report(t, 0.05).triple_ties
 
 
-def kterm_exact(k, lam, n_max):
-    """w_0..w_n_max by the k-term recurrence, exactly at lam's binary value p/q,
-    as integers over their common denominator n_max! * q**n_max."""
-    p, q = lam.as_integer_ratio()
-    w = [math.factorial(n_max) * q**n_max]
-    for n in range(1, n_max + 1):
-        num, den = p * sum(j * w[n - j] for j in range(1, min(n, k) + 1)), q * n
-        assert num % den == 0
-        w.append(num // den)
-    return w
-
-
 @pytest.mark.parametrize(
     "k, lam",
     [*cli._FIG_PARAMS.values(), *((k, lam) for k, lam in scan_points("mean-k") if k <= 30)],
@@ -693,10 +679,9 @@ def test_modes_are_decided_exactly(k, lam):
     # the three reference histograms of ``figs`` and the mean-k points: the
     # float verdict on each entry against the mode floor is the exact one
     t = loop_table(k, lam)
-    w = kterm_exact(k, lam, t.n_max)
+    w = common_weights(k, lam, t.n_max)
     for tie_tol in (1e-9, 0.25):
-        floor = (1 - Fraction(tie_tol)) * max(w)
-        modes = tuple(n for n, x in enumerate(w) if x >= floor)
+        modes = modes_reference(w, Fraction(tie_tol))
         report = build_report(t, tie_tol)
         assert report.modes == modes
         assert find_triple_ties(t, tie_tol) == triple_ties_reference(modes)
