@@ -15,12 +15,14 @@ scaled big integers, and rounds each entry once.  The exact tuple sum lives
 in :mod:`poisson_order_k.oracle`.
 
 The k-term loop costs min(n, k) multiply-adds for w_n and is the reference:
-every table a caller prints comes from it.  ``scan`` needs only decisions
-(``n_max``, modes, maxima, flags), so ``build_adaptive_table(decided=...)``
-first grows the table on running sums of the last k weights, at O(1) per
-step, on block sums of positive terms only, so each entry stays within a
-tenth of ``_MARGIN`` of the loop's, and the captured mass within a tenth of
-its own, smaller margin ``_mass_margin(k*lam)``, with nothing to recompute.
+every table a caller prints comes from it.  One kernel, ``_extend_kp``,
+grows every k-term table and alone writes the overflow fill.  ``scan``
+needs only decisions (``n_max``, modes, maxima, flags), so
+``build_adaptive_table(decided=...)`` first grows the table on running sums
+of the last k weights, at O(1) per step, on block sums of positive terms
+only, so each entry stays within a tenth of ``_MARGIN`` of the loop's, and
+the captured mass within a tenth of its own, smaller margin
+``_mass_margin(k*lam)``, with nothing to recompute.
 A decision that does not clear its margin is left to the loop, which then
 builds the table inside the same call.  The build also records the table's
 runs and hands them to ``decided``, which decides the table from them.
@@ -161,14 +163,16 @@ def _finish(params: Params, values: list[float]) -> PmfTable:
     return PmfTable(params=params, values=tuple(values), mass_captured=scale * total)
 
 
-def _extend_kp(w: list[float], k: int, lam: float, n: int) -> None:
-    """Append w_n = lam S_n / n to a k-term table of length n.
+def _extend_kp(w: list[float], k: int, lam: float, n: int) -> list[float]:
+    """Grow a k-term table w_0..w_{m-1} through index n; return it.
 
-    S_n = sum_{j=1..k} j w_{n-j} is the package's one k-term window sum
-    whose bits reach a table; read w_n as w[-1].
+    Each new entry is w_m = lam S_m / m, where S_m = sum_{j=1..k} j w_{m-j}
+    is the package's one k-term window sum whose bits reach a table.  Every
+    k-term table grows here: a fixed-length table from ``[1.0]`` in one
+    call, the adaptive loop one entry per call (n = len(w)).
 
-    The sum runs over j = 1..min(n, k) in that order, s += j * w[n - j], with
-    j an exact float.  Walking the reversed window of the last min(n, k)
+    The sum runs over j = 1..min(m, k) in that order, s += j * w[m - j], with
+    j an exact float.  Walking the reversed window of the last min(m, k)
     entries performs exactly those float operations with less interpreter
     work, so the weights are bit-identical to the indexed loop; a table of
     at most k entries is walked in place, without copying the window.
@@ -176,32 +180,29 @@ def _extend_kp(w: list[float], k: int, lam: float, n: int) -> None:
     Python 3.12 on, ``math.fsum`` and ``math.sumprod`` round in another way,
     and a numpy dot reorders the sum (and its import adds ~14 MB and ~0.09 s
     per process).  When lam * s alone overflows, the quotient is formed as
-    s / n * lam, so a finite weight is not reported as an overflow.
+    s / m * lam, so a finite weight is not reported as an overflow.  All
+    terms are positive, so once an entry overflows to inf every later entry
+    is inf as well: the rest of the table is filled without recursing.
     """
-    s = 0.0
-    j = 1.0
-    for x in reversed(w if len(w) <= k else w[-k:]):
-        s += j * x
-        j += 1.0
-    x = lam * s / n
-    if x == math.inf:
-        x = s / n * lam
-    w.append(x)
+    for m in range(len(w), n + 1):
+        s = 0.0
+        j = 1.0
+        for x in reversed(w if m <= k else w[-k:]):
+            s += j * x
+            j += 1.0
+        x = lam * s / m
+        if x == math.inf:
+            x = s / m * lam
+            if x == math.inf:
+                w.extend([math.inf] * (n + 1 - m))
+                break
+        w.append(x)
+    return w
 
 
 def _kterm_weights(k: int, lam: float, n_max: int) -> list[float]:
-    """w_0..w_n_max by the k-term recurrence; the loop of every fixed-length table.
-
-    All terms are positive, so once an entry overflows to inf every later
-    entry is inf as well; the rest of the table is filled without recursing.
-    """
-    w = [1.0]
-    for n in range(1, n_max + 1):
-        _extend_kp(w, k, lam, n)
-        if w[-1] == math.inf:
-            w.extend([math.inf] * (n_max - n))
-            break
-    return w
+    """w_0..w_n_max by the k-term recurrence: the kernel grown from w_0 = 1."""
+    return _extend_kp([1.0], k, lam, n_max)
 
 
 def build_table(params: Params, n_max: int) -> PmfTable:

@@ -301,21 +301,14 @@ _grid_prefix: dict[float, list[float]] = {}
 def _grid_weights(k: int, lam: float) -> list[float]:
     """``_kterm_weights(k, lam, k + 2)`` at a shoulder grid rate, bit for bit.
 
-    Entries up to k are the rate's shared prefix: each is an ``_extend_kp``
-    step over the whole prefix before it, the same float operations at every
-    order, and after an overflow the prefix is inf as ``_kterm_weights``
-    fills it.  The two entries past k are window steps on a copy.
+    Two kernel calls.  The first grows the rate's shared prefix through k:
+    each entry up to k is a step over the whole prefix before it, the same
+    float operations at every order, and after an overflow the kernel fills
+    the prefix with inf as it fills a table of its own.  The second takes
+    the two window steps past k on a copy of w_0..w_k.
     """
-    p = _grid_prefix.setdefault(lam, [1.0])
-    while len(p) <= k:
-        if p[-1] == math.inf:
-            p.extend([math.inf] * (k + 1 - len(p)))
-        else:
-            _extend_kp(p, k, lam, len(p))
-    w = p[: k + 1]
-    _extend_kp(w, k, lam, k + 1)
-    _extend_kp(w, k, lam, k + 2)
-    return w
+    p = _extend_kp(_grid_prefix.setdefault(lam, [1.0]), k, lam, k)
+    return _extend_kp(p[: k + 1], k, lam, k + 2)
 
 
 def shoulder_lambda(k: int, tol: float = DEFAULT_TOL) -> float:

@@ -247,13 +247,11 @@ def find_triple_ties(
     """Maximal runs of >= 3 consecutive modes, as inclusive (start, end) pairs.
 
     The modes are ``find_modes``'s, so only ties at the top count, not the
-    near-flat run w_1..w_k far below the mode at 0 at tiny rates.  The table
-    need not be past its last peak.  On a table cut while still rising, the
-    runs are among the entries it holds, which need not be the distribution's
-    modes; ``find_modes`` refuses such a table.  A ``tie_tol`` outside [0, 1)
-    is refused.
+    near-flat run w_1..w_k far below the mode at 0 at tiny rates.  Like
+    ``find_modes``, it refuses a table that is not past its last peak, whose
+    ties could continue beyond the cut, and a ``tie_tol`` outside [0, 1).
     """
-    return _triples(_walk(table, tie_tol, 0.0, settled=False)[0])
+    return _triples(find_modes(table, tie_tol))
 
 
 def _audit(

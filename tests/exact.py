@@ -1,8 +1,9 @@
 """Exact references for the tests, all on the k-term integers W_m = m! q^m w_m
 at a rational rate p/q: the correctly rounded table, the sign of w_n - c and
 the table over one common denominator, which orders entries; beside them the
-shoulder's closed form and the interval a printed value stands for.  Nothing
-here imports ``poisson_order_k`` (a tier-1 test checks), so the library is
+sign of w_n - c for n <= k on its binomial closed form, the shoulder's
+closed form and the interval a printed value stands for.  Nothing here
+imports ``poisson_order_k`` (a tier-1 test checks), so the library is
 certified by a different formula, never against itself."""
 
 import math
@@ -48,6 +49,25 @@ def weight_sign(k: int, n: int, x, c) -> int:
     q = x.as_integer_ratio()[1]
     cn, cd = c.as_integer_ratio()
     lhs, rhs = scaled_weights(k, x, n)[n] * cd, cn * math.factorial(n) * q**n
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def prefix_weight_sign(n: int, x, c) -> int:
+    """The sign of w_n(x) - c for 1 <= n <= k, rationals x = p/q > 0 and c.
+
+    Up to k the order drops out: w_n = sum_{j=1..n} C(n-1, j-1) x^j / j!, so
+    n! q^n w_n = p sum_j C(n-1, j-1) (n!/j!) p^(j-1) q^(n-j), summed
+    Horner-wise in p.  O(n) steps, against the O(n k) of ``weight_sign``.
+    """
+    p, q = x.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    acc = a = 1  # a = C(n-1, j-1) n!/j!, at j = n
+    qj = q  # q^(n-j+1)
+    for j in range(n - 1, 0, -1):
+        a = a * j * (j + 1) // (n - j)  # exact: the terms' ratio is (n-j) x / (j(j+1))
+        acc = acc * p + a * qj
+        qj *= q
+    lhs, rhs = p * acc * cd, cn * math.factorial(n) * qj
     return (lhs > rhs) - (lhs < rhs)
 
 

@@ -24,13 +24,15 @@ def kterm_reference(k: int, lam: float, n_max: int) -> tuple[float, ...]:
 
     The shipped kernel walks a reversed window instead; it must perform the
     same float operations in the same order, so the weights agree bit for bit.
+    Where lam * s alone overflows, the weight is s / n * lam, as there.
     """
     w = [1.0]
     for n in range(1, n_max + 1):
         s = 0.0
         for j in range(1, min(n, k) + 1):
             s += j * w[n - j]
-        w.append(lam * s / n)
+        x = lam * s / n
+        w.append(s / n * lam if x == math.inf else x)
     return tuple(w)
 
 
@@ -64,14 +66,14 @@ def scan_points(name: str) -> tuple[tuple[int, float], ...]:
 
 
 def loop_steps(monkeypatch) -> list[tuple[int, int]]:
-    """The (k, n) of each step the k-term loop takes from now on; each table
-    it builds starts at n = 1."""
+    """The (k, n) of each entry the k-term kernel appends from now on, one per
+    entry whether a table grows by one call or many; each table starts at n = 1."""
     steps = []
-    step = pmf._extend_kp
+    grow = pmf._extend_kp
 
     def counted(w, k, lam, n):
-        steps.append((k, n))
-        step(w, k, lam, n)
+        steps.extend((k, m) for m in range(len(w), n + 1))
+        return grow(w, k, lam, n)
 
     monkeypatch.setattr(pmf, "_extend_kp", counted)
     return steps

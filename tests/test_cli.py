@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 import poisson_order_k
 from poisson_order_k import checks, cli, oracle, output, pmf, roots, structure
 from poisson_order_k.cli import _emit, main
-from poisson_order_k.pmf import Params, build_table_km
-from exact import printed_interval, shoulder_gap_sign
+from exact import prefix_weight_sign, printed_interval, shoulder_gap_sign
 from scan_tables import geometric_rate, loop_steps, loop_table
 
 
@@ -148,8 +147,9 @@ class TestBoundsCommand:
         assert "error" in err
 
     def test_printed_roots_bracket_the_level(self, capsys):
-        # each printed root, widened by half a unit in its 12th significant
-        # digit, must bracket the level on the correctly rounded exact path
+        # each printed root d, widened by half a unit h in its 12th
+        # significant digit, brackets the level exactly: w_k - c changes sign
+        # inside (d - h, d + h)
         code, out, _ = run(
             capsys, "bounds", "--k-min", "2", "--k-max", "150", "--no-shoulder"
         )
@@ -157,10 +157,9 @@ class TestBoundsCommand:
         for row in rows_of(out):
             k = int(row["k"])
             for name, level in (("root1", 1.0), ("root2", 2.0)):
-                low, high = map(float, printed_interval(row[name]))
-                below = build_table_km(Params(k, low), k).values[k]
-                above = build_table_km(Params(k, high), k).values[k]
-                assert below < level < above, (k, name, row[name])
+                low, high = printed_interval(row[name])
+                below, above = (prefix_weight_sign(k, x, level) for x in (low, high))
+                assert below < 0 < above, (k, name, row[name])
 
     @pytest.mark.parametrize("k", [order_param(k, SHOULDER_WRONG) for k in range(2, 151)])
     def test_printed_shoulder_brackets_the_equal_pair_rate(self, k):

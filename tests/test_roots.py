@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from poisson_order_k.oracle import weight_polynomial
 from poisson_order_k import roots
-from poisson_order_k.pmf import Params, _kterm_weights, build_table_km
+from poisson_order_k.pmf import Params, _extend_kp, _kterm_weights, build_table_km
 from poisson_order_k.roots import (
     SQRT5_MINUS_1,
     _gap_factor,
@@ -25,7 +25,7 @@ from poisson_order_k.roots import (
     solve_weight_equals,
     weight_value,
 )
-from exact import printed_interval, weight_sign
+from exact import prefix_weight_sign, printed_interval, weight_sign
 from scan_tables import kterm_reference
 
 
@@ -86,6 +86,24 @@ class TestKTermKernel:
         for lam in RATES:
             assert tuple(_kterm_weights(k, lam, k + 2)) == kterm_reference(k, lam, k + 2)
 
+    @pytest.mark.parametrize(
+        "k, lam, n_max", [(1, 800.0, 470), (2, 0.5, 40), (7, 1.5, 90), (75, 0.1, 200)]
+    )
+    def test_one_call_in_pieces_and_entry_by_entry_give_the_indexed_loop(
+        self, k, lam, n_max
+    ):
+        # at (1, 800.0) the first inf is w_459: the kernel fills the rest, and
+        # an entry grown on a table that ends in inf is inf
+        want = list(kterm_reference(k, lam, n_max))
+        assert want.index(math.inf) == 459 if lam == 800.0 else math.inf not in want
+        assert _extend_kp([1.0], k, lam, n_max) == want
+        w = _extend_kp([1.0], k, lam, n_max // 3)
+        assert _extend_kp(w, k, lam, n_max) is w and w == want
+        w = [1.0]
+        for n in range(1, n_max + 1):
+            assert _extend_kp(w, k, lam, n) is w and len(w) == n + 1
+        assert w == want
+
     def test_weight_past_the_float_range_is_inf(self):
         # 800**459/459! is the first k = 1 weight beyond the float range
         assert math.isfinite(weight_value(1, 458, 800.0))
@@ -120,6 +138,17 @@ class TestClosedFormWeight:
             for n in range(1, k + 1):
                 got = weight_value(k, n, lam)
                 assert abs(got - exact[n]) <= 16 * math.ulp(exact[n]), (n, lam)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 20, 60])
+    def test_exact_closed_form_sign_is_the_kterm_integers(self, k):
+        # tests/exact.py's sign of w_n - c on the binomial closed form, which
+        # certifies the printed bounds roots, against its sign on the k-term
+        # integers, just below, at and just above the float weight
+        for lam in CLOSED_FORM_RATES:
+            for n in sorted({1, 2, k // 2, k - 1, k} & set(range(1, k + 1))):
+                w = Fraction(weight_value(k, n, lam))
+                for c in (w * (1 - Fraction(1, 10**12)), w, w * (1 + Fraction(1, 10**12))):
+                    assert prefix_weight_sign(n, lam, c) == weight_sign(k, n, lam, c), (n, lam)
 
     @pytest.mark.parametrize("k", [100, 200, 400])
     def test_overflows_where_the_kernel_does(self, k):
@@ -435,12 +464,20 @@ class TestShoulder:
         # 1e10 is no grid rate: its prefix overflows at index 35, so orders
         # 33 and 34 overflow in a window step and orders from 35 on read the
         # prefix's inf fill
+        orders = range(2, 151)
+        want = {k: list(kterm_reference(k, lam, k + 2)) for k in orders}
         monkeypatch.setattr(roots, "_grid_prefix", {})
-        for k in range(2, 151):
-            w = roots._grid_weights(k, lam)
-            assert w[: k + 1] == roots._grid_prefix[lam][: k + 1], k
-            assert w == _kterm_weights(k, lam, k + 2), k
+        for k in orders:  # ascending: each order grows the prefix by one entry
+            assert roots._grid_weights(k, lam) == want[k], k
+            assert roots._grid_prefix[lam] == want[k][: k + 1], k
+        roots._grid_prefix.clear()
+        for k in reversed(orders):  # descending: the first order grows it all
+            assert roots._grid_weights(k, lam) == want[k], k
+        for k in orders:  # cold: a prefix of its own for each order
+            roots._grid_prefix.clear()
+            assert roots._grid_weights(k, lam) == want[k], k
         assert (math.inf in roots._grid_prefix[lam]) == (lam == 1e10)
+        assert want[150].index(math.inf) == 35 if lam == 1e10 else math.inf not in want[150]
 
     def test_cache_state_cannot_change_an_answer(self, monkeypatch):
         monkeypatch.setattr(roots, "_grid_prefix", {})

@@ -360,7 +360,7 @@ def test_build_report_checks_tie_tol_then_settledness_then_tail_tol():
         build_report(loop_table(2, 4 / 3), 1e-9, math.nan)
 
 
-@pytest.mark.parametrize("scan", [find_modes, local_maxima, build_report])
+@pytest.mark.parametrize("scan", [find_modes, local_maxima, find_triple_ties, build_report])
 @pytest.mark.parametrize("values", [(1.0, 0.5, 0.25), (4.0, 2.0, 1.0, 1.0)])
 def test_settled_means_k_plus_one_strictly_decreasing_final_weights(scan, values):
     # at k = 3: three weights are too few, and an equal final pair is no fall
@@ -368,12 +368,16 @@ def test_settled_means_k_plus_one_strictly_decreasing_final_weights(scan, values
         scan(PmfTable(Params(3, 0.5), values, 1.0))
 
 
-def test_only_modes_and_maxima_need_a_settled_table():
+def test_only_the_tail_check_takes_an_unsettled_table():
     cut = build_table(Params(2, 4 / 3), 2)
-    for scan in (find_modes, local_maxima):
+    for scan in (find_modes, local_maxima, find_triple_ties):
         with pytest.raises(ValueError, match="past its last peak"):
             scan(cut)
-    assert find_triple_ties(cut) == []
+    # cut while rising, the entries it holds end in a tie at 18..20, while
+    # the distribution's tie at tie_tol 0.1 is 18..21
+    with pytest.raises(ValueError, match="past its last peak"):
+        find_triple_ties(build_table(Params(1, 20.0), 20), 0.1)
+    assert find_triple_ties(loop_table(1, 20.0), 0.1) == [(18, 21)]
     assert check_monotone_tail(cut) is None
     with pytest.raises(ValueError, match="ends at 2, need at least k=3"):
         check_monotone_tail(build_table(Params(3, 1.0), 2))
