@@ -67,52 +67,32 @@ class BoundsRecord(
     rate below which the weights are strictly decreasing for all n >= k
     (``status`` still audits that it is at most root2); shoulder is the
     rate at which the weights at k+1 and k+2 are equal.  Fields that are only
-    defined for k >= 2 are None at k = 1.  ``status`` is derived from the
-    others: "ok", or the ``;``-joined names of the bounds that fail.  It is
-    not an argument: every construction path derives it, ``_replace`` and
-    unpickling included, and ``_replace`` refuses a ``status``.
+    defined for k >= 2 are None at k = 1.  ``status`` is "ok", or the
+    ``;``-joined names of the bounds that fail; ``bounds_record`` derives it
+    from the other fields.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, k, root1, root1_upper, root2, root2_upper, rise_threshold, tail_bound,
-        shoulder,
-    ):
-        bad = []
-        slack = 1e-9
-        if k > 2:
-            if not root1 < root1_upper:
-                bad.append("root1_bound")
-        elif abs(root1 - root1_upper) > slack:
+
+def _status(k, root1, root1_upper, root2, root2_upper, rise_threshold, tail_bound):
+    """A record's audit: "ok", or the ``;``-joined names of the failing bounds."""
+    bad = []
+    slack = 1e-9
+    if k > 2:
+        if not root1 < root1_upper:
             bad.append("root1_bound")
-        if root2 > root2_upper * (1.0 + slack):
-            bad.append("root2_bound")
-        if rise_threshold is not None:
-            lo, hi = SQRT5_MINUS_1, (math.sqrt(33.0) - 3.0) / 2.0
-            if not lo < rise_threshold <= hi * (1.0 + slack):
-                bad.append("rise_range")
-        if tail_bound is not None and tail_bound > root2 * (1.0 + slack):
-            bad.append("tail_bound")
-        status = "ok" if not bad else ";".join(bad)
-        return super().__new__(
-            cls, k, root1, root1_upper, root2, root2_upper, rise_threshold,
-            tail_bound, shoulder, status,
-        )
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, would keep a stale status
-        return cls(*tuple(iterable)[:-1])
-
-    def _replace(self, **changes):
-        if "status" in changes:
-            raise ValueError("status is derived from the other fields")
-        return super()._replace(**changes)
-
-    def __getnewargs__(self) -> tuple:
-        # unpickling calls __new__, which takes every field but status
-        return tuple(self)[:-1]
+    elif abs(root1 - root1_upper) > slack:
+        bad.append("root1_bound")
+    if root2 > root2_upper * (1.0 + slack):
+        bad.append("root2_bound")
+    if rise_threshold is not None:
+        lo, hi = SQRT5_MINUS_1, (math.sqrt(33.0) - 3.0) / 2.0
+        if not lo < rise_threshold <= hi * (1.0 + slack):
+            bad.append("rise_range")
+    if tail_bound is not None and tail_bound > root2 * (1.0 + slack):
+        bad.append("tail_bound")
+    return "ok" if not bad else ";".join(bad)
 
 
 def weight_value(k: int, n: int, lam: float) -> float:
@@ -367,13 +347,8 @@ def bounds_record(
         shoulder = shoulder_lambda(k, tol=tol) if with_shoulder else None
     else:
         rise = tail = shoulder = None
-    return BoundsRecord(
-        k=k,
-        root1=root1,
-        root1_upper=root_upper_bound(k, k, 1.0),
-        root2=root2,
-        root2_upper=root_upper_bound(k, k, 2.0),
-        rise_threshold=rise,
-        tail_bound=tail,
-        shoulder=shoulder,
+    fields = (
+        k, root1, root_upper_bound(k, k, 1.0), root2, root_upper_bound(k, k, 2.0),
+        rise, tail,
     )
+    return BoundsRecord(*fields, shoulder, _status(*fields))

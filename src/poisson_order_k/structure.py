@@ -265,6 +265,7 @@ def _audit(
     if k <= modes[0] <= table.n_max - k:
         # whether the k + 1 entries from the lowest mode up are nonincreasing
         block = _every(v, runs, modes[0] + 1, modes[0] + k, operator.ge)
+    p, q = params.lam.as_integer_ratio()
     report = StructureReport(
         modes=modes,
         local_maxima=tuple(peaks),
@@ -272,7 +273,7 @@ def _audit(
         monotone_tail_from_k=violation is None,
         first_tail_violation=violation,
         mean=params.mean,
-        mean_mode_gap=params.mean - modes[-1],
+        mean_mode_gap=(params.kappa * p - modes[-1] * q) / q,  # one rounding
         mode_bounds_ok=bounds_ok,
         mode_floor_ok=floor_ok,
         block_nonincreasing=block,

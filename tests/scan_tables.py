@@ -2,8 +2,9 @@
 
 The four scan rate sets, the loop's adaptive table at a point (built once
 per session by ``loop_table``), a record of the loop's steps
-(``loop_steps``), and the float references of the loop and of the initial
-increase.  The exact references live in ``exact``.
+(``loop_steps``), the float references of the loop and of the initial
+increase, and the mode and triple-tie references, exact on integer weights.
+The exact weights live in ``exact``.
 
 ``tests/`` is not a package: a test module imports this by name,
 ``from scan_tables import loop_table``.  A test that times its own builds,
@@ -42,6 +43,26 @@ def increase_reference(t) -> bool:
     v, k = t.values, t.params.k
     close = math.isclose(v[1], t.params.lam, rel_tol=1e-12, abs_tol=0.0)
     return close and all(v[n] < v[n + 1] for n in range(1, k))
+
+
+def triple_ties_reference(modes):
+    """Maximal runs of >= 3 consecutive indices that are all modes, grown
+    index by index from each mode whose predecessor is none."""
+    members, runs = set(modes), []
+    for start in modes:
+        if start - 1 not in members:
+            end = start
+            while end + 1 in members:
+                end += 1
+            if end - start >= 2:
+                runs.append((start, end))
+    return runs
+
+
+def modes_reference(v, tie_tol):
+    """The entries from (1 - tie_tol) * peak up, exact on integers and a Fraction."""
+    floor = (1 - tie_tol) * max(v)
+    return tuple(n for n, x in enumerate(v) if x >= floor)
 
 
 def geometric_rate(start: float, stop: float, count: int, i: int) -> float:

@@ -5,15 +5,22 @@ and caps.  Each test prints a single pass/fail line (run with ``-s`` to see
 them live); a FAIL line always comes with the failing assertion.  Criteria
 01, 02, 03, 13 and 14 run the certification checks of
 :mod:`poisson_order_k.checks`, the same ones ``verify`` runs, with their grids
-and bounds.
+and bounds.  Beside them one test re-decides the modes of criteria 11 and
+12 exactly.
 """
 
 import functools
 import math
 import time
+from fractions import Fraction
 
 from poisson_order_k import checks
-from poisson_order_k.pmf import Params, build_adaptive_table, build_table
+from poisson_order_k.pmf import (
+    DEFAULT_TIE_TOL,
+    Params,
+    build_adaptive_table,
+    build_table,
+)
 from poisson_order_k.roots import (
     rise_threshold,
     shoulder_lambda,
@@ -25,7 +32,15 @@ from poisson_order_k.structure import (
     find_modes,
     find_triple_ties,
 )
-from scan_tables import geometric_rate, increase_reference, loop_table, scan_points
+from exact import common_weights
+from scan_tables import (
+    geometric_rate,
+    increase_reference,
+    loop_table,
+    modes_reference,
+    scan_points,
+    triple_ties_reference,
+)
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -246,6 +261,18 @@ def test_12_conjectured_floor_audit():
         floor_viol == 0 and min_mode_viol == 0 and tie_viol == 0,
         detail,
     )
+
+
+def test_mode_audit_grid_is_decided_exactly():
+    # the modes and triple ties that criteria 11 and 12 audit are the exact
+    # weights' at k <= 8, 240 of the grid's points (all of it takes over 30 s)
+    tie_tol = Fraction(DEFAULT_TIE_TOL)
+    points = [p for p in mode_audit_grid() if p[0].k <= 8]
+    assert len(points) == 240
+    for params, table, modes in points:
+        exact = modes_reference(common_weights(*params, table.n_max), tie_tol)
+        assert modes == exact, params
+        assert find_triple_ties(table) == triple_ties_reference(exact), params
 
 
 def test_13_quadratic_coefficient_identity():

@@ -565,18 +565,27 @@ class TestBoundsRecord:
 
     def test_status_names_each_failing_bound(self):
         rec = bounds_record(3, with_shoulder=False)
-        bad = rec._replace(
-            root1=rec.root1_upper, root2=2 * rec.root2_upper, rise_threshold=1.0
+        fields = rec[:7]
+        assert roots._status(*fields) == "ok"
+        # root1 strictly below its bound past k = 2, within the slack up to 2
+        assert roots._status(3, rec.root1_upper, *fields[2:]) == "root1_bound"
+        for k in (1, 2):
+            low = bounds_record(k, with_shoulder=False)[:7]
+            up = low[2]
+            assert roots._status(k, up + 5e-10, *low[2:]) == "ok"
+            assert roots._status(k, up + 2e-9, *low[2:]) == "root1_bound"
+        k, root1, up1, root2, up2, rise, tail = fields
+        assert roots._status(k, root1, up1, 2 * up2, up2, rise, tail) == "root2_bound"
+        assert roots._status(k, root1, up1, root2, up2, 1.0, tail) == "rise_range"
+        assert roots._status(k, root1, up1, root2, up2, rise, 2 * root2) == "tail_bound"
+        assert roots._status(k, up1, up1, 2 * up2, up2, 1.0, 4 * up2) == (
+            "root1_bound;root2_bound;rise_range;tail_bound"
         )
-        assert bad.status == "root1_bound;root2_bound;rise_range"
-        assert rec._replace(tail_bound=2 * rec.root2).status == "tail_bound"
-        restored = bad._replace(
-            root1=rec.root1, root2=rec.root2, rise_threshold=rec.rise_threshold
-        )
-        assert restored.status == "ok" and restored == rec
-        assert type(rec)._make([*rec[:-1], "stale"]) == rec
-        with pytest.raises(ValueError, match="status is derived"):
-            rec._replace(status="ok")
+
+    def test_record_status_is_the_audit_of_its_fields(self):
+        for k in range(1, 151):
+            rec = bounds_record(k, with_shoulder=False)
+            assert rec.status == roots._status(*rec[:7])
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_record_pickles_and_refuses_assignment(self, k):

@@ -20,7 +20,14 @@ from poisson_order_k.structure import (
     local_maxima,
 )
 from exact import common_weights
-from scan_tables import geometric_rate, increase_reference, loop_table, scan_points
+from scan_tables import (
+    geometric_rate,
+    increase_reference,
+    loop_table,
+    modes_reference,
+    scan_points,
+    triple_ties_reference,
+)
 
 
 def scaled(t, factor):
@@ -40,26 +47,6 @@ def local_maxima_reference(v, tie_tol):
             peaks.append(n)
         n = m + 1
     return peaks
-
-
-def triple_ties_reference(modes):
-    """Maximal runs of >= 3 consecutive indices that are all modes, grown
-    index by index from each mode whose predecessor is none."""
-    members, runs = set(modes), []
-    for start in modes:
-        if start - 1 not in members:
-            end = start
-            while end + 1 in members:
-                end += 1
-            if end - start >= 2:
-                runs.append((start, end))
-    return runs
-
-
-def modes_reference(v, tie_tol):
-    """The entries from (1 - tie_tol) * peak up, exact on integers and a Fraction."""
-    floor = (1 - tie_tol) * max(v)
-    return tuple(n for n, x in enumerate(v) if x >= floor)
 
 
 def tail_reference(v, k, tol):
@@ -85,7 +72,7 @@ def report_reference(t, modes, maxima, ties, violation):
         violation is None,
         violation,
         p.mean,
-        p.mean - modes[-1],
+        float(Fraction(p.kappa) * Fraction(p.lam) - modes[-1]),
         *mode_bounds_reference(p, modes),
         block,
         bool(ties),
@@ -634,7 +621,9 @@ class TestBlockAssumption:
 
 class TestMeanModeGap:
     def test_equality_case_value(self):
-        assert build_report(loop_table(2, 4 / 3)).mean_mode_gap == 2.0
+        # 3 * fl(4/3) = 4 - 2**-52 exactly, so the gap is exact where the
+        # rounded mean, 4.0, would round it a second time to 2.0
+        assert build_report(loop_table(2, 4 / 3)).mean_mode_gap == 2.0 - 2.0**-52
 
     def test_standard_poisson_case(self):
         assert build_report(loop_table(1, 3.5)).mean_mode_gap == pytest.approx(0.5)
@@ -692,6 +681,14 @@ def test_modes_are_decided_exactly(k, lam):
         assert report.triple_ties == bool(triple_ties_reference(modes))
 
 
+@pytest.mark.parametrize("k, lam", [*cli._FIG_PARAMS.values(), *scan_points("mean-k")])
+def test_mean_mode_gap_is_correctly_rounded(k, lam):
+    # the exact kappa * lam - mode, rounded once
+    report = build_report(loop_table(k, lam))
+    exact = Fraction(k * (k + 1), 2) * Fraction(lam) - report.modes[-1]
+    assert report.mean_mode_gap == float(exact)
+
+
 class TestBuildReport:
     def test_equality_case_report(self):
         rep = build_report(loop_table(2, 4 / 3))
@@ -701,7 +698,7 @@ class TestBuildReport:
         assert not rep.monotone_tail_from_k
         assert rep.first_tail_violation == 4
         assert rep.mean == 4.0
-        assert rep.mean_mode_gap == 2.0
+        assert rep.mean_mode_gap == 2.0 - 2.0**-52
         assert rep.mode_bounds_ok and rep.mode_floor_ok
         assert rep.block_nonincreasing is False
         assert not rep.triple_ties
