@@ -25,6 +25,7 @@ import sys
 from collections import deque
 
 from . import roots
+from .output import _emit
 from .pmf import (
     DEFAULT_TAIL_TOL,
     DEFAULT_TIE_TOL,
@@ -61,13 +62,6 @@ class _Rows:
 
     def __iter__(self):
         return iter(self._rows)
-
-
-def _emit(rows, header: list[str], args) -> None:
-    """Write the rows: :func:`.output._emit`, imported here, as verify prints none."""
-    from . import output
-
-    output._emit(rows, header, args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
 """Row output of the command-line front end: CSV or JSON, streamed.
 
 Every command that prints rows hands them to ``_emit`` as an iterable, and
-they are encoded as they arrive and written in batches.  A float is printed
-with 12 significant digits and a tuple of indices as one ``;``-joined cell,
-in CSV and JSON alike.  Kept apart from :mod:`.cli` so that each compiles
-small: run without bytecode caches, a command's peak memory is set by the
-largest module it compiles.  ``cli._emit`` loads it on its first call, so
-``verify``, which prints no rows, never does.
+each row is encoded and written as it arrives; the stream does its own
+buffering.  A float is printed with 12 significant digits and a tuple of
+indices as one ``;``-joined cell, in CSV and JSON alike.
 """
 
 import itertools
@@ -47,37 +44,8 @@ def _json_value(x):
     return x
 
 
-# characters passed on per write: with unbuffered stdout (python -u,
-# PYTHONUNBUFFERED) every write is a system call, so rows are not written
-# one by one
-_BATCH = 1 << 16
-
-
-class _Batched:
-    """A text sink that passes what it is given on in writes of about ``_BATCH``
-    characters; the rows are written to it as to a file."""
-
-    __slots__ = ("_out", "_parts", "_size")
-
-    def __init__(self, out) -> None:
-        self._out, self._parts, self._size = out, [], 0
-
-    def write(self, text: str) -> None:
-        self._parts.append(text)
-        self._size += len(text)
-        if self._size >= _BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._parts:
-            text = "".join(self._parts)
-            self._parts.clear()
-            self._size = 0
-            self._out.write(text)
-
-
 def _emit(rows, header: list[str], args) -> None:
-    """Write the rows to stdout or ``--out`` as they arrive, in batched writes.
+    """Write the rows to stdout or ``--out`` as they arrive.
 
     Nothing is written, and ``--out`` is neither created nor truncated,
     before the first row arrives (or the rows turn out to be none), so a
@@ -93,16 +61,15 @@ def _emit(rows, header: list[str], args) -> None:
             out = open(args.out, "w", encoding="utf-8", newline="")
         except OSError as exc:  # an invalid parameter: exit 1, not a traceback
             raise ValueError(f"--out {args.out}: {exc.strerror or exc}") from exc
-    sink = _Batched(out)
     try:
         if args.format == "csv":
-            sink.write(",".join(map(_csv_cell, header)) + "\n")
+            out.write(",".join(map(_csv_cell, header)) + "\n")
             if first is not None:
                 for row in itertools.chain((first,), rows):
                     cells = [_csv_cell(_fmt(row[h])) for h in header]
-                    sink.write(",".join(cells) + "\n")
+                    out.write(",".join(cells) + "\n")
         elif first is None:
-            sink.write("[]\n")
+            out.write("[]\n")
         else:
             import json  # here: only --format json needs it
 
@@ -112,10 +79,9 @@ def _emit(rows, header: list[str], args) -> None:
             lead = "[\n  {\n    "
             for row in itertools.chain((first,), rows):
                 body = encode({h: _json_value(row[h]) for h in header})
-                sink.write(lead + body[1:-1] + "\n  }")
+                out.write(lead + body[1:-1] + "\n  }")
                 lead = ",\n  {\n    "
-            sink.write("\n]\n")
+            out.write("\n]\n")
     finally:
-        sink.flush()
         if out is not sys.stdout:
             out.close()

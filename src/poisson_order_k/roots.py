@@ -284,10 +284,14 @@ def _grid_weights(k: int, lam: float) -> list[float]:
     Two kernel calls.  The first grows the rate's shared prefix through k:
     each entry up to k is a step over the whole prefix before it, the same
     float operations at every order, and after an overflow the kernel fills
-    the prefix with inf as it fills a table of its own.  The second takes
-    the two window steps past k on a copy of w_0..w_k.
+    the prefix with inf as it fills a table of its own.  It grows a copy and
+    publishes that, so a published prefix never changes and threads may
+    share the cache.  The second takes the two window steps past k on a copy
+    of w_0..w_k.
     """
-    p = _extend_kp(_grid_prefix.setdefault(lam, [1.0]), k, lam, k)
+    p = _grid_prefix.get(lam, [1.0])
+    if len(p) <= k:
+        p = _grid_prefix[lam] = _extend_kp(p[:], k, lam, k)
     return _extend_kp(p[: k + 1], k, lam, k + 2)
 
 

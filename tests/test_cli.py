@@ -141,6 +141,18 @@ class TestBoundsCommand:
         row = rows_of(out)[0]
         assert row["rise_threshold"] == "" and row["shoulder"] == ""
 
+    @pytest.mark.parametrize(
+        "name, value, status",
+        [("monotone_tail_bound", 10.0, "tail_bound"), ("rise_threshold", 5.0, "rise_range")],
+    )
+    def test_status_is_the_audit_of_the_row(self, capsys, monkeypatch, name, value, status):
+        # a constant outside its proved range is named in the record and in
+        # the printed row, not passed as "ok"
+        monkeypatch.setattr(roots, name, lambda k: value)
+        assert roots.bounds_record(3, with_shoulder=False).status == status
+        code, out, _ = run(capsys, "bounds", "--k-min", "3", "--k-max", "3", "--no-shoulder")
+        assert code == 0 and rows_of(out)[0]["status"] == status
+
     def test_rejects_inverted_range(self, capsys):
         code, _, err = run(capsys, "bounds", "--k-min", "5", "--k-max", "2")
         assert code == 1
@@ -494,7 +506,6 @@ class TestStreaming:
             seen.append(stdout.getvalue())
             return point(task)
 
-        monkeypatch.setattr(output, "_BATCH", 1)
         monkeypatch.setattr(cli, "_scan_point", spied)
         monkeypatch.setattr(sys, "stdout", stdout)
         argv = "scan --k-min 2 --k-max 4 --lambda-grid 0.5 2 2 --format".split()
@@ -565,7 +576,7 @@ class TestStreaming:
             next(iter(rows))
             seen.append(sum(map(len, submitted)))
 
-        monkeypatch.setattr(output, "_emit", first_row)
+        monkeypatch.setattr(cli, "_emit", first_row)
         argv = "scan --k-min 2 --k-max 2 --lambda-grid 0.1 1 10000 --jobs 2".split()
         assert run(capsys, *argv)[0] == 0
         # the window of 2 * jobs chunks of 8 points, refilled as the first
@@ -638,11 +649,10 @@ CELLS = st.one_of(
 )
 
 
-def emitted(rows, header, fmt: str, batch: int = output._BATCH) -> str:
-    """What ``_emit`` writes to stdout for rows of cells, in writes of about
-    ``batch`` characters."""
+def emitted(rows, header, fmt: str) -> str:
+    """What ``_emit`` writes to stdout for rows of cells."""
     got = io.StringIO()
-    with mock.patch.object(output, "_BATCH", batch), contextlib.redirect_stdout(got):
+    with contextlib.redirect_stdout(got):
         _emit([dict(zip(header, row)) for row in rows], header,
               argparse.Namespace(format=fmt, out=None))
     return got.getvalue()
@@ -701,10 +711,28 @@ class TestOutputContract:
         assert code == 0 and to_stdout == ""
         assert path.read_bytes() == out.encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "scan --k-min 2 --k-max 12 --lambda-grid 0.05 3 20 --format json",
+            "pmf --k 2 --lambda 3",
+        ],
+        ids=["json-scan", "pmf"],
+    )
+    def test_unbuffered_stdout_gets_the_buffered_bytes(self, argv):
+        # each row is written to stdout as it is encoded: unbuffered (-u,
+        # PYTHONUNBUFFERED) that is one write per row, and the bytes are the same
+        got = [
+            child(*flags, "-m", "poisson_order_k", *argv.split(), stdout=subprocess.PIPE)
+            for flags in ([], ["-u"])
+        ]
+        assert [done.returncode for done in got] == [0, 0]
+        assert got[0].stderr == got[1].stderr
+        assert got[0].stdout == got[1].stdout != ""
+
     def test_json_emitter_matches_json_dumps(self):
         header = ["k", "lambda", "modes", "triple_ties", "error"]
         rows = [[2, 1 / 3, None, True, ""], [3, 0.5, "0;1", False, 'bad "rate"']]
-        # enough rows (about 100 KB) to span two batched writes
         payload = [
             {"k": 2, "lambda": 0.333333333333, "modes": None, "triple_ties": True,
              "error": ""},
@@ -713,42 +741,26 @@ class TestOutputContract:
         ] * 500
         assert emitted(rows * 500, header, "json") == json.dumps(payload, indent=2) + "\n"
 
-    @given(
-        rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
-        batch=st.integers(1, 300),
-    )
-    @example(rows=[], batch=1)
-    @example(
-        rows=[[None, True, 12], [1 / 3, (0, 2), 'a "b" \\ c\nd é 𝄞'], [False, (), ""]],
-        batch=1,
-    )
+    @given(rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6))
+    @example(rows=[])
+    @example(rows=[[None, True, 12], [1 / 3, (0, 2), 'a "b" \\ c\nd é 𝄞'], [False, (), ""]])
     @settings(max_examples=150, deadline=None)
-    def test_batched_json_writer_matches_json_dumps(self, rows, batch):
+    def test_json_writer_matches_json_dumps_on_any_cells(self, rows):
         header = ["a", "b", "c"]
         payload = [{h: json_cell(x) for h, x in zip(header, row)} for row in rows]
-        assert emitted(rows, header, "json", batch) == json.dumps(payload, indent=2) + "\n"
+        assert emitted(rows, header, "json") == json.dumps(payload, indent=2) + "\n"
 
-    @given(rows=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
-           batch=st.integers(1, 300))
-    @settings(max_examples=50, deadline=None)
-    def test_csv_is_the_same_in_any_batch(self, rows, batch):
-        header = ["a", "b", "c"]
-        assert emitted(rows, header, "csv", batch) == emitted(rows, header, "csv")
-
-    @given(
-        rows=st.lists(st.lists(st.text(max_size=8), min_size=2, max_size=3), max_size=6),
-        batch=st.integers(1, 300),
-    )
-    @example(rows=[["\r", "a\rb"], ["\r\n", '"\r"']], batch=1)
+    @given(rows=st.lists(st.lists(st.text(max_size=8), min_size=2, max_size=3), max_size=6))
+    @example(rows=[["\r", "a\rb"], ["\r\n", '"\r"']])
     @settings(max_examples=150, deadline=None)
-    def test_csv_reader_reads_back_the_cells(self, rows, batch):
+    def test_csv_reader_reads_back_the_cells(self, rows):
         # any text, lone carriage returns included (NUL only from Python 3.11
         # on, where csv.reader accepts it)
         if sys.version_info < (3, 11):
             rows = [[c.replace("\x00", "") for c in row] for row in rows]
         for row in rows:
             header = [f"c{i}" for i in range(len(row))]
-            got = emitted([row], header, "csv", batch)
+            got = emitted([row], header, "csv")
             assert list(csv.reader(io.StringIO(got, newline=""))) == [header, row]
 
     @given(st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6))
@@ -785,13 +797,12 @@ class TestOutputContract:
                 ["fractions", "poisson_order_k.oracle"],
             ),
             # building the parser loads none of these either; only scan loads
-            # the shape audits, and only a command that prints rows the row
-            # writer
+            # the shape audits
             (
                 "from poisson_order_k import cli; cli.build_parser()",
-                [*UNLOADED_BY_CLI, "poisson_order_k.structure", "poisson_order_k.output"],
+                [*UNLOADED_BY_CLI, "poisson_order_k.structure"],
             ),
-            (quiet_main("verify"), ["poisson_order_k.structure", "poisson_order_k.output"]),
+            (quiet_main("verify"), ["poisson_order_k.structure"]),
             # the row writer is imported by name, so loading it looks up
             # no name in the other modules
             (
@@ -1124,8 +1135,12 @@ class TestExitCodes:
         [
             ([], "figs 1"),
             (["-u"], "figs 1"),
-            # more than one batch of rows: the reader's leaving is seen mid-scan
+            # more rows than the stream's buffer holds: the reader's leaving
+            # is seen mid-scan
             ([], "scan --k-min 2 --k-max 30 --lambda-grid 0.05 3 40 --jobs 2"),
+            # unbuffered, the first row's write meets the broken pipe
+            (["-u"], "scan --k-min 2 --k-max 30 --lambda-grid 0.05 3 40 --jobs 2 --format json"),
+            (["-u"], "bounds --k-min 2 --k-max 20"),
             # a --lambda-grid is never stored, and the pool holds a window of
             # chunks, not the grid: a billion rates end at once either way
             ([], "scan --k-min 2 --k-max 2 --lambda-grid 0.1 1 1e9"),
@@ -1134,7 +1149,8 @@ class TestExitCodes:
             # already submitted are waited for
             ([], "scan --k-min 2 --k-max 200 --lambda-grid 0.05 3 20 --jobs 2"),
         ],
-        ids=["flags0", "flags1", "parallel-scan", "billion-rates", "billion-rates-parallel",
+        ids=["flags0", "flags1", "parallel-scan", "unbuffered-parallel-json-scan",
+             "unbuffered-bounds", "billion-rates", "billion-rates-parallel",
              "long-parallel-scan"],
     )
     def test_closed_pipe_is_zero_and_quiet(self, flags, argv):

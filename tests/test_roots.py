@@ -492,6 +492,19 @@ class TestShoulder:
             cold.append(shoulder_lambda(k))
         assert ascending == descending == cold
 
+    def test_a_published_prefix_is_never_grown_in_place(self, monkeypatch):
+        # a solve that grows the prefix grows a copy and publishes it, so a
+        # prefix another thread is reading cannot change under it; orders 40
+        # and 41 read the same two grid rates
+        monkeypatch.setattr(roots, "_grid_prefix", {})
+        shoulder_lambda(40)
+        kept = dict(roots._grid_prefix)
+        copies = {lam: p[:] for lam, p in kept.items()}
+        shoulder_lambda(41)
+        assert kept == copies and sorted(roots._grid_prefix) == sorted(kept)
+        for lam, p in roots._grid_prefix.items():
+            assert p == _extend_kp([1.0], 41, lam, 41), lam
+
     @pytest.mark.parametrize("k", [200, 300, 400])
     def test_identical_to_the_linear_walk_at_large_orders(self, k):
         assert shoulder_lambda(k) == shoulder_reference(k)[0]
