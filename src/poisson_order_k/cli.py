@@ -126,12 +126,12 @@ def _scan_header() -> list[str]:
 
 
 def _rule_rate(rule: str, k: int) -> float | None:
-    """The closed-form rules' rate at order k, checked; None for the shoulder,
-    which the point solves, in the worker that runs it."""
+    """The rule's rate at order k; None for the shoulder, which each point solves."""
     if rule == "shoulder":
         return None
     lam = 2.0 / (k + 1) if rule == "mean-k" else roots.monotone_tail_bound(k)
-    Params(k, lam)  # refuses the tail-bound rate, 0.0 from k = 443 on
+    if lam == 0.0:  # the tail-bound rate, from k = 443 on
+        raise ValueError(f"--lambda-rule {rule}: k!/(2k)^k underflows to 0.0 at k={k}")
     return lam
 
 

@@ -791,11 +791,6 @@ class TestOutputContract:
                 [f"poisson_order_k.{m.name}"
                  for m in pkgutil.iter_modules(poisson_order_k.__path__)],
             ),
-            # oracle's names are looked up last
-            (
-                "import poisson_order_k; poisson_order_k.build_table",
-                ["fractions", "poisson_order_k.oracle"],
-            ),
             # building the parser loads none of these either; only scan loads
             # the shape audits
             (
@@ -803,14 +798,24 @@ class TestOutputContract:
                 [*UNLOADED_BY_CLI, "poisson_order_k.structure"],
             ),
             (quiet_main("verify"), ["poisson_order_k.structure"]),
-            # the row writer is imported by name, so loading it looks up
-            # no name in the other modules
+            # the two other timed commands, whose startup the benchmark reads
+            (
+                quiet_main("bounds", "--k-max", "3"),
+                ["poisson_order_k.structure", "poisson_order_k.oracle",
+                 "poisson_order_k.checks", "fractions", "json", "concurrent.futures"],
+            ),
+            (
+                quiet_main("scan", "--k-min", "2", "--k-max", "3", "--lambda", "1"),
+                ["poisson_order_k.oracle", "poisson_order_k.checks", "fractions", "json",
+                 "multiprocessing", "concurrent.futures"],
+            ),
+            # figs draws neither on the shape audits nor on the oracle
             (
                 quiet_main("figs", "1"),
                 ["poisson_order_k.structure", "poisson_order_k.oracle", "fractions"],
             ),
         ],
-        ids=["cli", "package", "pmf-name", "parser", "verify", "figs"],
+        ids=["cli", "package", "parser", "verify", "bounds", "scan", "figs"],
     )
     def test_import_floor(self, statement, unloaded):
         probe = f"import sys\n{statement}\nprint(*sys.modules)"
@@ -823,7 +828,8 @@ class TestOutputContract:
     @pytest.mark.parametrize(
         "args",
         [
-            ["-W", "error", "-c", "from poisson_order_k import *"],
+            ["-W", "error", "-c", "".join(f"from poisson_order_k.{m} import *\n"
+                                          for m in ("pmf", "oracle", "roots", "structure"))],
             # a deprecation on the exact integer paths (math.lcm, Fraction)
             ["-W", "error", "-m", "poisson_order_k", "verify"],
             # or on the process pool's; the JSON document must still parse
@@ -1003,10 +1009,11 @@ class TestPackageExports:
             uncalled |= set(module.__all__) - others
         assert uncalled == set(self.UNCALLED)
 
-    def test_all_is_the_modules_lists_in_order(self):
-        want = [name for module in self.MODULES for name in module.__all__]
-        assert poisson_order_k.__all__ == want
-        assert len(set(want)) == len(want)
+    def test_each_name_is_imported_from_its_module(self):
+        with pytest.raises(ImportError, match="build_table"):
+            from poisson_order_k import build_table
+        assert not hasattr(poisson_order_k, "decided_report")
+        assert not hasattr(poisson_order_k, "__all__")
 
     def test_readme_lists_each_modules_all(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -1015,23 +1022,6 @@ class TestPackageExports:
             own = module.__name__.rsplit(".", 1)[1]
             entry = re.search(rf"^- `{own}`: (.*?)\.$", text, re.M | re.S)
             assert re.findall(r"`(\w+)`", entry[1]) == module.__all__
-
-    def test_each_name_is_its_modules_object(self):
-        for module in self.MODULES:
-            for name in module.__all__:
-                assert getattr(poisson_order_k, name) is getattr(module, name)
-
-    def test_star_import_dir_and_unknown_names(self):
-        namespace = {}
-        exec("from poisson_order_k import *", namespace)
-        del namespace["__builtins__"]
-        assert list(namespace) == poisson_order_k.__all__
-        for module in self.MODULES:
-            for name in module.__all__:
-                assert namespace[name] is getattr(module, name)
-        assert set(poisson_order_k.__all__) <= set(dir(poisson_order_k))
-        with pytest.raises(AttributeError, match="no_such_name"):
-            poisson_order_k.no_such_name
 
 
 def test_exact_references_import_only_the_standard_library():
@@ -1206,13 +1196,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_tail_bound_rate_below_the_floats_is_one(self, capsys, jobs):
-        # from k = 443 on the rule's rate k!/(2k)^k underflows to 0.0; each
-        # point solves its own rate, in a worker with --jobs 2
+        # from k = 443 on the rule's rate k!/(2k)^k underflows to 0.0; every
+        # rule rate is checked before the first point, with any --jobs
         argv = "scan --k-min 442 --k-max 443 --lambda-rule tail-bound --jobs".split()
         code, out, err = run(capsys, *argv, jobs)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: rate lam")
+        assert (code, out) == (1, "")
+        assert err == "error: --lambda-rule tail-bound: k!/(2k)^k underflows to 0.0 at k=443\n"
 
     def test_failed_rule_solve_is_two(self, capsys, monkeypatch):
         def fails(k):
