@@ -1015,6 +1015,16 @@ class TestPackageExports:
         assert not hasattr(poisson_order_k, "decided_report")
         assert not hasattr(poisson_order_k, "__all__")
 
+    @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+    def test_star_import_binds_the_modules_all(self, module):
+        # each name of __all__ exists, and a star import binds those names only
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        del namespace["__builtins__"]
+        assert list(namespace) == module.__all__
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name)
+
     def test_readme_lists_each_modules_all(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")
