@@ -196,14 +196,6 @@ def local_maxima(table: PmfTable, tie_tol: float = DEFAULT_TIE_TOL) -> list[int]
     return _walk(table, tie_tol, 0.0)[1]
 
 
-def _increases(v, runs: list[int], k: int, lam: float) -> bool:
-    """Whether w_1 is lam (within 1e-12) and w_1 < ... < w_k, read off the runs
-    of v.  At rates near the float epsilon neighbours round to equal floats
-    (w_1 == w_2 at the ``tail-bound`` rates of k >= 23)."""
-    close = math.isclose(v[1], lam, rel_tol=1e-12, abs_tol=0.0)
-    return close and _every(v, runs, 2, k, operator.lt)
-
-
 def check_monotone_tail(
     table: PmfTable, tol: float = DEFAULT_TAIL_TOL
 ) -> int | None:
@@ -269,7 +261,7 @@ def _audit(
     report = StructureReport(
         modes=modes,
         local_maxima=tuple(peaks),
-        initial_increase=_increases(v, runs, k, params.lam),
+        initial_increase=_every(v, runs, 2, k, operator.lt),
         monotone_tail_from_k=violation is None,
         first_tail_violation=violation,
         mean=params.mean,
@@ -290,8 +282,8 @@ def build_report(
     """Full shape summary for one table (see StructureReport fields).
 
     The block assumption is evaluated at the lowest mode, the index the
-    mean-gap derivation selects for multi-mode sets; it is None when the mode
-    is zero or the table is too short to span the block.
+    mean-gap derivation selects for multi-mode sets; it is None when that
+    mode is below k, as 0 is, or the table is too short to span the block.
     """
     return _audit(table, tie_tol, tail_tol)[0]
 
@@ -301,11 +293,10 @@ def decided_report(
 ) -> StructureReport | None:
     """``build_report``'s report when every comparison in it clears ``_MARGIN``.
 
-    Then every table within ``_MARGIN / 10`` of this one, entry by entry and
-    with the same w_1, gets the same report; otherwise this returns None.
-    ``scan`` decides on a running-sum table this way, whose entries stay that
-    close to the loop's (see ``build_adaptive_table``) and whose w_1 is the
-    rate exactly, as the loop's is, on the runs its build found at an edge at
+    Then every table within ``_MARGIN / 10`` of this one, entry by entry, gets
+    the same report; otherwise this returns None.  ``scan`` decides on a
+    running-sum table this way, whose entries stay that close to the loop's
+    (see ``build_adaptive_table``), on the runs its build found at an edge at
     or below ``_fast(tie_tol, tail_tol)``: a step clear there is clear at
     ``_fast`` too, so they give the pair walk's report (see ``_walk``).  None
     finds the runs at ``_fast``.

@@ -38,11 +38,9 @@ def kterm_reference(k: int, lam: float, n_max: int) -> tuple[float, ...]:
 
 
 def increase_reference(t) -> bool:
-    """The initial increase, pair by pair: w_1 is the rate (within 1e-12) and
-    w_1 < ... < w_k; vacuous past w_1 at k = 1."""
+    """The initial increase, pair by pair: w_1 < ... < w_k; vacuous at k = 1."""
     v, k = t.values, t.params.k
-    close = math.isclose(v[1], t.params.lam, rel_tol=1e-12, abs_tol=0.0)
-    return close and all(v[n] < v[n + 1] for n in range(1, k))
+    return all(v[n] < v[n + 1] for n in range(1, k))
 
 
 def triple_ties_reference(modes):

@@ -199,7 +199,7 @@ class TestBoundsCommand:
 
 
 # the tail-bound scan's orders whose w_1 == w_2 in floats, although the paper
-# proves w_1 < ... < w_k at every rate (ROADMAP item 5)
+# proves w_1 < ... < w_k at every rate (ROADMAP item 13)
 INCREASE_FLOAT_TIED = set(range(23, 51))
 
 
@@ -224,7 +224,7 @@ class TestTailBoundScan:
     @pytest.mark.parametrize(
         "k",
         [
-            order_param(k, INCREASE_FLOAT_TIED, "ROADMAP item 5: w_1 == w_2 in floats")
+            order_param(k, INCREASE_FLOAT_TIED, "ROADMAP item 13: w_1 == w_2 in floats")
             for k in range(2, 51)
         ],
     )

@@ -535,6 +535,24 @@ class TestRunningSums:
         assert_running_is_the_loops(Params(k, k_lam / k))
 
     @pytest.mark.parametrize(
+        "k, lam", [(172, 0.12485215311266808), (195, 0.26808564009247965)]
+    )
+    def test_loop_decisions_past_the_measured_sets(self, k, lam):
+        # k > 100 at k*lam = 21.5 and 52.3, beyond the sets _MARGIN was
+        # measured on: the mass gap reaches 0.150 and 0.117 of its margin,
+        # more than the tenth the measured sets keep (ROADMAP item 17), and
+        # the entry gap 0.029 and 0.046 of _MARGIN
+        p = Params(k, lam)
+        loop = loop_table(k, lam)
+        t = build_adaptive_table(p, 1e-10, decided=always)
+        assert t.n_max == loop.n_max
+        report = structure.decided_report(t, pmf.DEFAULT_TIE_TOL, pmf.DEFAULT_TAIL_TOL)
+        assert report == structure.build_report(loop)
+        assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
+        gap = max(map(abs, map(sub, masses(t), masses(loop))))
+        assert gap <= pmf._mass_margin(k * lam)
+
+    @pytest.mark.parametrize(
         "k, lam, epsilon",
         [
             (24, monotone_tail_bound(24), 1e-10),  # float ties inside w_1..w_24

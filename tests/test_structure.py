@@ -371,7 +371,7 @@ def test_only_the_tail_check_takes_an_unsettled_table():
 
 
 def decided(values, tie_tol, tail_tol, k=1):
-    """Whether ``decided_report`` keeps its report on ``values``, w_1 the rate."""
+    """Whether ``decided_report`` keeps its report on ``values``."""
     t = PmfTable(Params(k, values[1]), tuple(values), 1.0)
     return decided_report(t, tie_tol, tail_tol) is not None
 
@@ -456,10 +456,9 @@ NEAR = _MARGIN / 10
 def test_decided_tables_report_the_same_within_a_tenth_of_the_margin(
     values, k, tie_tol, tail_tol, shifts
 ):
-    # any table within _MARGIN / 10 of a decided one gets the same report;
-    # w_1 is the rate exactly in every table the builders make
+    # any table within _MARGIN / 10 of a decided one gets the same report
     v = [*values, *(0.2 / 2**i for i in range(k + 1))]
-    moved = [x if n == 1 else x * (1 + d) for n, (x, d) in enumerate(zip(v, shifts))]
+    moved = [x * (1 + d) for x, d in zip(v, shifts)]
     tables = [PmfTable(Params(k, v[1]), tuple(w), 1.0) for w in (v, moved)]
     report = decided_report(tables[0], tie_tol, tail_tol)
     if report is not None:
@@ -518,6 +517,20 @@ class TestInitialIncrease:
         t = loop_table(1, 0.7)
         assert build_report(t).initial_increase
         assert increase_reference(t)
+
+    def test_w1_off_the_rate_still_rises(self):
+        # the field is the strict rise of w_1..w_k alone, whatever w_1 is
+        t = loop_table(5, 0.3)
+        t = t._replace(values=(t.values[0], t.values[1] * (1 + 1e-9), *t.values[2:]))
+        assert t.values[1] != t.params.lam
+        assert build_report(t).initial_increase
+        assert increase_reference(t)
+
+    def test_float_tie_is_no_rise(self):
+        t = loop_table(5, 0.3)
+        t = t._replace(values=(t.values[0], t.values[2], *t.values[2:]))
+        assert build_report(t).initial_increase is False
+        assert not increase_reference(t)
 
 
 class TestMonotoneTail:
