@@ -3,18 +3,20 @@ tier-1 tests expected to catch it.
 
 Run from anywhere, with the test extras installed:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py block-gt     # the named ones
+    python tests/mutants.py
 
 Each mutant replaces one text, found exactly once, in one module of a
 temporary copy of ``src/``, and runs only its killing tests, from this
-checkout's ``tests/``, with that copy first on ``PYTHONPATH``.  The killing
-tests first run once on the unchanged copy and must pass there, so that a
-kill is the mutant's doing.  A mutant is killed when every test listed for
-it fails; it survives when all pass, and is killed only ``partly`` when
-some pass.  The exit status is 0 when every mutant is killed.  A change that
-removes or speeds up a test shows with this run that the same mutants are
-still killed.
+checkout's ``tests/``, with that copy first on ``PYTHONPATH``.  Each pytest
+run starts in a fresh empty directory, where hypothesis keeps its example
+database and which is then thrown away: no run replays an example that an
+earlier run saved, so a kill by a hypothesis test rests on its explicit
+examples.  The killing tests first run once on the unchanged copy and must
+pass there, so that a kill is the mutant's doing.  A mutant is killed when
+every test listed for it fails; it survives when all pass, and is killed
+only ``partly`` when some pass.  The exit status is 0 when every mutant is
+killed.  A change that removes or speeds up a test shows with this run that
+the same mutants are still killed.
 
 The file has no ``test_`` prefix, so the tier-1 suite does not collect it.
 """
@@ -101,27 +103,25 @@ MUTANTS = (
 
 
 def run(src: Path, *args: str) -> subprocess.CompletedProcess:
-    """``python args`` with the copy ``src`` first on the path, writing no
-    bytecode, so that a module restored after a mutant is read afresh."""
+    """``python args`` in a fresh empty directory, with the copy ``src``
+    first on the path, writing no bytecode, so that a module restored after
+    a mutant is read afresh."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as cwd:
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
 def pytest(src: Path, tests) -> tuple[int, int, str]:
     """(pytest's exit status, how many of ``tests`` passed, its summary line),
     with ``tests`` run on the copy ``src``."""
-    done = run(src, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests)
+    ids = [str(ROOT / t) for t in tests]
+    done = run(src, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--rootdir={ROOT}", *ids)
     last = (done.stdout.strip().splitlines() or [done.stderr.strip()])[-1]
     passed = re.search(r"(\d+) passed", last)
     return done.returncode, int(passed[1]) if passed else 0, last
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -129,12 +129,12 @@ def main(names: list[str]) -> int:
         if not where.stdout.startswith(str(src)):
             print(f"the copy is not the package imported: {where.stdout!r}", file=sys.stderr)
             return 2
-        status, _, last = pytest(src, list(dict.fromkeys(t for m in chosen for t in m.tests)))
+        status, _, last = pytest(src, list(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
         if status != 0:
             print(f"the killing tests fail on the unchanged source: {last}", file=sys.stderr)
             return 2
         bad = 0
-        for m in chosen:
+        for m in MUTANTS:
             path = src / "poisson_order_k" / m.module
             text = path.read_text()
             if text.count(m.old) != 1:
@@ -157,4 +157,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -468,13 +468,13 @@ def masses(table: PmfTable) -> list[float]:
     return got
 
 
-def assert_running_is_the_loops(p: Params) -> PmfTable:
+def assert_running_is_the_loops(p: Params, mass_share: float = 0.1) -> PmfTable:
     """The running build's table at p, checked to decide as the loop does.
 
     The same n_max; every entry within a tenth of ``_MARGIN`` of the loop's;
     and the captured mass at every index, where any mass test may be made,
-    within a tenth of its own margin (and at the end within a tenth of
-    ``_MARGIN``).
+    within ``mass_share`` of its own margin (and at the end within a tenth
+    of ``_MARGIN``).
     """
     loop = loop_table(*p)
     t = build_adaptive_table(p, 1e-10, decided=always)
@@ -482,7 +482,7 @@ def assert_running_is_the_loops(p: Params) -> PmfTable:
     assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
     assert abs(t.mass_captured - loop.mass_captured) <= pmf._MARGIN / 10
     gap = max(map(abs, map(sub, masses(t), masses(loop))))
-    assert gap <= pmf._mass_margin(p.k * p.lam) / 10
+    assert gap <= pmf._mass_margin(p.k * p.lam) * mass_share
     return t
 
 
@@ -542,15 +542,9 @@ class TestRunningSums:
         # measured on: the mass gap reaches 0.150 and 0.117 of its margin,
         # more than the tenth the measured sets keep (ROADMAP item 17), and
         # the entry gap 0.029 and 0.046 of _MARGIN
-        p = Params(k, lam)
-        loop = loop_table(k, lam)
-        t = build_adaptive_table(p, 1e-10, decided=always)
-        assert t.n_max == loop.n_max
+        t = assert_running_is_the_loops(Params(k, lam), mass_share=1.0)
         report = structure.decided_report(t, pmf.DEFAULT_TIE_TOL, pmf.DEFAULT_TAIL_TOL)
-        assert report == structure.build_report(loop)
-        assert max(map(rel_gap, t.values, loop.values)) <= pmf._MARGIN / 10
-        gap = max(map(abs, map(sub, masses(t), masses(loop))))
-        assert gap <= pmf._mass_margin(k * lam)
+        assert report == structure.build_report(loop_table(k, lam))
 
     @pytest.mark.parametrize(
         "k, lam, epsilon",

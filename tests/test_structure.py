@@ -526,12 +526,6 @@ class TestInitialIncrease:
         assert build_report(t).initial_increase
         assert increase_reference(t)
 
-    def test_float_tie_is_no_rise(self):
-        t = loop_table(5, 0.3)
-        t = t._replace(values=(t.values[0], t.values[2], *t.values[2:]))
-        assert build_report(t).initial_increase is False
-        assert not increase_reference(t)
-
 
 class TestMonotoneTail:
     def test_rise_after_k_is_located(self):
