@@ -72,21 +72,20 @@ def recurrence_cross_check() -> tuple[bool, str]:
 def difference_identities() -> tuple[bool, str]:
     """Both difference identities, to 1e-12 scaled by max(1, w_n)."""
     worst = 0.0
+    identities = (
+        ("forward", pmf.diff_forward, range(1, 100)),
+        ("km", pmf.diff_km, range(2, 101)),
+    )
     for k in range(1, 7):
         for lam in (0.3, 1.0, 2.0):
             table = pmf.build_table(pmf.Params(k, lam), 100)
-            for n in range(1, 100):
-                rep = pmf.diff_forward(table, n)
-                scale = max(1.0, table.values[n])
-                worst = max(worst, rep.abs_gap / scale)
-                if rep.abs_gap > 1e-12 * scale:
-                    return False, f"forward k={k} n={n} lam={lam}: gap {rep.abs_gap:.3e}"
-            for n in range(2, 101):
-                rep = pmf.diff_km(table, n)
-                scale = max(1.0, table.values[n])
-                worst = max(worst, rep.abs_gap / scale)
-                if rep.abs_gap > 1e-12 * scale:
-                    return False, f"km k={k} n={n} lam={lam}: gap {rep.abs_gap:.3e}"
+            for name, diff, indices in identities:
+                for n in indices:
+                    gap = diff(table, n).abs_gap
+                    scale = max(1.0, table.values[n])
+                    worst = max(worst, gap / scale)
+                    if gap > 1e-12 * scale:
+                        return False, f"{name} k={k} n={n} lam={lam}: gap {gap:.3e}"
     return True, f"k<=6, n<=100, worst scaled gap {worst:.3e}"
 
 

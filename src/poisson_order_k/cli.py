@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="order (>= 1)")
     p.add_argument("--n", type=int, required=True, help="weight index (>= 1)")
     p.add_argument("--c", type=float, required=True, help="level (> 0)")
-    p.add_argument("--tol", type=float, default=root_tol, help="relative tolerance")
+    p.add_argument(
+        "--tol", type=float, default=root_tol, help="stop at |w_n - c| <= tol * max(1, c)"
+    )
     _add_output_options(p)
     p.set_defaults(func=_cmd_roots)
 

@@ -121,10 +121,6 @@ class WeightPolynomial(namedtuple("WeightPolynomial", "k n coeffs")):
 
     __slots__ = ()
 
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs)
-
     def evaluate(self, lam: Rational) -> Fraction:
         """Exact value at a rational rate (floats taken at their binary value).
 

@@ -44,7 +44,9 @@ __all__ = [
 SQRT5_MINUS_1 = math.sqrt(5.0) - 1.0
 
 _MAX_ITER = 200
-DEFAULT_TOL = 1e-13  # relative solver tolerance of every level crossing
+# solver tolerance: a crossing stops at |w_n - c| <= tol * max(1, c), absolute
+# below c = 1, and the shoulder at |w_{k+2} - w_{k+1}| <= tol * w_{k+1}
+DEFAULT_TOL = 1e-13
 
 
 class RootResult(

@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 
 STRUCTURE = "tests/test_structure.py::"
 REPLAY = STRUCTURE + "test_builder_runs_replay_to_the_pair_walk_on_scan_tables"
+BOUNDS_STATUS = "tests/test_cli.py::TestBoundsCommand::test_status_is_the_audit_of_the_row"
+KERNEL = "tests/test_roots.py::TestKTermKernel::"
 
 MUTANTS = (
     Mutant(
@@ -97,6 +99,48 @@ MUTANTS = (
             STRUCTURE + "TestDecided::test_entry_near_the_mode_floor_is_refused",
             STRUCTURE + "TestDecided::test_a_lone_peak_is_a_mode_at_zero_tolerance",
             STRUCTURE + "test_shape_scans_match_references",
+        ),
+    ),
+    Mutant(
+        "status-ok",  # the bounds audit passes whatever fails
+        "roots.py",
+        'return "ok" if not bad else ";".join(bad)',
+        'return "ok"',
+        (
+            "tests/test_roots.py::TestBoundsRecord::test_status_names_each_failing_bound",
+            BOUNDS_STATUS + "[monotone_tail_bound-10.0-tail_bound]",
+            BOUNDS_STATUS + "[rise_threshold-5.0-rise_range]",
+        ),
+    ),
+    Mutant(
+        "reverse-sum",  # the k-term kernel sums the same products from j = k down
+        "pmf.py",
+        "        j = 1.0\n"
+        "        for x in reversed(w if m <= k else w[-k:]):\n"
+        "            s += j * x\n"
+        "            j += 1.0\n",
+        "        j = float(min(m, k))\n"
+        "        for x in w if m <= k else w[-k:]:\n"
+        "            s += j * x\n"
+        "            j -= 1.0\n",
+        (
+            "tests/test_pmf.py::TestBuildTable::test_bit_identical_to_indexed_loop[3]",
+            KERNEL + "test_weight_value_bit_identical_to_indexed_loop[20]",
+            KERNEL + "test_shoulder_pair_bit_identical_to_indexed_loop[7]",
+            # the benchmark's bounds digest
+            "tests/test_cli.py::TestPinnedOutput::test_sha256[argv2]",
+        ),
+    ),
+    Mutant(
+        "km-lag",  # the four-term step reads W_{n-k-1} for its second lagged term, W_{n-k-2}
+        "pmf.py",
+        "window[-(k + 2)]",
+        "window[-(k + 1)]",
+        (
+            "tests/test_pmf.py::TestBuildTableKm::test_bit_identical_on_the_verify_grid[3]",
+            "tests/test_pmf.py::TestBuildTableKm::test_agrees_with_k_term_recurrence",
+            "tests/test_acceptance.py::test_02_recurrence_cross_check",
+            "tests/test_cli.py::TestVerifyCommand::test_all_suites_pass",
         ),
     ),
 )

@@ -156,7 +156,7 @@ class TestWeightPolynomial:
     def test_structural_invariants(self, k, n):
         poly = weight_polynomial(k, n)
         assert all(c > 0 for c in poly.coeffs.values())
-        assert poly.degree == (n if n > 0 else 0)
+        assert max(poly.coeffs) == (n if n > 0 else 0)
         assert poly.coeffs[max(poly.coeffs)] == (
             Fraction(1, math.factorial(n)) if n > 0 else Fraction(1)
         )

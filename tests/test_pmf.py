@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+import random
 import re
 import sys
 from fractions import Fraction
@@ -545,6 +546,23 @@ class TestRunningSums:
         t = assert_running_is_the_loops(Params(k, lam), mass_share=1.0)
         report = structure.decided_report(t, pmf.DEFAULT_TIE_TOL, pmf.DEFAULT_TAIL_TOL)
         assert report == structure.build_report(loop_table(k, lam))
+
+    def test_loop_decisions_on_a_seeded_sweep(self):
+        # 40 points beyond the measured sets, k from 2..200 and k*lam from
+        # [0.5, 150], capped at k times the mean, k(k+1)/2 * k*lam <= 1.5e6,
+        # to bound the loop's cost; the mass gap at its whole margin, as past
+        # the measured sets above (ROADMAP item 17).  Every point is decided,
+        # as the loop decides it.
+        rng = random.Random(17)
+        done = 0
+        while done < 40:
+            k, k_lam = rng.randint(2, 200), rng.uniform(0.5, 150.0)
+            if k * (k + 1) / 2 * k_lam > 1.5e6:
+                continue
+            done += 1
+            t = assert_running_is_the_loops(Params(k, k_lam / k), mass_share=1.0)
+            report = structure.decided_report(t, pmf.DEFAULT_TIE_TOL, pmf.DEFAULT_TAIL_TOL)
+            assert report == structure.build_report(loop_table(k, k_lam / k)), (k, k_lam)
 
     @pytest.mark.parametrize(
         "k, lam, epsilon",
