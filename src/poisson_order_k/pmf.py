@@ -31,8 +31,6 @@ runs and hands them to ``decided``, which decides the table from them.
 import math
 from collections import deque, namedtuple
 from collections.abc import Callable
-from itertools import accumulate
-from operator import add, mul
 
 __all__ = [
     "Params",
@@ -340,20 +338,6 @@ DEFAULT_TIE_TOL = 1e-9
 DEFAULT_TAIL_TOL = 1e-12
 
 
-def _block(rev: list[float], up: list[float], down: list[float]) -> list[float]:
-    """The old block's part of S_{n+1} at each distance d = k, k - 1, .., 1.
-
-    ``rev`` is the block w_b, w_{b-1}, .., w_{b-k+1}, newest first, ``up``
-    is 1.0, .., k and ``down`` is k, .., 1.0.  Entry r + 1 is d A[r] + B[r]
-    with d = k - 1 - r, A[r] = sum w_i and B[r] = sum (b + 1 - i) w_i over
-    b - r <= i <= b; entry 0, at d = k, is 0.0.  All of it is C-level
-    passes of plain float multiplies and adds.
-    """
-    a = accumulate(rev, initial=0.0)
-    b = accumulate(map(mul, up, rev), initial=0.0)
-    return list(map(add, map(mul, down, a), b))
-
-
 def _running_weights(
     k: int, lam: float, scale: float, epsilon: float, fast: float
 ) -> tuple[list[float], float, list[int]] | None:
@@ -364,8 +348,9 @@ def _running_weights(
     sliding-window aggregation: Tangwongsan, Hirzel and Schneider, VLDB
     2015).  The old block is the k entries ending at index b, and its part
     of the sum at each distance d = n - b into the new block is tabulated
-    when it fills (``_block``).  The new block w_{b+1}..w_n grows by one
-    entry per step, as N0 = sum w_i and N1 = sum (n + 1 - i) w_i, so
+    in one pass over the finished block, newest first.  The new block
+    w_{b+1}..w_n grows by one entry per step, as N0 = sum w_i and
+    N1 = sum (n + 1 - i) w_i, so
 
         S_{n+1} = d A[r] + B[r] + N1,    r = k - 1 - d,
 
@@ -392,8 +377,8 @@ def _running_weights(
     last_low, last_high = epsilon * falls / scale, epsilon * rises / scale
     w = [1.0]
     up = list(map(float, range(1, k + 1)))
-    down = up[::-1]
-    old = _block([1.0] + [0.0] * (k - 1), up, down)  # w_0, then the zeros before it
+    down = up[-2::-1]  # k - 1, .., 1.0
+    old = [0.0, *up[:0:-1]]  # the block w_0 and the zeros before it: 0.0, k, .., 2.0
     n = 0
     s = 1.0  # S_1
     mass = scale
@@ -438,7 +423,18 @@ def _running_weights(
             n1 += n0
             s = c + n1
             prev = x
-        old = _block(w[: -k - 1 : -1], up, down)
+        # The old block's part at each distance d = k, k - 1, .., 1: entry 0,
+        # at d = k, is 0.0, and entry r + 1 is d A[r] + B[r] with d = k - 1 - r,
+        # A[r] = sum w_i and B[r] = sum (n + 1 - i) w_i over n - r <= i <= n.
+        # A loop, not map/accumulate passes: CPython's specialized float ops
+        # reuse the float of a local they update, while each pass allocates a
+        # float per element.
+        old = [0.0]
+        a = b = 0.0
+        for x, j, d in zip(reversed(w), up, down):
+            a += x
+            b += j * x
+            old.append(d * a + b)
     return None
 
 

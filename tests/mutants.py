@@ -46,6 +46,8 @@ STRUCTURE = "tests/test_structure.py::"
 REPLAY = STRUCTURE + "test_builder_runs_replay_to_the_pair_walk_on_scan_tables"
 BOUNDS_STATUS = "tests/test_cli.py::TestBoundsCommand::test_status_is_the_audit_of_the_row"
 KERNEL = "tests/test_roots.py::TestKTermKernel::"
+RUNNING = "tests/test_pmf.py::TestRunningSums::"
+SET_BITS = RUNNING + "test_running_tables_of_a_scan_set_have_the_same_bits_on_every_interpreter"
 
 MUTANTS = (
     Mutant(
@@ -141,6 +143,19 @@ MUTANTS = (
             "tests/test_pmf.py::TestBuildTableKm::test_agrees_with_k_term_recurrence",
             "tests/test_acceptance.py::test_02_recurrence_cross_check",
             "tests/test_cli.py::TestVerifyCommand::test_all_suites_pass",
+        ),
+    ),
+    Mutant(
+        "block-weights",  # the old block's part weighs each entry by d, not by j
+        "pmf.py",
+        "            b += j * x\n",
+        "            b += d * x\n",
+        (
+            SET_BITS + "[mean-k]",
+            SET_BITS + "[grid]",
+            RUNNING + "test_loop_n_max_and_entries_at_the_mean_k_rate",
+            # the benchmark's scan-grid digest
+            "tests/test_cli.py::TestPinnedOutput::test_sha256[argv8]",
         ),
     ),
 )

@@ -493,6 +493,14 @@ RUNNING_SHA256 = {
     (3, 2.0): "46cbb0f7c70003521dceeb8b35029b0b5ba279cf13210bb24cf750ed4cdd83ed",
 }
 
+# SHA-256 over every point of a scan set of the running build at the edge
+# scan uses: per point the float.hex entries, the mass and the runs, or a
+# marker where the build refuses and the loop decides (8 on the grid)
+RUNNING_SET_SHA256 = {
+    "mean-k": "48e224707c334bb3ed3df9e5a937c8f5a4943e997f8777c3fd98f204ede33474",
+    "grid": "06566402cf469879cfcf95c862c01be409b20af3888ba59aeff293694c58006f",
+}
+
 
 class TestRunningSums:
     """``build_adaptive_table(decided=...)``: running sums, the loop decides close calls."""
@@ -536,13 +544,21 @@ class TestRunningSums:
         assert_running_is_the_loops(Params(k, k_lam / k))
 
     @pytest.mark.parametrize(
-        "k, lam", [(172, 0.12485215311266808), (195, 0.26808564009247965)]
+        "k, lam",
+        [
+            (172, 0.12485215311266808),
+            (195, 0.26808564009247965),
+            (1427, 0.005150683506013931),
+        ],
     )
     def test_loop_decisions_past_the_measured_sets(self, k, lam):
         # k > 100 at k*lam = 21.5 and 52.3, beyond the sets _MARGIN was
         # measured on: the mass gap reaches 0.150 and 0.117 of its margin,
         # more than the tenth the measured sets keep (ROADMAP item 17), and
-        # the entry gap 0.029 and 0.046 of _MARGIN
+        # the entry gap 0.029 and 0.046 of _MARGIN.  A long table at
+        # k*lam = 7.35, n_max 25,594: mass gap 0.244 of its margin, final
+        # mass gap 0.022 and entry gap 0.047 of _MARGIN; its loop table
+        # takes about 2 s
         t = assert_running_is_the_loops(Params(k, lam), mass_share=1.0)
         report = structure.decided_report(t, pmf.DEFAULT_TIE_TOL, pmf.DEFAULT_TAIL_TOL)
         assert report == structure.build_report(loop_table(k, lam))
@@ -699,6 +715,22 @@ class TestRunningSums:
         w, _, _ = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10, 0.0)
         bits = ",".join(map(float.hex, w)).encode()
         assert hashlib.sha256(bits).hexdigest() == RUNNING_SHA256[k, lam]
+
+    @pytest.mark.parametrize("name", list(RUNNING_SET_SHA256))
+    def test_running_tables_of_a_scan_set_have_the_same_bits_on_every_interpreter(self, name):
+        # every table, mass, run and refusal of the scan command's running
+        # builds over the whole set, as above
+        m = pmf._MARGIN
+        fast = min(structure._fast(pmf.DEFAULT_TIE_TOL, pmf.DEFAULT_TAIL_TOL), (1 - m) / (1 + m))
+        h = hashlib.sha256()
+        for k, lam in scan_points(name):
+            got = pmf._running_weights(k, lam, math.exp(-k * lam), 1e-10, fast)
+            if got is None:
+                h.update(b"refused;")
+                continue
+            w, mass, runs = got
+            h.update(f"{','.join(map(float.hex, w))}|{mass.hex()}|{runs};".encode())
+        assert h.hexdigest() == RUNNING_SET_SHA256[name]
 
 
 def index_error(diff, table, n) -> str:
