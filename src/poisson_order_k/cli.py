@@ -380,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="threshold constants over a k range")
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--tol", type=float, default=root_tol, help="solver tolerance")
+    p.add_argument(
+        "--tol", type=float, default=root_tol, help="stop root1 and root2 (w_k = c = 1, 2) "
+        "at |w_k - c| <= tol * max(1, c), the shoulder at |w_{k+2} - w_{k+1}| <= tol * w_{k+1}"
+    )
     p.add_argument(
         "--no-shoulder", action="store_true", help="skip the shoulder column"
     )

@@ -270,19 +270,16 @@ def build_table_km(params: Params, n_max: int) -> PmfTable:
     k = params.k
     m, d = params.lam.as_integer_ratio()
     e = d.bit_length() - 1  # d == 2**e
-    # the step only reaches back k+2 indices; keep that window exact
-    window: deque[int] = deque([1], maxlen=k + 2)
+    # the step only reaches back k+2 indices; keep that window exact, from
+    # the zero history W_{-k-1..-1}, whose terms all meet zero coefficients
+    window: deque[int] = deque([0] * (k + 1) + [1], maxlen=k + 2)
     fact = 1  # n!
     out = [1.0]
     for n in range(1, n_max + 1):
         x = (((n - 1) << (e + 1)) + m) * window[-1]
-        if n >= 3:
-            x -= ((n - 1) * (n - 2) * window[-2]) << (2 * e)
-        if n > k:
-            lag = (k + 1) * window[-(k + 1)]
-            if n > k + 1:
-                lag -= (k * (n - 1 - k) * window[-(k + 2)]) << e
-            x -= (m * math.perm(n - 1, k) * lag) << (e * k)
+        x -= ((n - 1) * (n - 2) * window[-2]) << (2 * e)
+        lag = (k + 1) * window[-(k + 1)] - ((k * (n - 1 - k) * window[-(k + 2)]) << e)
+        x -= (m * math.perm(n - 1, k) * lag) << (e * k)
         fact *= n
         try:
             fx = _quotient(x, fact, e * n)

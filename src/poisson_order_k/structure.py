@@ -8,12 +8,12 @@ few): ``build_report`` and ``decided_report`` make it once, and
 ``find_modes``, ``local_maxima``, ``find_triple_ties`` and
 ``check_monotone_tail`` are views of it; the report's initial increase and
 block check read their signs off the runs, and its triple ties (three
-consecutive modes) off the modes.  Mode finding refuses tables that are not
-past their last peak (see ``build_adaptive_table``), so a reported mode can
-never be an artifact of truncation.  The audits compare the observed shape
-against the proved mode bounds and against the conjectured sharper floor;
-conjecture violations are reported, never raised, because a conjecture under
-test is not an invariant.
+consecutive modes) off the modes.  Every analysis refuses tables that are
+not past their last peak (see ``build_adaptive_table``), so neither a mode
+nor a tail verdict can be an artifact of truncation.  The audits compare the
+observed shape against the proved mode bounds and against the conjectured
+sharper floor; conjecture violations are reported, never raised, because a
+conjecture under test is not an invariant.
 """
 
 import bisect
@@ -88,13 +88,13 @@ def _every(v, runs: list[int], lo: int, hi: int, holds) -> bool:
     return lo > hi or all(holds(v[s - 1], v[s]) for s in runs[first:] if s <= hi)
 
 
-def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=True):
+def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None):
     """(modes, local maxima, first tail violation, clear, runs).
 
-    Checks ``tie_tol``, settledness (when ``settled``), then ``tail_tol``.  The
-    modes are the entries from (1 - tie_tol) * peak up.  For neighbours (a, b),
-    b at n: a step beyond tie_tol * max(a, b) ends the plateau; a tail
-    violation (n > k) needs b > a, the weights being non-negative.
+    Checks ``tie_tol``, settledness, then ``tail_tol``.  The modes are the
+    entries from (1 - tie_tol) * peak up.  For neighbours (a, b), b at n: a
+    step beyond tie_tol * max(a, b) ends the plateau; a tail violation
+    (n > k) needs b > a, the weights being non-negative.
 
     ``clear`` states whether each comparison cleared ``_MARGIN`` as it was
     made, so that a table within ``_MARGIN / 10`` of this one, entry by entry,
@@ -125,7 +125,7 @@ def _walk(table: PmfTable, tie_tol: float, tail_tol: float, runs=None, settled=T
     last = len(v) - 1
     if runs is None:
         runs = _runs(v, _fast(tie_tol, tail_tol))
-    if settled and not (last >= k and _every(v, runs, last - k + 1, last, operator.gt)):
+    if not (last >= k and _every(v, runs, last - k + 1, last, operator.gt)):
         raise ValueError(
             f"table (k={k}, lam={table.params.lam}, n_max={table.n_max}) is not "
             f"past its last peak: the final {k + 1} weights are not strictly "
@@ -202,13 +202,11 @@ def check_monotone_tail(
     """First violation of a nonincreasing tail from k, or None when there is none.
 
     A violation is an index whose value exceeds its predecessor's by more
-    than relative ``tol``, so ties within tolerance pass.  A negative or
-    non-finite ``tol`` is refused.
+    than relative ``tol``, so ties within tolerance pass.  Refuses tables
+    that are not past their last peak, whose tail could rise beyond the cut,
+    and a negative or non-finite ``tol``.
     """
-    k = table.params.k
-    if table.n_max < k:
-        raise ValueError(f"table ends at {table.n_max}, need at least k={k}")
-    return _walk(table, 0.0, tol, settled=False)[2]
+    return _walk(table, 0.0, tol)[2]
 
 
 def _mode_bounds(params: Params, modes: tuple[int, ...]) -> tuple[bool, bool]:

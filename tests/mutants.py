@@ -44,10 +44,15 @@ class Mutant(NamedTuple):
 
 STRUCTURE = "tests/test_structure.py::"
 REPLAY = STRUCTURE + "test_builder_runs_replay_to_the_pair_walk_on_scan_tables"
+SETTLED = STRUCTURE + "test_settled_means_k_plus_one_strictly_decreasing_final_weights"
 BOUNDS_STATUS = "tests/test_cli.py::TestBoundsCommand::test_status_is_the_audit_of_the_row"
 KERNEL = "tests/test_roots.py::TestKTermKernel::"
 RUNNING = "tests/test_pmf.py::TestRunningSums::"
+KM = "tests/test_pmf.py::TestBuildTableKm::"
 SET_BITS = RUNNING + "test_running_tables_of_a_scan_set_have_the_same_bits_on_every_interpreter"
+# the pinned stdouts, each test id the command line it runs
+PINNED = "tests/test_cli.py::TestPinnedOutput::"
+SMALL_SCAN = "scan --k-min 1 --k-max 3 --lambda-grid 0.3 300 3"
 
 MUTANTS = (
     Mutant(
@@ -57,7 +62,7 @@ MUTANTS = (
         "all(m >= fl - params.k - 1 for m in modes)",
         (
             STRUCTURE + "TestModeBoundAudits::test_forged_modes_outside_the_window_fail"
-            "[values0-verdicts0]",
+            "[mode-1-below-window-and-floor]",
             STRUCTURE + "test_shape_scans_match_references_on_scan_tables",
             REPLAY + "[grid]",
         ),
@@ -76,8 +81,8 @@ MUTANTS = (
         "modes[0] + k, operator.gt)",
         (
             STRUCTURE + "TestBlockAssumption::test_consecutive_double_mode_is_nonincreasing",
-            "tests/test_cli.py::TestPinnedOutput::test_csv_bytes[argv2]",
-            "tests/test_cli.py::TestPinnedOutput::test_sha256[argv3]",
+            PINNED + f"test_csv_bytes[{SMALL_SCAN}]",
+            PINNED + f"test_sha256[{SMALL_SCAN} --format json]",
             REPLAY + "[shoulder]",
         ),
     ),
@@ -130,7 +135,7 @@ MUTANTS = (
             KERNEL + "test_weight_value_bit_identical_to_indexed_loop[20]",
             KERNEL + "test_shoulder_pair_bit_identical_to_indexed_loop[7]",
             # the benchmark's bounds digest
-            "tests/test_cli.py::TestPinnedOutput::test_sha256[argv2]",
+            PINNED + "test_sha256[bounds --k-min 2 --k-max 150]",
         ),
     ),
     Mutant(
@@ -139,8 +144,8 @@ MUTANTS = (
         "window[-(k + 2)]",
         "window[-(k + 1)]",
         (
-            "tests/test_pmf.py::TestBuildTableKm::test_bit_identical_on_the_verify_grid[3]",
-            "tests/test_pmf.py::TestBuildTableKm::test_agrees_with_k_term_recurrence",
+            KM + "test_bit_identical_on_the_verify_grid[3]",
+            KM + "test_agrees_with_k_term_recurrence",
             "tests/test_acceptance.py::test_02_recurrence_cross_check",
             "tests/test_cli.py::TestVerifyCommand::test_all_suites_pass",
         ),
@@ -155,7 +160,41 @@ MUTANTS = (
             SET_BITS + "[grid]",
             RUNNING + "test_loop_n_max_and_entries_at_the_mean_k_rate",
             # the benchmark's scan-grid digest
-            "tests/test_cli.py::TestPinnedOutput::test_sha256[argv8]",
+            PINNED + "test_sha256[scan --k-min 2 --k-max 50 --lambda-grid 0.05 3.0 20"
+            " --format json --jobs 1]",
+        ),
+    ),
+    Mutant(
+        "settled-ge",  # a table ending in an equal pair counts as past its last peak
+        "structure.py",
+        "last - k + 1, last, operator.gt)",
+        "last - k + 1, last, operator.ge)",
+        (
+            SETTLED + "[equal-final-pair-check_monotone_tail]",
+            SETTLED + "[equal-final-pair-build_report]",
+            STRUCTURE + "test_a_cut_table_can_hide_a_tail_rise_or_the_end_of_a_tie",
+        ),
+    ),
+    Mutant(
+        "sticky-bit",  # the short quotient forgets the bits it shifted off
+        "pmf.py",
+        "    if r or y << t != x:\n        q |= 1\n",
+        "",
+        (
+            KM + "test_bit_identical_on_the_verify_grid[3]",
+            KM + "test_bit_identical_where_one_lagged_term_enters[4]",
+            KM + "test_bit_identical_across_binades",
+        ),
+    ),
+    Mutant(
+        "triple-pair",  # two consecutive modes count as a triple tie
+        "structure.py",
+        "e - s >= 3",
+        "e - s >= 2",
+        (
+            STRUCTURE + "TestTripleTies::test_none_in_the_reference_cases",
+            STRUCTURE + "test_shape_scans_match_references_on_scan_tables",
+            PINNED + f"test_csv_bytes[{SMALL_SCAN}]",
         ),
     ),
 )

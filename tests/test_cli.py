@@ -914,13 +914,13 @@ PINNED_SHA256 = {
 
 
 class TestPinnedOutput:
-    @pytest.mark.parametrize("argv", list(PINNED_CSV))
+    @pytest.mark.parametrize("argv", list(PINNED_CSV), ids=" ".join)
     def test_csv_bytes(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == PINNED_CSV[argv]
 
-    @pytest.mark.parametrize("argv", list(PINNED_SHA256))
+    @pytest.mark.parametrize("argv", list(PINNED_SHA256), ids=" ".join)
     def test_sha256(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0

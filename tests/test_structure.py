@@ -347,27 +347,37 @@ def test_build_report_checks_tie_tol_then_settledness_then_tail_tol():
         build_report(loop_table(2, 4 / 3), 1e-9, math.nan)
 
 
-@pytest.mark.parametrize("scan", [find_modes, local_maxima, find_triple_ties, build_report])
-@pytest.mark.parametrize("values", [(1.0, 0.5, 0.25), (4.0, 2.0, 1.0, 1.0)])
+SHAPE_AUDITS = [find_modes, local_maxima, check_monotone_tail, find_triple_ties, build_report]
+
+
+@pytest.mark.parametrize("scan", SHAPE_AUDITS)
+@pytest.mark.parametrize(
+    "values", [(1.0, 0.5, 0.25), (4.0, 2.0, 1.0, 1.0)], ids=["three-weights", "equal-final-pair"]
+)
 def test_settled_means_k_plus_one_strictly_decreasing_final_weights(scan, values):
     # at k = 3: three weights are too few, and an equal final pair is no fall
     with pytest.raises(ValueError, match="past its last peak"):
         scan(PmfTable(Params(3, 0.5), values, 1.0))
 
 
-def test_only_the_tail_check_takes_an_unsettled_table():
-    cut = build_table(Params(2, 4 / 3), 2)
-    for scan in (find_modes, local_maxima, find_triple_ties):
+@pytest.mark.parametrize(
+    "scan",
+    [*SHAPE_AUDITS, pytest.param(lambda t: decided_report(t, 0.0, 0.0), id="decided_report")],
+)
+def test_every_audit_refuses_a_table_cut_before_its_last_peak(scan):
+    for cut in (build_table(Params(2, 4 / 3), 2), build_table(Params(3, 1.0), 4)):
         with pytest.raises(ValueError, match="past its last peak"):
             scan(cut)
+
+
+def test_a_cut_table_can_hide_a_tail_rise_or_the_end_of_a_tie():
+    # (3, 1.0) cut at 4 holds a falling tail, but the tail rises again at 5
+    assert check_monotone_tail(loop_table(3, 1.0)) == 5
     # cut while rising, the entries it holds end in a tie at 18..20, while
     # the distribution's tie at tie_tol 0.1 is 18..21
     with pytest.raises(ValueError, match="past its last peak"):
         find_triple_ties(build_table(Params(1, 20.0), 20), 0.1)
     assert find_triple_ties(loop_table(1, 20.0), 0.1) == [(18, 21)]
-    assert check_monotone_tail(cut) is None
-    with pytest.raises(ValueError, match="ends at 2, need at least k=3"):
-        check_monotone_tail(build_table(Params(3, 1.0), 2))
 
 
 def decided(values, tie_tol, tail_tol, k=1):
@@ -591,6 +601,7 @@ class TestModeBoundAudits:
             ((1.0, 0.5, 0.3, 0.2, 0.1), (False, True)),
             ((1.0, 1.1, 1.2, 1.3, 1.4, 2.0, 1.0, 0.5, 0.2), (False, True)),
         ],
+        ids=["mode-1-below-window-and-floor", "mode-0-below-window", "mode-5-above-window"],
     )
     def test_forged_modes_outside_the_window_fail(self, values, verdicts):
         # floor(kappa*lam) = 4 at (2, 4/3): the proved window is [2, 4]
